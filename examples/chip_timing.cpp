@@ -61,9 +61,9 @@ int main() {
   }
 
   // --- The same flow at corpus scale -------------------------------------
-  // A seeded synthetic design: repeated topology classes make the
-  // same-topology nets run on AoSoA lanes. Results are bitwise-identical
-  // whatever `options` asks for — the knobs only schedule the work.
+  // A seeded synthetic design, its nets analyzed across a worker pool.
+  // Results are bitwise-identical whatever `options.threads` asks for —
+  // the thread count only schedules the work.
   sta::SyntheticSpec spec;
   spec.nets = 512;
   spec.seed = 7;
@@ -80,14 +80,13 @@ int main() {
     return 1;
   }
   sta::AnalyzeOptions options;
-  options.lane_width = 4;
+  options.threads = 2;
   const util::Result<sta::TimingSummary> summary = big.analyze(options);
   if (!summary.is_ok()) {
     std::cerr << summary.status().to_string() << "\n";
     return 1;
   }
   std::cout << "\n" << sta::format_summary(summary.value());
-  std::cout << big.design()->nets.size() << " nets, " << summary.value().batched_nets
-            << " timed on AoSoA lanes\n";
+  std::cout << big.design()->nets.size() << " nets timed\n";
   return 0;
 }

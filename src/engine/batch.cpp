@@ -110,7 +110,7 @@ unsigned env_default_threads() {
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
     if (*env != '\0' && end != env && *end == '\0' && errno == 0 && parsed >= 1 &&
-        parsed <= 64) {
+        parsed <= BatchAnalyzer::kMaxThreads) {
       cached = static_cast<unsigned>(parsed);
     } else {
       std::fprintf(stderr,

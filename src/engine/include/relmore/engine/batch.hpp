@@ -27,8 +27,11 @@ namespace relmore::engine {
 /// thread traffic.
 class BatchAnalyzer {
  public:
+  /// Largest worker count RELMORE_THREADS accepts.
+  static constexpr unsigned kMaxThreads = 64;
+
   /// `threads` = total workers including the caller; 0 consults the
-  /// RELMORE_THREADS environment variable (an integer in [1, 64]; any
+  /// RELMORE_THREADS environment variable (an integer in [1, kMaxThreads]; any
   /// other value — empty, non-numeric, trailing garbage, out of range —
   /// is rejected with one stderr warning) and falls back to
   /// min(hardware_concurrency, 8). Clamped to at least 1.

@@ -3,17 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <map>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "relmore/engine/batch.hpp"
-#include "relmore/engine/batched.hpp"
-#include "relmore/engine/tuner.hpp"
 
 namespace relmore::sta {
 
-using circuit::SectionId;
 using util::ErrorCode;
 using util::FaultPolicy;
 using util::Result;
@@ -114,9 +112,10 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   if (design.nets.empty()) {
     return Status(ErrorCode::kEmptyTree, "analyze_corpus: design has no nets");
   }
-  if (options.lane_width != 0 && options.lane_width != 1 && options.lane_width != 2 &&
-      options.lane_width != 4 && options.lane_width != 8) {
-    return Status(ErrorCode::kInvalidArgument, "analyze_corpus: lane width must be 1, 2, 4, or 8");
+  if (options.threads > engine::BatchAnalyzer::kMaxThreads) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "analyze_corpus: threads must be at most " +
+                      std::to_string(engine::BatchAnalyzer::kMaxThreads));
   }
   const FaultPolicy policy = phase_policy(options.fault_policy);
   const std::size_t attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
@@ -125,7 +124,7 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   CorpusModels out;
   out.nets.resize(n_nets);
 
-  // Stop latch: the first task/phase that observes a tripped deadline or
+  // Stop latch: the first task/round that observes a tripped deadline or
   // cancellation CASes the code in; everyone else reads the latch (one
   // relaxed load) instead of re-deriving a possibly different verdict.
   std::atomic<std::uint8_t> stop{0};
@@ -141,56 +140,36 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   };
 
   // --- cache probe: serve epoch-matched nets without scheduling them -------
-  // A hit copies the stored verdict and removes the net from both the
-  // scalar and batched bins below, so an untouched same-topology group
-  // skips its batched kernel entirely. Only healthy decided verdicts are
+  // A hit copies the stored verdict. Only healthy decided verdicts are
   // ever stored (see CorpusCache), so a hit is exactly the bits an
-  // uncached run would produce.
+  // uncached run would produce. Every other non-empty net is pending.
   const std::uint64_t fingerprint = options_fingerprint(options);
   std::vector<char> cached(n_nets, 0);
-  if (options.cache != nullptr) {
-    for (std::size_t ni = 0; ni < n_nets; ++ni) {
-      const NetModels* slot = options.cache->find(ni, design.nets[ni].epoch, fingerprint);
+  std::vector<std::size_t> pending;
+  for (std::size_t ni = 0; ni < n_nets; ++ni) {
+    const Net& net = design.nets[ni];
+    if (options.cache != nullptr) {
+      const NetModels* slot = options.cache->find(ni, net.epoch, fingerprint);
       if (slot != nullptr) {
         out.nets[ni] = *slot;
         cached[ni] = 1;
         ++out.cache_hits;
-      } else {
-        ++out.cache_misses;
+        continue;
       }
+      ++out.cache_misses;
     }
-  }
-
-  // --- bin nets: topology groups vs scalar singles -------------------------
-  // Exact parent-vector keying: only structurally identical trees share a
-  // batched kernel (values are per-lane). std::map keeps group iteration
-  // order deterministic.
-  std::map<std::vector<SectionId>, std::vector<int>> groups;
-  for (std::size_t ni = 0; ni < n_nets; ++ni) {
-    if (cached[ni] != 0) continue;
-    if (design.nets[ni].flat.empty()) {
+    if (net.flat.empty()) {
       out.nets[ni].faulted = true;
       out.nets[ni].status =
-          Status(ErrorCode::kEmptyTree, "net has an empty tree").with_net(design.nets[ni].name);
+          Status(ErrorCode::kEmptyTree, "net has an empty tree").with_net(net.name);
       continue;
     }
-    groups[design.nets[ni].flat.parent()].push_back(static_cast<int>(ni));
-  }
-
-  std::vector<int> scalar_nets;
-  std::vector<const std::vector<int>*> batched_groups;
-  const std::size_t min_group = options.min_group == 0 ? 2 : options.min_group;
-  for (const auto& [key, members] : groups) {
-    if (members.size() >= min_group) {
-      batched_groups.push_back(&members);
-    } else {
-      scalar_nets.insert(scalar_nets.end(), members.begin(), members.end());
-    }
+    pending.push_back(ni);
   }
 
   engine::BatchAnalyzer pool(options.threads);
 
-  // --- scalar ladder: rounds of one-net tasks, retrying transients ---------
+  // --- ladder: rounds of one-net tasks, retrying transients ---------------
   // A round leaves a net's slot either decided (analyzed and/or faulted)
   // or untouched — a task killed by a transient (its exception surfaces at
   // the join) or skipped at a stop writes nothing, so "still undecided"
@@ -198,11 +177,24 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   // still failing after the budget is marked faulted with the last
   // transient's status and poisons only its own timing cone.
   const eed::AnalyzeOptions scalar_opts{policy};
-  const auto scalar_round = [&](const std::vector<int>& pending) -> std::exception_ptr {
+  const auto quarantine = [&](const Status& why) {
+    for (const std::size_t ni : pending) {
+      NetModels& slot = out.nets[ni];
+      slot.faulted = true;
+      slot.status = why.with_net(design.nets[ni].name);
+      ++out.quarantined_nets;
+    }
+    pending.clear();
+  };
+  Status last(ErrorCode::kResourceExhausted, "net analysis did not complete");
+  for (std::size_t attempt = 1; attempt <= attempts && !pending.empty(); ++attempt) {
+    if (corpus_stopped()) break;
+    if (attempt > 1) backoff(attempt - 1);
+    std::exception_ptr ep;
     try {
       pool.parallel_for(pending.size(), [&](std::size_t k) {
         if (corpus_stopped()) return;
-        const auto ni = static_cast<std::size_t>(pending[k]);
+        const std::size_t ni = pending[k];
         const Net& net = design.nets[ni];
         NetModels& slot = out.nets[ni];
         Result<eed::TreeModel> model = eed::analyze_checked(net.flat, scalar_opts);
@@ -215,170 +207,25 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
         slot.analyzed = true;
       });
     } catch (...) {
-      return std::current_exception();
+      ep = std::current_exception();
     }
-    return nullptr;
-  };
-  const auto quarantine = [&](const std::vector<int>& nets, const Status& why) {
-    for (const int ni : nets) {
-      NetModels& slot = out.nets[static_cast<std::size_t>(ni)];
-      slot.faulted = true;
-      slot.status = why.with_net(design.nets[static_cast<std::size_t>(ni)].name);
-      ++out.quarantined_nets;
+    std::vector<std::size_t> next;
+    for (const std::size_t ni : pending) {
+      const NetModels& slot = out.nets[ni];
+      if (!slot.analyzed && !slot.faulted) next.push_back(ni);
     }
-  };
-  const auto scalar_ladder = [&](std::vector<int> pending, const char* phase_name) {
-    Status last;
-    bool transient_seen = false;
-    for (std::size_t attempt = 1; attempt <= attempts && !pending.empty(); ++attempt) {
-      if (corpus_stopped()) return;
-      if (attempt > 1) backoff(attempt - 1);
-      const std::exception_ptr ep = scalar_round(pending);
-      std::vector<int> next;
-      for (const int ni : pending) {
-        const NetModels& slot = out.nets[static_cast<std::size_t>(ni)];
-        if (!slot.analyzed && !slot.faulted) next.push_back(ni);
-      }
-      if (ep != nullptr) {
-        Status st;
-        const bool retry = classify_exception(ep, &st);
-        util::Diagnostic d;
-        d.code = st.code();
-        d.warning = true;
-        d.message = std::string(phase_name) + ": " + st.message() +
-                    (retry && attempt < attempts ? " (retrying)" : "");
-        out.diagnostics.add(std::move(d));
-        if (!retry) {
-          quarantine(next, st);
-          return;
-        }
-        last = st;
-        transient_seen = true;
-      }
-      pending = std::move(next);
-    }
-    if (!pending.empty() && !corpus_stopped()) {
-      quarantine(pending, transient_seen
-                              ? last
-                              : Status(ErrorCode::kResourceExhausted,
-                                       "net analysis did not complete"));
-    }
-  };
-
-  scalar_ladder(scalar_nets, "scalar phase");
-
-  // --- batched path: one AoSoA lane per net of a topology group ------------
-  const auto run_group = [&](const std::vector<int>& group) {
-    const Net& first = design.nets[static_cast<std::size_t>(group.front())];
-    // Default execution plan comes from the kernel tuner, sized to this
-    // group's (sections, nets) shape; an explicit options.lane_width wins
-    // and leaves tile selection to the analyzer. Neither choice changes
-    // an output bit.
-    std::size_t width = options.lane_width;
-    std::size_t tile_rows = 0;
-    if (width == 0) {
-      const engine::KernelPlan plan =
-          engine::KernelTuner::instance().analysis_plan(first.flat.size(), group.size());
-      width = plan.lane_width;
-      tile_rows = plan.tile_rows;
-    }
-    Result<engine::BatchedAnalyzer> batch_r =
-        engine::BatchedAnalyzer::create_checked(first.flat, width);
-    if (!batch_r.is_ok()) {
-      // Topology rejected (e.g. validate limits): every member degrades to
-      // the scalar verdict rather than silently vanishing.
-      for (const int ni : group) {
-        NetModels& slot = out.nets[static_cast<std::size_t>(ni)];
-        slot.faulted = true;
-        slot.status = batch_r.status().with_net(design.nets[static_cast<std::size_t>(ni)].name);
-      }
-      return;
-    }
-    engine::BatchedAnalyzer batch = std::move(batch_r).value();
-    batch.set_fault_policy(policy);
-    batch.set_tile_rows(tile_rows);
-    batch.set_run_control(rc);
-    batch.resize(group.size());
-    pool.parallel_for(group.size(), [&](std::size_t s) {
-      const Net& net = design.nets[static_cast<std::size_t>(group[s])];
-      batch.set_sample(s, net.flat.resistance().data(), net.flat.inductance().data(),
-                       net.flat.capacitance().data());
-    });
-
-    // Tap-node union across the group (taps differ per net even when the
-    // wire topology matches).
-    std::vector<SectionId> ids;
-    std::vector<char> seen(first.flat.size(), 0);
-    for (const int ni : group) {
-      for (const Net::Tap& tap : design.nets[static_cast<std::size_t>(ni)].taps) {
-        if (!seen[static_cast<std::size_t>(tap.node)]) {
-          seen[static_cast<std::size_t>(tap.node)] = 1;
-          ids.push_back(tap.node);
-        }
-      }
-    }
-    if (ids.empty()) ids.push_back(static_cast<SectionId>(first.flat.size() - 1));
-
-    const engine::BatchedModels models = batch.analyze_nodes(ids, &pool);
-    for (std::size_t s = 0; s < group.size(); ++s) {
-      const int ni = group[s];
-      const Net& net = design.nets[static_cast<std::size_t>(ni)];
-      NetModels& slot = out.nets[static_cast<std::size_t>(ni)];
-      const std::uint8_t flags = models.fault_flags(s);
-      if ((flags & eed::kFaultNotRun) != 0) continue;  // stop: stays undecided
-      if (flags != 0) {
-        slot.faulted = true;
-        slot.status = Status(ErrorCode::kNonFiniteMoment, "net faulted in batched analysis")
-                          .with_net(net.name);
-        continue;
-      }
-      slot.taps.resize(net.taps.size());
-      for (std::size_t t = 0; t < net.taps.size(); ++t) {
-        slot.taps[t] = models.node(s, net.taps[t].node);
-      }
-      slot.analyzed = true;
-      ++out.batched_nets;
-    }
-  };
-
-  // Group ladder: retry the whole group on transients (no slot was
-  // written — the throw happens before the result loop), then degrade the
-  // group to the scalar ladder. Falling back costs the AoSoA speedup for
-  // those nets but keeps their bits identical: scalar analysis is the
-  // contract both paths reproduce.
-  for (const std::vector<int>* group : batched_groups) {
-    if (corpus_stopped()) break;
-    bool done = false;
-    for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
-      if (corpus_stopped()) break;
-      if (attempt > 1) backoff(attempt - 1);
-      try {
-        run_group(*group);
-        done = true;
-        break;
-      } catch (...) {
-        Status st;
-        const bool retry = classify_exception(std::current_exception(), &st);
-        util::Diagnostic d;
-        d.code = st.code();
-        d.warning = true;
-        d.message = "batched group: " + st.message() +
-                    (retry && attempt < attempts ? " (retrying)" : " (falling back to scalar)");
-        out.diagnostics.add(std::move(d));
-        if (!retry) break;
-      }
-    }
-    if (!done && !corpus_stopped()) {
-      out.fallback_nets += group->size();
-      util::Diagnostic d;
-      d.code = ErrorCode::kResourceExhausted;
-      d.warning = true;
-      d.message = "topology group of " + std::to_string(group->size()) +
-                  " nets fell back to scalar analysis";
-      out.diagnostics.add(std::move(d));
-      scalar_ladder(*group, "batched fallback");
-    }
+    pending = std::move(next);
+    if (ep == nullptr) continue;
+    const bool retry = classify_exception(ep, &last);
+    util::Diagnostic d;
+    d.code = last.code();
+    d.warning = true;
+    d.message =
+        "corpus phase: " + last.message() + (retry && attempt < attempts ? " (retrying)" : "");
+    out.diagnostics.add(std::move(d));
+    if (!retry) quarantine(last);  // final: the same bits would fail again
   }
+  if (!pending.empty() && !corpus_stopped()) quarantine(last);
 
   // --- join: count verdicts, surface the stop, apply the caller policy -----
   for (std::size_t ni = 0; ni < n_nets; ++ni) {
@@ -394,11 +241,6 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
       ++out.incomplete_nets;
     }
   }
-  // An undecided slot means some phase observed the stop — but the observer
-  // may have been the batched analyzer itself (its kFaultNotRun samples),
-  // with no corpus-level poll afterwards. Re-derive so the latch agrees:
-  // deadlines and cancellations are sticky, so this reproduces the verdict.
-  if (out.incomplete_nets > 0) (void)corpus_stopped();
   if (const std::uint8_t code = stop.load(std::memory_order_relaxed); code != 0) {
     const auto ec = static_cast<ErrorCode>(code);
     out.stop_status = Status(ec, ec == ErrorCode::kCancelled
@@ -416,23 +258,13 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
     }
   }
   // Fill the cache from this run's healthy verdicts (sequentially — the
-  // parallel phases are over), and surface the hit/miss counts where a
-  // report reader can see them.
+  // parallel rounds are over).
   if (options.cache != nullptr) {
     for (std::size_t ni = 0; ni < n_nets; ++ni) {
       const NetModels& slot = out.nets[ni];
       if (cached[ni] != 0 || !slot.analyzed || slot.faulted) continue;
       options.cache->store(ni, design.nets[ni].epoch, fingerprint, slot);
     }
-    const CorpusCache::Counters& totals = options.cache->counters();
-    util::Diagnostic d;
-    d.code = ErrorCode::kOk;
-    d.warning = true;
-    d.message = "corpus cache: " + std::to_string(out.cache_hits) + " hit(s), " +
-                std::to_string(out.cache_misses) + " miss(es) this run (lifetime " +
-                std::to_string(totals.hits) + "/" + std::to_string(totals.hits + totals.misses) +
-                ")";
-    out.diagnostics.add(std::move(d));
   }
   if (options.fault_policy == FaultPolicy::kThrow) {
     if (out.faulted_nets > 0) {

@@ -5,13 +5,11 @@
 /// parallel phase, with the same bitwise-reproducibility contract as the
 /// per-tree kernels.
 ///
-/// Dispatch: nets whose FlatTrees share an identical parent vector form a
-/// *topology group* and run through the batched AoSoA kernel
-/// (engine::BatchedAnalyzer, one lane per net); every remaining net runs
-/// the scalar FlatTree path. Both paths write into a per-net slot, and
-/// each lane/sample is bitwise-identical to a scalar `eed::analyze` of
-/// that net's tree, so the corpus result is a pure function of the design
-/// — independent of thread count, lane width, and group scheduling.
+/// Dispatch: every net the cache does not serve runs the scalar
+/// `eed::analyze_checked` on its FlatTree, one task per net across an
+/// engine::BatchAnalyzer pool. Each task writes only its own per-net
+/// slot, so the corpus result is a pure function of the design —
+/// independent of thread count and scheduling.
 ///
 /// Faults: one malformed net must not kill a 10^5-net run. The phase
 /// always executes under a flag policy; what the *caller* asked for is
@@ -22,18 +20,15 @@
 /// Degradation ladder (docs/robustness.md): *transient* failures —
 /// workspace allocation (std::bad_alloc -> kResourceExhausted) and
 /// injected pool faults (kInjectedFault) — are retried with capped
-/// exponential backoff; a topology group whose batched attempts keep
-/// failing falls back to the scalar path per member net; a net that still
-/// fails after the scalar retries is quarantined (faulted, per-net
-/// status), poisoning only its own timing cone. *Data* faults (bad
-/// values, non-finite moments) are never retried — rerunning a pure
-/// function on the same bits cannot heal them. Because every net's result
-/// is a pure function of its tree, retries and fallbacks never change a
-/// healthy net's bits.
+/// exponential backoff; a net that still fails after the retries is
+/// quarantined (faulted, per-net status), poisoning only its own timing
+/// cone. *Data* faults (bad values, non-finite moments) are never
+/// retried — rerunning a pure function on the same bits cannot heal
+/// them. Because every net's result is a pure function of its tree,
+/// retries never change a healthy net's bits.
 ///
 /// Deadlines/cancellation: `AnalyzeOptions::deadline` / `cancel` are
-/// polled between nets and lane groups (and inside the batched engine at
-/// group boundaries). On a stop, every net completed so far is kept —
+/// polled between nets. On a stop, every net completed so far is kept —
 /// bitwise-identical to an uninterrupted run — and each unfinished net is
 /// reported by name as a warning in `CorpusModels::diagnostics`
 /// (NetModels::analyzed stays false); `CorpusModels::stop_status` carries
@@ -54,28 +49,33 @@ namespace relmore::sta {
 class CorpusCache;
 
 /// Execution + fault knobs for corpus analysis. The execution half
-/// (threads/lane_width/min_group/retries/deadline) never changes a single
-/// output bit of any net that completes.
+/// (threads/retries/deadline) never changes a single output bit of any
+/// net that completes.
 struct AnalyzeOptions {
-  unsigned threads = 0;         ///< engine::BatchAnalyzer workers (0 = default)
-  std::size_t lane_width = 0;   ///< lane width 1/2/4/8 (0 = engine::KernelTuner's pick)
-  std::size_t min_group = 4;    ///< smallest topology group worth batching
+  /// engine::BatchAnalyzer workers including the caller, at most
+  /// engine::BatchAnalyzer::kMaxThreads (larger: kInvalidArgument). 0 =
+  /// RELMORE_THREADS, else the hardware default. The only execution knob.
+  unsigned threads = 0;
+  /// Unused: every net takes the scalar path. Declared only because
+  /// benchmark/src/main.cpp still sets both; remove them with that use.
+  std::size_t lane_width = 0;
+  std::size_t min_group = 4;
   util::FaultPolicy fault_policy = util::FaultPolicy::kSkipAndFlag;
   /// Degradation-ladder retry budget for *transient* faults (allocation
-  /// failure, injected pool faults): total attempts per phase/group/net,
-  /// with capped exponential backoff between attempts. Minimum 1.
+  /// failure, injected pool faults): total attempts per net, with capped
+  /// exponential backoff between attempts. Minimum 1.
   std::size_t max_attempts = 3;
-  /// Cooperative run control, polled between nets and lane groups. The
-  /// caller keeps `cancel` (when non-null) alive for the call's duration.
+  /// Cooperative run control, polled between nets. The caller keeps
+  /// `cancel` (when non-null) alive for the call's duration.
   util::Deadline deadline;
   const util::CancelToken* cancel = nullptr;
   /// Optional per-net analysis cache (relmore::Timer plugs its own in).
   /// A net whose (epoch, options fingerprint) matches its cached slot
-  /// skips the scalar/batched kernels entirely — bitwise-safe because a
-  /// net's models are a pure function of its tree bits, and Design bumps
-  /// the net epoch on every re-finalize/edit. The caller keeps the cache
-  /// alive for the call's duration; not thread-safe (one analysis at a
-  /// time per cache, the Timer discipline).
+  /// skips analysis entirely — bitwise-safe because a net's models are a
+  /// pure function of its tree bits, and Design bumps the net epoch on
+  /// every re-finalize/edit. The caller keeps the cache alive for the
+  /// call's duration; not thread-safe (one analysis at a time per cache,
+  /// the Timer discipline).
   CorpusCache* cache = nullptr;
 };
 
@@ -93,18 +93,20 @@ struct NetModels {
 struct CorpusModels {
   std::vector<NetModels> nets;
   std::size_t faulted_nets = 0;
-  std::size_t batched_nets = 0;      ///< nets that ran through AoSoA lanes
   std::size_t incomplete_nets = 0;   ///< not analyzed: deadline/cancel stop
-  std::size_t fallback_nets = 0;     ///< degraded batched -> scalar
   std::size_t quarantined_nets = 0;  ///< faulted after exhausting transient retries
   std::size_t cache_hits = 0;        ///< nets served from AnalyzeOptions::cache
   std::size_t cache_misses = 0;      ///< nets the cache could not serve
+  /// Always 0: no net runs on AoSoA lanes. Declared only because
+  /// benchmark/src/workloads.cpp still reads both; remove them with that use.
+  std::size_t batched_nets = 0;
+  std::size_t fallback_nets = 0;
   /// Non-ok when the run stopped at a deadline/cancellation; completed
   /// nets are kept and bitwise-identical to an uninterrupted run.
   util::Status stop_status;
   /// Per-name record of everything that went wrong: one error per faulted
-  /// net, one warning per incomplete net, one warning per recovered
-  /// transient (retry, batched->scalar fallback).
+  /// net, one warning per incomplete net, one warning per exception a
+  /// round of the retry ladder caught.
   util::DiagnosticsReport diagnostics;
 };
 
@@ -155,8 +157,8 @@ class CorpusCache {
 };
 
 /// The cache key half derived from `options`. Only knobs that can change
-/// an output bit participate — execution knobs (threads, lane width,
-/// tiling, retries, deadlines) never do. The phase fault policy does
+/// an output bit participate — execution knobs (threads, retries,
+/// deadlines) never do. The phase fault policy does
 /// (kClampAndFlag rewrites degenerate moments), so it keys the slot after
 /// kThrow-normalization: kThrow and kSkipAndFlag share a fingerprint (the
 /// phase runs them identically), kClampAndFlag gets its own. Kept
@@ -165,7 +167,8 @@ class CorpusCache {
 [[nodiscard]] std::uint64_t options_fingerprint(const AnalyzeOptions& options);
 
 /// Analyzes every net of `design`. Returns a Status only for caller
-/// errors (empty design), under FaultPolicy::kThrow when a net faulted or
+/// errors (empty design; threads above engine::BatchAnalyzer::kMaxThreads
+/// -> kInvalidArgument), under FaultPolicy::kThrow when a net faulted or
 /// the run was stopped; under the flag policies per-net failures are
 /// isolated in the result and a stop comes back as stop_status.
 [[nodiscard]] util::Result<CorpusModels> analyze_corpus_checked(const Design& design,

@@ -23,8 +23,7 @@ struct SyntheticSpec {
   std::size_t nets = 1000;        ///< total nets (>= 2)
   std::uint64_t seed = 1;         ///< value-perturbation seed
   std::size_t topo_classes = 8;   ///< distinct wire topologies; nets cycle
-                                  ///< through them, so each class forms a
-                                  ///< same-topology batch group
+                                  ///< through them
   std::size_t chain_depth = 4;    ///< nets per input->output chain
   double clock_period = 2e-9;     ///< endpoint constraint [s]
 };

@@ -21,7 +21,7 @@
 ///    timing point carries a slack, not just endpoints.
 ///
 /// The moment phase runs through analyze_corpus_checked, so the whole
-/// analysis inherits its bitwise thread/lane-width independence; the
+/// analysis inherits its bitwise thread-count independence; the
 /// propagation itself is a sequential sweep over Design::topo_nets.
 /// Faulted nets are skipped and poison only their own fanout cone: every
 /// endpoint fed by one reports `timed == false` instead of a fake number.
@@ -73,7 +73,6 @@ struct TimingSummary {
   std::size_t constrained_endpoints = 0;
   std::size_t untimed_endpoints = 0;  ///< endpoints in a faulted fanout cone
   std::size_t faulted_nets = 0;
-  std::size_t batched_nets = 0;       ///< corpus nets analyzed on AoSoA lanes
   std::size_t incomplete_nets = 0;    ///< corpus nets not analyzed: deadline/cancel
   std::size_t cache_hits = 0;         ///< corpus nets served by AnalyzeOptions::cache
   std::size_t cache_misses = 0;       ///< corpus nets the cache could not serve
@@ -157,7 +156,7 @@ class TimingGraph {
   /// net's forward half is bitwise-unchanged. On success `result` is
   /// bitwise-equal to a from-scratch analyze of the edited design in
   /// every PointTiming, wire delay, WNS/TNS, and endpoint row; the
-  /// corpus-phase bookkeeping (batched/cache counts, diagnostics) keeps
+  /// corpus-phase bookkeeping (fault/cache counts, diagnostics) keeps
   /// its last-full-analysis values.
   ///
   /// `cache` must cover every net in the dirty cones at its current epoch

@@ -152,7 +152,7 @@ void backward_time_net(const Design& design, int ni, TimingResult& result) {
 
 /// Rebuilds the endpoint summary (rows, WNS/TNS, endpoint counts) from
 /// the per-point timings. The corpus-phase counters
-/// (faulted/batched/incomplete/cache) are left untouched — the caller
+/// (faulted/incomplete/cache) are left untouched — the caller
 /// owns them.
 void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   TimingSummary& summary = result.summary;
@@ -271,7 +271,6 @@ Result<TimingResult> TimingGraph::analyze_checked(const AnalyzeOptions& options)
 
   // --- endpoint summary ----------------------------------------------------
   result.summary.faulted_nets = corpus.faulted_nets;
-  result.summary.batched_nets = corpus.batched_nets;
   result.summary.incomplete_nets = corpus.incomplete_nets;
   result.summary.cache_hits = corpus.cache_hits;
   result.summary.cache_misses = corpus.cache_misses;
@@ -618,8 +617,6 @@ std::string format_summary(const TimingSummary& summary) {
   append_ps(out, summary.tns);
   out += " ps\nnets faulted: ";
   out += std::to_string(summary.faulted_nets);
-  out += "   nets batched: ";
-  out += std::to_string(summary.batched_nets);
   if (summary.incomplete_nets > 0) {
     out += "   nets incomplete: ";
     out += std::to_string(summary.incomplete_nets);

@@ -1,18 +1,21 @@
 // Chaos soak (PR 9): corpus analysis under seeded randomized schedules of
 // concurrent cancellation, tight deadlines, and deterministic fault
-// injection, across thread counts and lane widths. Each schedule is a
-// pure function of its seed, so a failure reproduces from the seed alone.
+// injection, across thread counts. The soak's design carries one net
+// whose moments overflow, a data fault present in every schedule. Each
+// schedule is a pure function of its seed, so a failure reproduces from
+// the seed alone.
 //
 // Invariants asserted on every schedule:
 //   * no crash and no hang (a watchdog thread aborts with a message if a
 //     schedule stops making progress);
-//   * every injected throwing fault is surfaced exactly once in
-//     CorpusModels::diagnostics (fire counts are exact: throwing sites
-//     are armed with limit=1 and never together, so pool first-error
-//     coalescing cannot eat one);
+//   * every injected pool abort is surfaced exactly once in
+//     CorpusModels::diagnostics (fire counts are exact: the site is armed
+//     with limit=1, so pool first-error coalescing cannot eat one);
 //   * every net that completed healthy is bitwise-identical to the
-//     fault-free baseline — retries, fallbacks, deadlines, cancellation
-//     and lane-width choices never change a finished net's bits;
+//     injection-free baseline — retries, deadlines, cancellation and thread
+//     counts never change a finished net's bits;
+//   * the overflowing net is the only net that ever faults, and it
+//     faults whenever it reaches a verdict;
 //   * partial-result bookkeeping is consistent: incomplete nets imply a
 //     non-ok stop_status and are each named in diagnostics; no stop
 //     implies every net reached a verdict.
@@ -126,11 +129,9 @@ struct InjectorGuard {
 /// all derived from the seed.
 struct Schedule {
   unsigned threads;
-  std::size_t lane_width;
   bool with_delay;          ///< pool-delay armed (non-throwing)
-  bool with_nan;            ///< snapshot-nan armed, limit=1 (data fault)
-  int throwing_site;        ///< 0 none, 1 pool-abort, 2 arena-alloc (limit=1)
-  std::uint64_t every;      ///< phase period for the limited sites
+  bool with_abort;          ///< pool-abort armed, limit=1 (transient)
+  std::uint64_t every;      ///< phase period for pool-abort
   int cancel_after_us;      ///< <0: no cancel thread
   int deadline_kind;        ///< 0 none, 1 generous, 2 tiny
   int deadline_us;          ///< tiny-deadline budget
@@ -141,12 +142,9 @@ struct Schedule {
     const std::uint64_t c = splitmix64(b);
     Schedule s;
     const unsigned thread_choices[] = {1, 2, 4, 8};
-    const std::size_t width_choices[] = {0, 1, 2, 4, 8};
     s.threads = thread_choices[a % 4];
-    s.lane_width = width_choices[(a >> 8) % 5];
     s.with_delay = ((a >> 16) & 3) == 0;  // 1 in 4: each fire sleeps 2 ms
-    s.with_nan = ((a >> 24) & 1) != 0;
-    s.throwing_site = static_cast<int>((b >> 4) % 3);
+    s.with_abort = ((b >> 4) & 1) != 0;
     s.every = 1 + ((b >> 16) % 4);
     s.cancel_after_us = ((b >> 32) & 1) != 0 ? static_cast<int>(c % 2000) : -1;
     s.deadline_kind = static_cast<int>((c >> 16) % 3);
@@ -161,26 +159,37 @@ struct Schedule {
       os << "pool-delay:every=16";
       sep = ",";
     }
-    if (with_nan) {
-      os << sep << "snapshot-nan:every=" << every << ":limit=1";
-      sep = ",";
-    }
-    if (throwing_site == 1) {
-      os << sep << "pool-abort:every=" << every << ":limit=1";
-    } else if (throwing_site == 2) {
-      os << sep << "arena-alloc:every=" << every << ":limit=1";
-    }
+    if (with_abort) os << sep << "pool-abort:every=" << every << ":limit=1";
     return os.str();
   }
 };
 
-sta::Design chaos_design() {
+sta::SyntheticSpec chaos_spec() {
   sta::SyntheticSpec spec;
   spec.nets = 24;
   spec.topo_classes = 4;
   spec.chain_depth = 3;
   spec.seed = 7;
-  auto design = sta::make_synthetic_design_checked(spec);
+  return spec;
+}
+
+sta::Design chaos_design() {
+  auto design = sta::make_synthetic_design_checked(chaos_spec());
+  EXPECT_TRUE(design.is_ok()) << design.status().message();
+  return std::move(design).value();
+}
+
+/// chaos_design plus one independent port -> net -> port path whose
+/// moments overflow to inf (R*C ~ 1e330, as in
+/// TimingGraph.FaultedNetPoisonsOnlyItsOwnCone).
+sta::Design soak_design() {
+  std::istringstream is(sta::make_synthetic_design_text(chaos_spec()) +
+                        "net overflow\n"
+                        "  section s0 - R=1e300 L=0 C=1e30\n"
+                        "end\n"
+                        "input overflow_in overflow at=0 slew=0\n"
+                        "output overflow_out overflow:s0 required=1n\n");
+  auto design = sta::read_design_checked(is);
   EXPECT_TRUE(design.is_ok()) << design.status().message();
   return std::move(design).value();
 }
@@ -196,15 +205,17 @@ std::size_t count_if_diag(const ru::DiagnosticsReport& report,
 
 TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
   InjectorGuard guard;
-  const sta::Design design = chaos_design();
+  const sta::Design design = soak_design();
+  const auto overflow = static_cast<std::size_t>(design.find_net("overflow"));
 
-  // Fault-free baseline: the bits every healthy net must reproduce.
+  // Injection-free baseline: the bits every healthy net must reproduce.
   sta::AnalyzeOptions base_options;
   base_options.threads = 2;
   const auto baseline_r = sta::analyze_corpus_checked(design, base_options);
   ASSERT_TRUE(baseline_r.is_ok()) << baseline_r.status().message();
   const sta::CorpusModels& baseline = baseline_r.value();
-  ASSERT_EQ(baseline.faulted_nets, 0u);
+  ASSERT_EQ(baseline.faulted_nets, 1u);
+  ASSERT_TRUE(baseline.nets[overflow].faulted);
 
   const std::size_t seeds = env_size("RELMORE_CHAOS_SEEDS", 200);
   const std::size_t budget_s = env_size("RELMORE_CHAOS_SECONDS", 0);
@@ -229,7 +240,6 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
 
     sta::AnalyzeOptions options;
     options.threads = sched.threads;
-    options.lane_width = sched.lane_width;
     options.max_attempts = 3;
     ru::CancelToken token;
     if (sched.cancel_after_us >= 0) options.cancel = &token;
@@ -255,8 +265,6 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
     ASSERT_TRUE(result.is_ok()) << result.status().message();
     const sta::CorpusModels& models = result.value();
     const std::uint64_t abort_fires = FaultInjector::instance().fire_count(FaultSite::kPoolAbort);
-    const std::uint64_t arena_fires = FaultInjector::instance().fire_count(FaultSite::kArenaAlloc);
-    const std::uint64_t nan_fires = FaultInjector::instance().fire_count(FaultSite::kSnapshotNan);
 
     // Healthy nets: bitwise-identical to the fault-free baseline.
     ASSERT_EQ(models.nets.size(), baseline.nets.size());
@@ -275,6 +283,17 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
       }
     }
 
+    // Data-fault isolation: the overflowing net faults whenever it reached
+    // a verdict (a stop may leave it undecided), no other net faults, and
+    // nothing is quarantined.
+    EXPECT_EQ(models.nets[overflow].faulted, models.nets[overflow].analyzed);
+    for (std::size_t ni = 0; ni < models.nets.size(); ++ni) {
+      if (!models.nets[ni].faulted) continue;
+      EXPECT_EQ(ni, overflow) << design.nets[ni].name;
+      EXPECT_EQ(models.nets[ni].status.code(), ErrorCode::kNonFiniteMoment);
+    }
+    EXPECT_EQ(models.quarantined_nets, 0u);
+
     // Partial-result bookkeeping.
     std::size_t incomplete = 0;
     for (const sta::NetModels& slot : models.nets) {
@@ -290,37 +309,22 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
       });
       EXPECT_EQ(named, models.incomplete_nets);
     } else if (models.stop_status.is_ok()) {
-      // No stop: every net reached a verdict, and only injected data
-      // faults (snapshot NaNs) may have failed nets — throwing sites are
-      // limit=1 and always retried away within the attempt budget. A
-      // retry triggered by a throwing fault can legitimately *heal* a
-      // poisoned snapshot (the refill injects nothing, the NaN budget is
-      // spent), so with a throwing site armed the bound is one-sided.
-      if (sched.throwing_site == 0) {
-        EXPECT_EQ(models.faulted_nets, nan_fires);
-      } else {
-        EXPECT_LE(models.faulted_nets, nan_fires);
-      }
-      EXPECT_EQ(models.quarantined_nets, 0u);
+      // No stop: every net reached a verdict, and the pool abort (limit=1)
+      // was retried away within the attempt budget.
+      EXPECT_EQ(models.faulted_nets, 1u);
     }
 
-    // Exactly-once surfacing of injected throwing faults.
+    // Exactly-once surfacing of the injected pool abort.
     const std::size_t abort_diags = count_if_diag(models.diagnostics, [](const ru::Diagnostic& d) {
       return d.code == ErrorCode::kInjectedFault;
     });
     EXPECT_EQ(abort_diags, abort_fires) << "pool-abort fires vs diagnostics";
-    const std::size_t arena_diags = count_if_diag(models.diagnostics, [](const ru::Diagnostic& d) {
-      return d.warning && d.message.find("workspace allocation failed") != std::string::npos;
+    // A faulted net is an error diagnostic naming it (a stop may instead
+    // leave the overflowing net incomplete).
+    const std::size_t poisoned = count_if_diag(models.diagnostics, [](const ru::Diagnostic& d) {
+      return !d.warning && !d.net.empty();
     });
-    EXPECT_EQ(arena_diags, arena_fires) << "arena-alloc fires vs diagnostics";
-    // A snapshot NaN that reached a verdict is an error diagnostic naming
-    // its net (a stop may instead leave that net incomplete).
-    if (models.stop_status.is_ok() && nan_fires > 0) {
-      const std::size_t poisoned = count_if_diag(models.diagnostics, [](const ru::Diagnostic& d) {
-        return !d.warning && !d.net.empty();
-      });
-      EXPECT_EQ(poisoned, models.faulted_nets);
-    }
+    EXPECT_EQ(poisoned, models.faulted_nets);
   }
   FaultInjector::instance().disarm_all();
   std::fprintf(stderr, "chaos soak: %zu schedule(s) ran\n", ran);

@@ -3,8 +3,8 @@
 // (grammar, phase determinism, fire caps, disarm), and the engines'
 // documented stop behavior — BatchedAnalyzer keeps completed lanes
 // bitwise-identical and flags the rest kFaultNotRun; BatchSimulator
-// aborts whole calls; the corpus ladder retries transients, falls back
-// batched->scalar, quarantines, and names every unfinished net.
+// aborts whole calls; the corpus ladder retries transients, quarantines,
+// and names every unfinished net.
 
 #include <gtest/gtest.h>
 
@@ -345,26 +345,10 @@ TEST(CorpusLadder, PersistentFaultQuarantinesInsteadOfThrowing) {
   const sta::CorpusModels& models = corpus.value();
   EXPECT_EQ(models.faulted_nets, design.nets.size());
   EXPECT_EQ(models.quarantined_nets, design.nets.size());
-  EXPECT_GT(models.fallback_nets, 0u);
   for (const sta::NetModels& slot : models.nets) {
     EXPECT_TRUE(slot.faulted);
     EXPECT_EQ(slot.status.code(), ErrorCode::kInjectedFault);
   }
-}
-
-TEST(CorpusLadder, ArenaAllocFailureIsTransient) {
-  InjectorGuard guard;
-  const sta::Design design = small_design();
-  sta::AnalyzeOptions options;
-  options.threads = 2;
-  const auto clean = sta::analyze_corpus_checked(design, options);
-  ASSERT_TRUE(clean.is_ok());
-  ASSERT_TRUE(FaultInjector::instance().arm_spec("arena-alloc:every=2:limit=1").is_ok());
-  const auto faulty = sta::analyze_corpus_checked(design, options);
-  ASSERT_TRUE(faulty.is_ok()) << faulty.status().message();
-  EXPECT_EQ(faulty.value().faulted_nets, 0u);
-  EXPECT_EQ(faulty.value().incomplete_nets, 0u);
-  EXPECT_EQ(FaultInjector::instance().fire_count(FaultSite::kArenaAlloc), 1u);
 }
 
 }  // namespace

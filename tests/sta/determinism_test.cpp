@@ -13,8 +13,8 @@
 namespace relmore::sta {
 namespace {
 
-/// The corpus contract under test: execution knobs (threads, lane width,
-/// grouping threshold, env overrides) never change a single output bit.
+/// The corpus contract under test: the thread count (and its env
+/// override) never changes a single output bit.
 /// Doubles are compared through their bit patterns, not ==, so a -0.0/+0.0
 /// or ULP drift would fail loudly.
 
@@ -22,7 +22,7 @@ Design synthetic_design() {
   SyntheticSpec spec;
   spec.nets = 64;
   spec.seed = 5;
-  spec.topo_classes = 6;  // ~11 nets per class: every class forms a batch group
+  spec.topo_classes = 6;
   spec.chain_depth = 4;
   util::Result<Design> r = make_synthetic_design_checked(spec);
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
@@ -84,51 +84,27 @@ TEST(Determinism, CorpusBitwiseAcrossThreadsAndLaneWidths) {
   const Design d = synthetic_design();
   AnalyzeOptions base;
   base.threads = 1;
-  base.lane_width = 1;
   const std::vector<std::uint64_t> reference = bits_of(run_corpus(d, base));
   ASSERT_FALSE(reference.empty());
-  for (const unsigned threads : {1u, 4u}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      AnalyzeOptions o;
-      o.threads = threads;
-      o.lane_width = lanes;
-      EXPECT_EQ(bits_of(run_corpus(d, o)), reference)
-          << "threads=" << threads << " lanes=" << lanes;
-    }
+  for (const unsigned threads : {2u, 4u}) {
+    AnalyzeOptions o;
+    o.threads = threads;
+    EXPECT_EQ(bits_of(run_corpus(d, o)), reference) << "threads=" << threads;
   }
-}
-
-TEST(Determinism, BatchedAndScalarPathsAgreeBitwise) {
-  const Design d = synthetic_design();
-  AnalyzeOptions batched;  // default min_group: topology classes batch
-  const CorpusModels with_lanes = run_corpus(d, batched);
-  EXPECT_GT(with_lanes.batched_nets, 0u);
-
-  AnalyzeOptions scalar;
-  scalar.min_group = 1u << 30;  // no group is ever large enough
-  const CorpusModels scalar_only = run_corpus(d, scalar);
-  EXPECT_EQ(scalar_only.batched_nets, 0u);
-
-  EXPECT_EQ(bits_of(with_lanes), bits_of(scalar_only));
 }
 
 TEST(Determinism, TimingResultBitwiseAcrossExecutionKnobs) {
   const Design d = synthetic_design();
   AnalyzeOptions base;
   base.threads = 1;
-  base.lane_width = 1;
   const TimingResult ref = run_timing(d, base);
   const std::vector<std::uint64_t> reference = bits_of(ref);
   EXPECT_EQ(ref.summary.untimed_endpoints, 0u);
   EXPECT_EQ(ref.summary.faulted_nets, 0u);
-  for (const unsigned threads : {1u, 4u}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      AnalyzeOptions o;
-      o.threads = threads;
-      o.lane_width = lanes;
-      EXPECT_EQ(bits_of(run_timing(d, o)), reference)
-          << "threads=" << threads << " lanes=" << lanes;
-    }
+  for (const unsigned threads : {2u, 4u}) {
+    AnalyzeOptions o;
+    o.threads = threads;
+    EXPECT_EQ(bits_of(run_timing(d, o)), reference) << "threads=" << threads;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -134,6 +135,27 @@ TEST(Timer, RejectsAnUnfinalizedDesign) {
   Timer timer;
   EXPECT_FALSE(timer.load(sta::Design{}).is_ok());
   EXPECT_FALSE(timer.loaded());
+}
+
+TEST(Timer, ThreadCountAboveSixtyFourIsInvalidArgument) {
+  Timer timer;
+  std::istringstream is(kGolden);
+  ASSERT_TRUE(timer.load(is).is_ok());
+  // Without the bound, UINT_MAX would have the pool reserve ~4e9 threads.
+  for (const unsigned threads : {65U, std::numeric_limits<unsigned>::max()}) {
+    sta::AnalyzeOptions options;
+    options.threads = threads;
+    const util::Result<sta::CorpusModels> corpus =
+        sta::analyze_corpus_checked(*timer.design(), options);
+    ASSERT_FALSE(corpus.is_ok()) << threads;
+    EXPECT_EQ(corpus.status().code(), ErrorCode::kInvalidArgument);
+    const util::Result<sta::TimingSummary> summary = timer.analyze(options);
+    ASSERT_FALSE(summary.is_ok()) << threads;
+    EXPECT_EQ(summary.status().code(), ErrorCode::kInvalidArgument);
+  }
+  sta::AnalyzeOptions largest;
+  largest.threads = 64;
+  EXPECT_TRUE(timer.analyze(largest).is_ok());
 }
 
 }  // namespace
