@@ -14,7 +14,7 @@
 /// Multi-run (S = 64 value samples, one probed sink):
 ///   serial FlatStepper — S independent flat probe-selective runs
 ///   batched W=4/8      — one BatchSimulator sweep (AoSoA lanes)
-///   batched W=8 + pool — lane-groups fanned across the BatchAnalyzer pool
+///   batched W=8 + pool — lane-groups fanned across the WorkerPool
 ///
 /// The multi-run phase sweeps tree sizes from the stage-tree regime
 /// (n = 63, the van Ginneken / Monte-Carlo workload where BatchSimulator
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     {
       sim::BatchSimulator batch(flat, 8);
       batch.resize(kRuns);
-      engine::BatchAnalyzer pool;
+      engine::WorkerPool pool;
       const Measured m = time_pass(units, min_seconds, [&] {
         for (std::size_t s = 0; s < kRuns; ++s) {
           batch.set_run(s, rv[s].data(), lv[s].data(), cv[s].data());

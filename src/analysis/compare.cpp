@@ -131,11 +131,6 @@ StepComparison compare_step_response(const RlcTree& tree, SectionId node,
   return compare_step_response_checked(tree, node, options).value();
 }
 
-StepComparison compare_step_response(const RlcTree& tree, SectionId node, double v_supply,
-                                     std::size_t samples) {
-  return compare_step_response_impl(tree, node, v_supply, samples);
-}
-
 double scale_inductance_for_zeta(RlcTree& tree, SectionId node, double target_zeta) {
   if (target_zeta <= 0.0) {
     throw std::invalid_argument("scale_inductance_for_zeta: target must be positive");

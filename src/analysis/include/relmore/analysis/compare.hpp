@@ -47,9 +47,8 @@ struct StepComparison {
   double waveform_max_err = 0.0;   ///< max |eed(t) − ref(t)| / v_supply
 };
 
-/// Knobs for compare_step_response. Replaces the old positional
-/// (v_supply, samples) tail — an options struct reads at the call site and
-/// leaves room for later knobs without another signature change.
+/// Knobs for compare_step_response — an options struct reads at the call
+/// site and leaves room for later knobs without a signature change.
 struct CompareOptions {
   double v_supply = 1.0;       ///< step amplitude [V]
   std::size_t samples = 2001;  ///< reference-waveform sample count
@@ -65,13 +64,6 @@ struct CompareOptions {
 /// util::FaultError on any rejected input.
 StepComparison compare_step_response(const circuit::RlcTree& tree, circuit::SectionId node,
                                      const CompareOptions& options = {});
-
-/// Old positional form.
-[[deprecated(
-    "use compare_step_response(tree, node, CompareOptions{...}) or "
-    "compare_step_response_checked")]]
-StepComparison compare_step_response(const circuit::RlcTree& tree, circuit::SectionId node,
-                                     double v_supply, std::size_t samples = 2001);
 
 /// Rescales every inductance by a single factor so that `node` hits
 /// `target_zeta` exactly (zeta scales as 1/sqrt(L)); returns the factor.

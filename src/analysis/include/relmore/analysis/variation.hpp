@@ -38,16 +38,15 @@ struct DelayDistribution {
 /// Execution-plan knobs for the Monte-Carlo sampler. Samples share one
 /// topology, so they run through the batched same-topology kernel
 /// (engine::BatchedAnalyzer) with lane-groups fanned across an
-/// engine::BatchAnalyzer pool. Per-sample RNG seeding and per-lane
+/// engine::WorkerPool. Per-sample RNG seeding and per-lane
 /// scalar-identical arithmetic make the sampled distribution *bitwise*
 /// independent of both knobs — they change only the schedule.
 struct MonteCarloPlan {
-  unsigned threads = 0;        ///< BatchAnalyzer worker count (0 = default)
+  unsigned threads = 0;        ///< WorkerPool worker count (0 = default)
   std::size_t lane_width = 0;  ///< kernel lane width 1/2/4/8 (0 = default)
 };
 
-/// All Monte-Carlo knobs in one place. Replaces the old positional
-/// (spec, samples, seed, plan) tail.
+/// All Monte-Carlo knobs in one place.
 struct MonteCarloOptions {
   VariationSpec spec;          ///< per-element-class 1-sigma variation
   std::size_t samples = 1000;  ///< sample count (>= 2)
@@ -66,14 +65,6 @@ struct MonteCarloOptions {
 /// util::FaultError on any rejected input.
 DelayDistribution monte_carlo_delay(const circuit::RlcTree& tree, circuit::SectionId node,
                                     const MonteCarloOptions& options = {});
-
-/// Old positional form.
-[[deprecated(
-    "use monte_carlo_delay(tree, node, MonteCarloOptions{...}) or "
-    "monte_carlo_delay_checked")]]
-DelayDistribution monte_carlo_delay(const circuit::RlcTree& tree, circuit::SectionId node,
-                                    const VariationSpec& spec, std::size_t samples,
-                                    std::uint64_t seed, const MonteCarloPlan& plan = {});
 
 /// First-order standard deviation from the closed-form gradient:
 /// sigma_D^2 = sum_k (dD/dX_k * sigma_X * X_k)^2 over X in {R, L, C}.

@@ -8,8 +8,8 @@
 #include "relmore/circuit/random_tree.hpp"
 #include "relmore/eed/eed.hpp"
 #include "relmore/eed/sensitivity.hpp"
-#include "relmore/engine/batch.hpp"
 #include "relmore/engine/batched.hpp"
+#include "relmore/engine/worker_pool.hpp"
 
 namespace relmore::analysis {
 
@@ -79,7 +79,7 @@ DelayDistribution monte_carlo_delay_impl(const RlcTree& tree, SectionId node,
   const circuit::FlatTree flat(tree);
   const std::size_t n = flat.size();
   engine::BatchedAnalyzer batch(flat, plan.lane_width);
-  engine::BatchAnalyzer pool(plan.threads);
+  engine::WorkerPool pool(plan.threads);
   const engine::BatchedModels models = batch.analyze_stream(
       samples,
       [&](std::size_t s, double* r, double* l, double* c) {
@@ -140,12 +140,6 @@ util::Result<DelayDistribution> monte_carlo_delay_checked(const RlcTree& tree, S
 DelayDistribution monte_carlo_delay(const RlcTree& tree, SectionId node,
                                     const MonteCarloOptions& options) {
   return monte_carlo_delay_checked(tree, node, options).value();
-}
-
-DelayDistribution monte_carlo_delay(const RlcTree& tree, SectionId node,
-                                    const VariationSpec& spec, std::size_t samples,
-                                    std::uint64_t seed, const MonteCarloPlan& plan) {
-  return monte_carlo_delay_impl(tree, node, spec, samples, seed, plan);
 }
 
 double delay_stddev_linear(const RlcTree& tree, SectionId node, const VariationSpec& spec) {

@@ -18,7 +18,9 @@
 /// Both sums for *all* nodes are computed with two O(n) traversals and
 /// exactly two multiplications per section (paper Appendix, Figs. 17–18).
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "relmore/circuit/flat_tree.hpp"
@@ -62,6 +64,26 @@ struct NodeModel {
   [[nodiscard]] bool underdamped() const { return zeta < 1.0; }
 };
 
+/// Paper eqs. 29–30: the second-order model of one node from its moment
+/// sums. A node with SL = 0 (pure RC) takes the Elmore/Wyatt single-pole
+/// limit, zeta = omega_n = +inf. Every producer of a NodeModel — the
+/// scalar kernel, its clamp guard, TimingEngine and BatchedModels — goes
+/// through this one closed form, so all of them agree to the bit.
+[[nodiscard]] inline NodeModel node_model(double sum_rc, double sum_lc) {
+  NodeModel nm;
+  nm.sum_rc = sum_rc;
+  nm.sum_lc = sum_lc;
+  if (sum_lc > 0.0) {
+    const double root = std::sqrt(sum_lc);
+    nm.omega_n = 1.0 / root;
+    nm.zeta = sum_rc / (2.0 * root);
+  } else {
+    nm.omega_n = std::numeric_limits<double>::infinity();
+    nm.zeta = std::numeric_limits<double>::infinity();
+  }
+  return nm;
+}
+
 /// Per-tree analysis result.
 struct TreeModel {
   std::vector<NodeModel> nodes;  ///< indexed by SectionId
@@ -87,17 +109,16 @@ struct TreeModel {
 /// run unguarded (results on a healthy tree are bitwise-unchanged); one
 /// trailing guard sweep detects non-finite or negative moments and applies
 /// `options.fault_policy` (default: throw util::FaultError with node
-/// context — no silent NaN propagation).
-TreeModel analyze(const circuit::RlcTree& tree, const AnalyzeOptions& options);
-TreeModel analyze(const circuit::RlcTree& tree);
+/// context — no silent NaN propagation). The tree's parent and R/L/C
+/// values are gathered into contiguous arrays and run through the same
+/// kernel as the FlatTree overload, so the two are bitwise-equal.
+TreeModel analyze(const circuit::RlcTree& tree, const AnalyzeOptions& options = {});
 
-/// Same analysis over a FlatTree snapshot — identical arithmetic in
-/// identical order (bitwise-equal results), but the sweeps read the
-/// contiguous SoA value arrays instead of the AoS section structs with
-/// their embedded name strings. This is the scalar fast path the batched
-/// kernels (engine::BatchedAnalyzer) generalize to many samples.
-TreeModel analyze(const circuit::FlatTree& tree, const AnalyzeOptions& options);
-TreeModel analyze(const circuit::FlatTree& tree);
+/// Same analysis over a FlatTree snapshot: the one scalar kernel reads the
+/// snapshot's SoA value arrays directly, with no gather. This is the
+/// scalar fast path the batched kernels (engine::BatchedAnalyzer)
+/// generalize to many samples.
+TreeModel analyze(const circuit::FlatTree& tree, const AnalyzeOptions& options = {});
 
 /// Re-analyzes one set of element values over a fixed FlatTree topology,
 /// writing into a caller-owned `model` (resized as needed, allocation-free
@@ -125,20 +146,21 @@ void analyze_values(const circuit::FlatTree& topology, const double* resistance,
 
 /// Cost accounting of one whole-tree analysis.
 struct AnalyzeStats {
-  std::uint64_t multiplications = 0;  ///< FP multiplies in the two passes
+  std::uint64_t multiplications = 0;  ///< multiplies in the moment sums, 2 per section
   std::size_t nodes = 0;              ///< sections analyzed
   std::size_t faulted_nodes = 0;      ///< nodes the guard sweep flagged
 };
 
-/// Model plus its cost accounting, for the instrumented entry point.
+/// Model plus its cost accounting, as analyze_counting returns them.
 struct CountedAnalysis {
   TreeModel model;
   AnalyzeStats stats;
 };
 
-/// Instrumented variant returning the multiplication count alongside the
-/// model, to verify the Appendix claim that the count is exactly
-/// 2·(sections).
+/// analyze() plus its cost accounting. The moment sums spend exactly two
+/// multiplications per section (R_i·Ctot_i and L_i·Ctot_i, paper
+/// Appendix), so `multiplications` is that constant times the section
+/// count, read off the kernel rather than counted at run time.
 CountedAnalysis analyze_counting(const circuit::RlcTree& tree,
                                  const AnalyzeOptions& options = {});
 

@@ -8,8 +8,8 @@
 
 #include "relmore/circuit/validate.hpp"
 #include "relmore/eed/second_order.hpp"
-#include "relmore/engine/batch.hpp"
 #include "relmore/engine/tuner.hpp"
+#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/arena.hpp"
 #include "relmore/util/fault_injector.hpp"
 
@@ -373,18 +373,7 @@ double BatchedModels::load_capacitance(std::size_t sample, SectionId id) const {
 
 eed::NodeModel BatchedModels::node(std::size_t sample, SectionId id) const {
   const std::size_t at = slot(sample, id);
-  eed::NodeModel nm;
-  nm.sum_rc = sr_[at];
-  nm.sum_lc = sl_[at];
-  if (nm.sum_lc > 0.0) {
-    const double root = std::sqrt(nm.sum_lc);
-    nm.omega_n = 1.0 / root;
-    nm.zeta = nm.sum_rc / (2.0 * root);
-  } else {
-    nm.omega_n = std::numeric_limits<double>::infinity();
-    nm.zeta = std::numeric_limits<double>::infinity();
-  }
-  return nm;
+  return eed::node_model(sr_[at], sl_[at]);
 }
 
 double BatchedModels::delay_50(std::size_t sample, SectionId id) const {
@@ -743,7 +732,7 @@ void BatchedAnalyzer::finalize_faults(BatchedModels& out, const char* entry) con
 }
 
 BatchedModels BatchedAnalyzer::analyze_impl(const std::vector<SectionId>& ids, bool all_nodes,
-                                            BatchAnalyzer* pool) const {
+                                            WorkerPool* pool) const {
   if (samples_ == 0) throw std::invalid_argument("BatchedAnalyzer: no samples (call resize)");
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
@@ -785,7 +774,7 @@ BatchedModels BatchedAnalyzer::analyze_impl(const std::vector<SectionId>& ids, b
 
 BatchedModels BatchedAnalyzer::analyze_stream(std::size_t samples, const SampleFill& fill,
                                               const std::vector<SectionId>& ids,
-                                              BatchAnalyzer* pool) const {
+                                              WorkerPool* pool) const {
   if (samples == 0) throw std::invalid_argument("BatchedAnalyzer: no samples");
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
@@ -866,12 +855,12 @@ BatchedModels BatchedAnalyzer::analyze_stream(std::size_t samples, const SampleF
   return out;
 }
 
-BatchedModels BatchedAnalyzer::analyze(BatchAnalyzer* pool) const {
+BatchedModels BatchedAnalyzer::analyze(WorkerPool* pool) const {
   return analyze_impl({}, /*all_nodes=*/true, pool);
 }
 
 BatchedModels BatchedAnalyzer::analyze_nodes(const std::vector<SectionId>& ids,
-                                             BatchAnalyzer* pool) const {
+                                             WorkerPool* pool) const {
   return analyze_impl(ids, /*all_nodes=*/false, pool);
 }
 

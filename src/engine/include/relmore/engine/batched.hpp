@@ -38,7 +38,7 @@
 /// Tiling and tuning reorder only the *touch* order, never the reduction
 /// order — results stay bitwise-equal across every (W, tile) choice.
 ///
-/// Lane-groups are independent, so a `BatchAnalyzer` pool can fan them
+/// Lane-groups are independent, so a `WorkerPool` can fan them
 /// across cores (`analyze(&pool)`); outputs are written to disjoint
 /// ranges, keeping results thread-count-independent. See docs/kernels.md
 /// for the layout diagrams and measured throughput.
@@ -74,7 +74,7 @@
 
 namespace relmore::engine {
 
-class BatchAnalyzer;
+class WorkerPool;
 
 /// Widest supported lane width: 8 doubles (one AVX-512 vector, two AVX2
 /// vectors). Callers passing lane_width 0 get the KernelTuner's pick for
@@ -212,12 +212,12 @@ class BatchedAnalyzer {
   /// Output storage is S x n; prefer `analyze_nodes` for large trees when
   /// only a few nodes are queried. `pool` (optional) distributes
   /// lane-groups across its workers.
-  [[nodiscard]] BatchedModels analyze(BatchAnalyzer* pool = nullptr) const;
+  [[nodiscard]] BatchedModels analyze(WorkerPool* pool = nullptr) const;
 
   /// Runs the kernel but stores only the requested nodes (S x ids.size()
   /// outputs; the sweep itself is still O(n) per lane-group).
   [[nodiscard]] BatchedModels analyze_nodes(const std::vector<circuit::SectionId>& ids,
-                                            BatchAnalyzer* pool = nullptr) const;
+                                            WorkerPool* pool = nullptr) const;
 
   /// Writes sample `s`'s values into three caller-provided arrays of
   /// length sections(). Must be safe to call concurrently for distinct
@@ -243,7 +243,7 @@ class BatchedAnalyzer {
   /// sample).
   [[nodiscard]] BatchedModels analyze_stream(std::size_t samples, const SampleFill& fill,
                                              const std::vector<circuit::SectionId>& ids,
-                                             BatchAnalyzer* pool = nullptr) const;
+                                             WorkerPool* pool = nullptr) const;
 
  private:
   /// Per-call sweep schedule (tile size, path-walk choice, drain order);
@@ -251,7 +251,7 @@ class BatchedAnalyzer {
   struct SweepPlan;
 
   [[nodiscard]] BatchedModels analyze_impl(const std::vector<circuit::SectionId>& ids,
-                                           bool all_nodes, BatchAnalyzer* pool) const;
+                                           bool all_nodes, WorkerPool* pool) const;
   [[nodiscard]] BatchedModels make_output(const std::vector<circuit::SectionId>& ids,
                                           bool all_nodes, std::size_t samples,
                                           std::size_t groups) const;

@@ -1,6 +1,6 @@
 #pragma once
 
-/// \file batch.hpp
+/// \file worker_pool.hpp
 /// Small persistent thread pool that fans *independent* trees across
 /// cores: Monte-Carlo variation samples, buffer-insertion stage
 /// candidates, per-corner re-analyses. One whole-tree analysis is O(n)
@@ -14,18 +14,14 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
-
-#include "relmore/circuit/rlc_tree.hpp"
-#include "relmore/eed/model.hpp"
 
 namespace relmore::engine {
 
 /// Fixed-size worker pool. Destruction joins the workers; the calling
-/// thread always participates in the work, so `BatchAnalyzer(1)` (or any
+/// thread always participates in the work, so `WorkerPool(1)` (or any
 /// single-core machine) degrades to plain sequential execution with no
 /// thread traffic.
-class BatchAnalyzer {
+class WorkerPool {
  public:
   /// Largest worker count RELMORE_THREADS accepts.
   static constexpr unsigned kMaxThreads = 64;
@@ -35,11 +31,11 @@ class BatchAnalyzer {
   /// other value — empty, non-numeric, trailing garbage, out of range —
   /// is rejected with one stderr warning) and falls back to
   /// min(hardware_concurrency, 8). Clamped to at least 1.
-  explicit BatchAnalyzer(unsigned threads = 0);
-  ~BatchAnalyzer();
+  explicit WorkerPool(unsigned threads = 0);
+  ~WorkerPool();
 
-  BatchAnalyzer(const BatchAnalyzer&) = delete;
-  BatchAnalyzer& operator=(const BatchAnalyzer&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   [[nodiscard]] unsigned thread_count() const { return threads_; }
 
@@ -52,10 +48,6 @@ class BatchAnalyzer {
   /// most one chunk per worker — the one-engine-per-worker pattern.
   void parallel_chunks(std::size_t count,
                        const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Analyzes each tree (eed::analyze semantics), fanned across the pool.
-  [[nodiscard]] std::vector<eed::TreeModel> analyze_all(
-      const std::vector<circuit::RlcTree>& trees);
 
  private:
   struct Impl;

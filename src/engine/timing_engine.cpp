@@ -1,7 +1,6 @@
 #include "relmore/engine/timing_engine.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "relmore/circuit/validate.hpp"
@@ -343,18 +342,7 @@ void TimingEngine::refresh_prefix(SectionId id) const {
 }
 
 eed::NodeModel TimingEngine::node_from_prefix(std::size_t i) const {
-  eed::NodeModel nm;
-  nm.sum_rc = sr_[i];
-  nm.sum_lc = sl_[i];
-  if (nm.sum_lc > 0.0) {
-    const double root = std::sqrt(nm.sum_lc);
-    nm.omega_n = 1.0 / root;
-    nm.zeta = nm.sum_rc / (2.0 * root);
-  } else {
-    nm.omega_n = std::numeric_limits<double>::infinity();
-    nm.zeta = std::numeric_limits<double>::infinity();
-  }
-  return nm;
+  return eed::node_model(sr_[i], sl_[i]);
 }
 
 eed::NodeModel TimingEngine::node(SectionId id) const {

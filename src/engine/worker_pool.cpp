@@ -1,4 +1,4 @@
-#include "relmore/engine/batch.hpp"
+#include "relmore/engine/worker_pool.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -11,8 +11,8 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "relmore/eed/model.hpp"
 #include "relmore/util/fault_injector.hpp"
 
 namespace relmore::engine {
@@ -23,7 +23,7 @@ namespace relmore::engine {
 /// drains the shared atomic index, and reports back; the caller waits
 /// until all workers have reported before retiring the job. Nested
 /// parallel_for calls from inside tasks are not supported.
-struct BatchAnalyzer::Impl {
+struct WorkerPool::Impl {
   std::mutex mutex;
   std::condition_variable cv;
   std::condition_variable cv_done;
@@ -94,7 +94,7 @@ namespace {
 /// shows up in the log instead of as a mysterious thread count.
 ///
 /// The environment is read exactly once per process, under
-/// std::call_once: constructing BatchAnalyzer from several threads
+/// std::call_once: constructing WorkerPool from several threads
 /// concurrently must not interleave getenv with the warning path, and
 /// every pool in the process must agree on the same default even if the
 /// environment is mutated between constructions (setenv concurrent with
@@ -110,7 +110,7 @@ unsigned env_default_threads() {
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
     if (*env != '\0' && end != env && *end == '\0' && errno == 0 && parsed >= 1 &&
-        parsed <= BatchAnalyzer::kMaxThreads) {
+        parsed <= WorkerPool::kMaxThreads) {
       cached = static_cast<unsigned>(parsed);
     } else {
       std::fprintf(stderr,
@@ -124,7 +124,7 @@ unsigned env_default_threads() {
 
 }  // namespace
 
-BatchAnalyzer::BatchAnalyzer(unsigned threads) : impl_(new Impl) {
+WorkerPool::WorkerPool(unsigned threads) : impl_(new Impl) {
   if (threads == 0) threads = env_default_threads();
   if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -137,7 +137,7 @@ BatchAnalyzer::BatchAnalyzer(unsigned threads) : impl_(new Impl) {
   }
 }
 
-BatchAnalyzer::~BatchAnalyzer() {
+WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->shutting_down = true;
@@ -147,7 +147,7 @@ BatchAnalyzer::~BatchAnalyzer() {
   delete impl_;
 }
 
-void BatchAnalyzer::parallel_for(std::size_t count,
+void WorkerPool::parallel_for(std::size_t count,
                                  const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   if (impl_->workers.empty()) {  // single-threaded pool: run inline
@@ -177,7 +177,7 @@ void BatchAnalyzer::parallel_for(std::size_t count,
   }
 }
 
-void BatchAnalyzer::parallel_chunks(
+void WorkerPool::parallel_chunks(
     std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   const std::size_t chunks = std::min<std::size_t>(threads_, count);
@@ -188,13 +188,6 @@ void BatchAnalyzer::parallel_chunks(
     const std::size_t end = begin + per + (c < extra ? 1 : 0);
     fn(begin, end);
   });
-}
-
-std::vector<eed::TreeModel> BatchAnalyzer::analyze_all(
-    const std::vector<circuit::RlcTree>& trees) {
-  std::vector<eed::TreeModel> out(trees.size());
-  parallel_for(trees.size(), [&](std::size_t i) { out[i] = eed::analyze(trees[i]); });
-  return out;
 }
 
 }  // namespace relmore::engine

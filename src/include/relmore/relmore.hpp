@@ -19,9 +19,9 @@
 #include "relmore/eed/figures_of_merit.hpp"  // IWYU pragma: export
 #include "relmore/eed/frequency.hpp"         // IWYU pragma: export
 #include "relmore/eed/sensitivity.hpp"       // IWYU pragma: export
-#include "relmore/engine/batch.hpp"          // IWYU pragma: export
 #include "relmore/engine/batched.hpp"        // IWYU pragma: export
 #include "relmore/engine/timing_engine.hpp"  // IWYU pragma: export
+#include "relmore/engine/worker_pool.hpp"    // IWYU pragma: export
 #include "relmore/moments/pole_residue.hpp"  // IWYU pragma: export
 #include "relmore/moments/tree_moments.hpp"  // IWYU pragma: export
 #include "relmore/opt/buffer_insertion.hpp"  // IWYU pragma: export

@@ -19,7 +19,7 @@
 #include "relmore/circuit/rlc_tree.hpp"
 
 namespace relmore::engine {
-class BatchAnalyzer;
+class WorkerPool;
 }
 
 namespace relmore::opt {
@@ -64,7 +64,7 @@ struct WireSizingProblem {
 [[nodiscard]] std::vector<double> sized_line_delays(const WireSizingProblem& problem,
                                       const std::vector<std::vector<double>>& candidates,
                                       DelayModel model,
-                                      engine::BatchAnalyzer* pool = nullptr);
+                                      engine::WorkerPool* pool = nullptr);
 
 /// Result of a sizing run.
 struct WireSizingResult {

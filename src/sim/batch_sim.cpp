@@ -7,9 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "relmore/engine/batch.hpp"
 #include "relmore/engine/batched.hpp"
 #include "relmore/engine/tuner.hpp"
+#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/arena.hpp"
 
 namespace relmore::sim {
@@ -584,7 +584,7 @@ void BatchSimulator::set_run_section(std::size_t s, SectionId id,
 }
 
 BatchTransientResult BatchSimulator::simulate(const TransientOptions& opts,
-                                              engine::BatchAnalyzer* pool) const {
+                                              engine::WorkerPool* pool) const {
   if (runs_ == 0) throw std::invalid_argument("BatchSimulator: no runs (call resize)");
   validate_options(opts, "BatchSimulator::simulate");
   const std::size_t n = topo_.size();
@@ -697,7 +697,7 @@ BatchTransientResult BatchSimulator::simulate(const TransientOptions& opts,
 
 std::vector<double> BatchSimulator::first_crossings(const TransientOptions& opts,
                                                     SectionId probe, double threshold,
-                                                    engine::BatchAnalyzer* pool) const {
+                                                    engine::WorkerPool* pool) const {
   if (runs_ == 0) throw std::invalid_argument("BatchSimulator: no runs (call resize)");
   validate_options(opts, "BatchSimulator::first_crossings");
   const std::size_t n = topo_.size();

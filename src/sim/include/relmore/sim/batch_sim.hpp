@@ -27,7 +27,7 @@
 /// `TreeStepper` oracle). Results are therefore independent of the lane
 /// width and of how lane-groups are scheduled across threads.
 ///
-/// Lane-groups are independent; a `BatchAnalyzer` pool (RELMORE_THREADS)
+/// Lane-groups are independent; a `WorkerPool` (RELMORE_THREADS)
 /// fans them across cores with outputs written to disjoint ranges.
 /// Recording is probe-selective, as in simulate_tree, and the streaming
 /// first_crossings path keeps only a one-sample ring per lane.
@@ -50,7 +50,7 @@
 #include "relmore/sim/waveform.hpp"
 
 namespace relmore::engine {
-class BatchAnalyzer;
+class WorkerPool;
 }
 
 namespace relmore::sim {
@@ -134,7 +134,7 @@ class BatchSimulator {
   /// results are bitwise independent of the pool and lane width. Throws
   /// std::invalid_argument on bad options or zero runs.
   [[nodiscard]] BatchTransientResult simulate(const TransientOptions& opts,
-                                              engine::BatchAnalyzer* pool = nullptr) const;
+                                              engine::WorkerPool* pool = nullptr) const;
 
   /// Streaming batched measurement: the first upward crossing of
   /// `threshold` at `probe` for every run — one double per run, no
@@ -143,7 +143,7 @@ class BatchSimulator {
   /// (negative = no crossing within t_stop). `opts.probes` is ignored.
   [[nodiscard]] std::vector<double> first_crossings(const TransientOptions& opts,
                                                     circuit::SectionId probe, double threshold,
-                                                    engine::BatchAnalyzer* pool = nullptr) const;
+                                                    engine::WorkerPool* pool = nullptr) const;
 
  private:
   [[nodiscard]] std::size_t value_slot(std::size_t s, std::size_t section) const;

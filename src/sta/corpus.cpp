@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "relmore/engine/batch.hpp"
+#include "relmore/engine/worker_pool.hpp"
 
 namespace relmore::sta {
 
@@ -112,10 +112,10 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   if (design.nets.empty()) {
     return Status(ErrorCode::kEmptyTree, "analyze_corpus: design has no nets");
   }
-  if (options.threads > engine::BatchAnalyzer::kMaxThreads) {
+  if (options.threads > engine::WorkerPool::kMaxThreads) {
     return Status(ErrorCode::kInvalidArgument,
                   "analyze_corpus: threads must be at most " +
-                      std::to_string(engine::BatchAnalyzer::kMaxThreads));
+                      std::to_string(engine::WorkerPool::kMaxThreads));
   }
   const FaultPolicy policy = phase_policy(options.fault_policy);
   const std::size_t attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
@@ -167,7 +167,7 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
     pending.push_back(ni);
   }
 
-  engine::BatchAnalyzer pool(options.threads);
+  engine::WorkerPool pool(options.threads);
 
   // --- ladder: rounds of one-net tasks, retrying transients ---------------
   // A round leaves a net's slot either decided (analyzed and/or faulted)

@@ -7,7 +7,7 @@
 ///
 /// Dispatch: every net the cache does not serve runs the scalar
 /// `eed::analyze_checked` on its FlatTree, one task per net across an
-/// engine::BatchAnalyzer pool. Each task writes only its own per-net
+/// engine::WorkerPool. Each task writes only its own per-net
 /// slot, so the corpus result is a pure function of the design —
 /// independent of thread count and scheduling.
 ///
@@ -52,8 +52,8 @@ class CorpusCache;
 /// (threads/retries/deadline) never changes a single output bit of any
 /// net that completes.
 struct AnalyzeOptions {
-  /// engine::BatchAnalyzer workers including the caller, at most
-  /// engine::BatchAnalyzer::kMaxThreads (larger: kInvalidArgument). 0 =
+  /// engine::WorkerPool workers including the caller, at most
+  /// engine::WorkerPool::kMaxThreads (larger: kInvalidArgument). 0 =
   /// RELMORE_THREADS, else the hardware default. The only execution knob.
   unsigned threads = 0;
   /// Unused: every net takes the scalar path. Declared only because
@@ -167,7 +167,7 @@ class CorpusCache {
 [[nodiscard]] std::uint64_t options_fingerprint(const AnalyzeOptions& options);
 
 /// Analyzes every net of `design`. Returns a Status only for caller
-/// errors (empty design; threads above engine::BatchAnalyzer::kMaxThreads
+/// errors (empty design; threads above engine::WorkerPool::kMaxThreads
 /// -> kInvalidArgument), under FaultPolicy::kThrow when a net faulted or
 /// the run was stopped; under the flag policies per-net failures are
 /// isolated in the result and a stop comes back as stop_status.

@@ -43,14 +43,14 @@ TEST(FiguresOfMerit, DampingRatioIsSinglePiZeta) {
 }
 
 TEST(FiguresOfMerit, RejectsBadInputs) {
-  EXPECT_THROW(assess_line(1.0, 0.0, 1e-12, 1e-12), std::invalid_argument);
-  EXPECT_THROW(assess_line(1.0, 1e-9, 0.0, 1e-12), std::invalid_argument);
-  EXPECT_THROW(assess_line(-1.0, 1e-9, 1e-12, 1e-12), std::invalid_argument);
-  EXPECT_THROW(assess_line(1.0, 1e-9, 1e-12, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)assess_line(1.0, 0.0, 1e-12, 1e-12), std::invalid_argument);
+  EXPECT_THROW((void)assess_line(1.0, 1e-9, 0.0, 1e-12), std::invalid_argument);
+  EXPECT_THROW((void)assess_line(-1.0, 1e-9, 1e-12, 1e-12), std::invalid_argument);
+  EXPECT_THROW((void)assess_line(1.0, 1e-9, 1e-12, -1.0), std::invalid_argument);
   circuit::WireSpec zero = circuit::global_wire_spec();
   zero.length_m = 0.0;
-  EXPECT_THROW(assess_wire(zero, 1e-12), std::invalid_argument);
-  EXPECT_THROW(assess_tree(circuit::RlcTree{}, 1e-12), std::invalid_argument);
+  EXPECT_THROW((void)assess_wire(zero, 1e-12), std::invalid_argument);
+  EXPECT_THROW((void)assess_tree(circuit::RlcTree{}, 1e-12), std::invalid_argument);
 }
 
 TEST(FiguresOfMerit, TreeScreenUsesWorstSink) {

@@ -8,8 +8,12 @@
 /// so the match is in fact bitwise; 1 ulp is the promised contract.)
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +23,9 @@
 #include "relmore/circuit/random_tree.hpp"
 #include "relmore/eed/model.hpp"
 #include "relmore/eed/second_order.hpp"
-#include "relmore/engine/batch.hpp"
 #include "relmore/engine/batched.hpp"
+#include "relmore/engine/worker_pool.hpp"
+#include "relmore/util/diagnostics.hpp"
 
 namespace {
 
@@ -142,7 +147,7 @@ TEST(Batched, PoolCompositionIsBitwiseIdentical) {
   }
   const SectionId sink = tree.leaves().back();
   const engine::BatchedModels serial = batch.analyze_nodes({sink});
-  engine::BatchAnalyzer pool(4);
+  engine::WorkerPool pool(4);
   const engine::BatchedModels pooled = batch.analyze_nodes({sink}, &pool);
   for (std::size_t s = 0; s < samples; ++s) {
     EXPECT_EQ(serial.sum_rc(s, sink), pooled.sum_rc(s, sink)) << "sample " << s;
@@ -185,7 +190,7 @@ TEST(Batched, StreamIsBitwiseIdenticalToStoredPath) {
     }
     const engine::BatchedModels stored = batch.analyze_nodes(sinks);
     const engine::BatchedModels streamed = batch.analyze_stream(samples, fill, sinks);
-    engine::BatchAnalyzer pool(3);
+    engine::WorkerPool pool(3);
     const engine::BatchedModels pooled = batch.analyze_stream(samples, fill, sinks, &pool);
     for (std::size_t s = 0; s < samples; ++s) {
       for (const SectionId id : sinks) {
@@ -283,17 +288,100 @@ TEST(FlatTree, SnapshotsTopologyValuesAndColdNames) {
   EXPECT_EQ(flat.find_by_name("no-such-name"), circuit::kInput);
 }
 
+/// What one scalar entry point returned: its model, or the FaultError it
+/// threw under kThrow.
+struct Verdict {
+  eed::TreeModel model;
+  bool threw = false;
+  util::ErrorCode code = util::ErrorCode::kOk;
+  int node = -1;
+};
+
+template <typename Analyze>
+Verdict verdict_of(Analyze&& analyze) {
+  Verdict v;
+  try {
+    v.model = analyze();
+  } catch (const util::FaultError& e) {
+    v.threw = true;
+    v.code = e.code();
+    v.node = e.node();
+  }
+  return v;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_verdict(const Verdict& a, const Verdict& b, const std::string& where) {
+  ASSERT_EQ(a.threw, b.threw) << where;
+  if (a.threw) {
+    EXPECT_EQ(a.code, b.code) << where;
+    EXPECT_EQ(a.node, b.node) << where;
+    return;
+  }
+  ASSERT_EQ(a.model.nodes.size(), b.model.nodes.size()) << where;
+  for (std::size_t i = 0; i < a.model.nodes.size(); ++i) {
+    const eed::NodeModel& x = a.model.nodes[i];
+    const eed::NodeModel& y = b.model.nodes[i];
+    EXPECT_EQ(bits(x.sum_rc), bits(y.sum_rc)) << where << " node " << i;
+    EXPECT_EQ(bits(x.sum_lc), bits(y.sum_lc)) << where << " node " << i;
+    EXPECT_EQ(bits(x.zeta), bits(y.zeta)) << where << " node " << i;
+    EXPECT_EQ(bits(x.omega_n), bits(y.omega_n)) << where << " node " << i;
+    EXPECT_EQ(bits(a.model.load_capacitance[i]), bits(b.model.load_capacitance[i]))
+        << where << " node " << i;
+  }
+  EXPECT_EQ(a.model.fault_flags, b.model.fault_flags) << where;
+  EXPECT_EQ(a.model.fault_count, b.model.fault_count) << where;
+}
+
 TEST(FlatTree, ScalarAnalyzeOverloadIsBitwiseEqual) {
+  // analyze(RlcTree), analyze(FlatTree) and analyze_values run one kernel:
+  // on healthy trees and on copies poisoned with a NaN R, an Inf C or an
+  // overflowing section, under every fault policy, they return the same
+  // bits, the same fault flags, or the same FaultError.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   circuit::RandomTreeSpec spec;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const circuit::RlcTree tree = circuit::make_random_tree(spec, seed);
-    const eed::TreeModel aos = eed::analyze(tree);
-    const eed::TreeModel soa = eed::analyze(circuit::FlatTree(tree));
-    ASSERT_EQ(aos.nodes.size(), soa.nodes.size());
-    for (std::size_t i = 0; i < aos.nodes.size(); ++i) {
-      EXPECT_EQ(aos.nodes[i].sum_rc, soa.nodes[i].sum_rc) << "seed " << seed << " node " << i;
-      EXPECT_EQ(aos.nodes[i].sum_lc, soa.nodes[i].sum_lc) << "seed " << seed << " node " << i;
-      EXPECT_EQ(aos.load_capacitance[i], soa.load_capacitance[i]);
+    const circuit::RlcTree healthy = circuit::make_random_tree(spec, seed);
+    const auto mid = static_cast<SectionId>(healthy.size() / 2);
+    std::vector<std::pair<const char*, circuit::RlcTree>> cases(4, {"healthy", healthy});
+    cases[1].first = "NaN R";
+    cases[1].second.values(mid).resistance = kNaN;
+    cases[2].first = "Inf C";
+    cases[2].second.values(mid).capacitance = kInf;
+    cases[3].first = "overflow";
+    cases[3].second.values(mid).resistance = 1e300;
+    cases[3].second.values(mid).capacitance = 1e30;
+    const circuit::FlatTree topology(healthy);
+
+    for (const auto& [label, tree] : cases) {
+      const circuit::FlatTree flat(tree);
+      const bool poisoned = std::string(label) != "healthy";
+      for (const util::FaultPolicy policy :
+           {util::FaultPolicy::kThrow, util::FaultPolicy::kClampAndFlag,
+            util::FaultPolicy::kSkipAndFlag}) {
+        eed::AnalyzeOptions options;
+        options.fault_policy = policy;
+        const std::string where = "seed " + std::to_string(seed) + " " + label + " policy " +
+                                  std::to_string(static_cast<int>(policy));
+        const Verdict aos = verdict_of([&] { return eed::analyze(tree, options); });
+        const Verdict soa = verdict_of([&] { return eed::analyze(flat, options); });
+        const Verdict values = verdict_of([&] {
+          eed::TreeModel model;
+          eed::analyze_values(topology, flat.resistance().data(), flat.inductance().data(),
+                              flat.capacitance().data(), model, options);
+          return model;
+        });
+        // The poison must register, or the comparison below proves nothing.
+        if (policy == util::FaultPolicy::kThrow) {
+          EXPECT_EQ(aos.threw, poisoned) << where;
+        } else {
+          EXPECT_EQ(aos.model.fault_count > 0, poisoned) << where;
+        }
+        expect_same_verdict(aos, soa, where + " analyze(FlatTree)");
+        expect_same_verdict(aos, values, where + " analyze_values");
+      }
     }
   }
 }

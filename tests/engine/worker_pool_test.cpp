@@ -1,41 +1,37 @@
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "relmore/circuit/builders.hpp"
-#include "relmore/circuit/random_tree.hpp"
-#include "relmore/eed/model.hpp"
-#include "relmore/engine/batch.hpp"
+#include "relmore/engine/worker_pool.hpp"
 
 namespace {
 
 using namespace relmore;
 
-TEST(BatchAnalyzer, ThreadCountDefaultsToAtLeastOne) {
-  const engine::BatchAnalyzer pool;
+TEST(WorkerPool, ThreadCountDefaultsToAtLeastOne) {
+  const engine::WorkerPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
-  const engine::BatchAnalyzer one(1);
+  const engine::WorkerPool one(1);
   EXPECT_EQ(one.thread_count(), 1u);
 }
 
-TEST(BatchAnalyzer, ParallelForVisitsEveryIndexExactlyOnce) {
-  engine::BatchAnalyzer pool(4);
+TEST(WorkerPool, ParallelForVisitsEveryIndexExactlyOnce) {
+  engine::WorkerPool pool(4);
   const std::size_t count = 1000;
   std::vector<std::atomic<int>> hits(count);
   pool.parallel_for(count, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(BatchAnalyzer, ParallelForZeroCountIsNoop) {
-  engine::BatchAnalyzer pool(2);
+TEST(WorkerPool, ParallelForZeroCountIsNoop) {
+  engine::WorkerPool pool(2);
   pool.parallel_for(0, [&](std::size_t) { FAIL() << "fn called for empty range"; });
 }
 
-TEST(BatchAnalyzer, ParallelForReusableAcrossCalls) {
-  engine::BatchAnalyzer pool(3);
+TEST(WorkerPool, ParallelForReusableAcrossCalls) {
+  engine::WorkerPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::size_t> sum{0};
     pool.parallel_for(100, [&](std::size_t i) { sum += i; });
@@ -43,8 +39,8 @@ TEST(BatchAnalyzer, ParallelForReusableAcrossCalls) {
   }
 }
 
-TEST(BatchAnalyzer, ParallelChunksCoverRangeWithoutOverlap) {
-  engine::BatchAnalyzer pool(4);
+TEST(WorkerPool, ParallelChunksCoverRangeWithoutOverlap) {
+  engine::WorkerPool pool(4);
   const std::size_t count = 103;  // deliberately not divisible by the pool size
   std::vector<std::atomic<int>> hits(count);
   std::atomic<unsigned> chunks{0};
@@ -57,27 +53,8 @@ TEST(BatchAnalyzer, ParallelChunksCoverRangeWithoutOverlap) {
   EXPECT_LE(chunks.load(), pool.thread_count());
 }
 
-TEST(BatchAnalyzer, AnalyzeAllMatchesSequentialAnalyze) {
-  std::vector<circuit::RlcTree> trees;
-  circuit::RandomTreeSpec spec;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    trees.push_back(circuit::make_random_tree(spec, seed));
-  }
-  engine::BatchAnalyzer pool;
-  const std::vector<eed::TreeModel> batched = pool.analyze_all(trees);
-  ASSERT_EQ(batched.size(), trees.size());
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    const eed::TreeModel fresh = eed::analyze(trees[t]);
-    ASSERT_EQ(batched[t].nodes.size(), fresh.nodes.size());
-    for (std::size_t i = 0; i < fresh.nodes.size(); ++i) {
-      EXPECT_EQ(batched[t].nodes[i].sum_rc, fresh.nodes[i].sum_rc);
-      EXPECT_EQ(batched[t].nodes[i].sum_lc, fresh.nodes[i].sum_lc);
-    }
-  }
-}
-
-TEST(BatchAnalyzer, FirstExceptionPropagatesToCaller) {
-  engine::BatchAnalyzer pool(2);
+TEST(WorkerPool, FirstExceptionPropagatesToCaller) {
+  engine::WorkerPool pool(2);
   EXPECT_THROW(pool.parallel_for(50,
                                  [](std::size_t i) {
                                    if (i == 17) throw std::runtime_error("task 17 failed");

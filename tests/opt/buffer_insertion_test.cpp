@@ -41,12 +41,12 @@ TEST(BufferInsertion, FullyBufferedAddsIntrinsicDelays) {
 TEST(BufferInsertion, ValidatesInputs) {
   BufferInsertionProblem bad = small_problem();
   bad.slots = 0;
-  EXPECT_THROW(evaluate_solution(bad, {}, DelayModel::kWyattRc), std::invalid_argument);
+  EXPECT_THROW((void)evaluate_solution(bad, {}, DelayModel::kWyattRc), std::invalid_argument);
   const BufferInsertionProblem p = small_problem();
-  EXPECT_THROW(evaluate_solution(p, {true}, DelayModel::kWyattRc), std::invalid_argument);
+  EXPECT_THROW((void)evaluate_solution(p, {true}, DelayModel::kWyattRc), std::invalid_argument);
   BufferInsertionProblem bad_len = small_problem();
   bad_len.wire.length_m = 0.0;
-  EXPECT_THROW(evaluate_solution(bad_len, {false, false, false}, DelayModel::kWyattRc),
+  EXPECT_THROW((void)evaluate_solution(bad_len, {false, false, false}, DelayModel::kWyattRc),
                std::invalid_argument);
 }
 

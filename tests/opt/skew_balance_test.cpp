@@ -60,7 +60,7 @@ TEST(SkewBalance, ImprovementHoldsUnderSimulation) {
   // also improved (the fidelity property in action).
   RlcTree before_tree = mismatched_h_tree();
   RlcTree after_tree = mismatched_h_tree();
-  balance_skew(after_tree);
+  (void)balance_skew(after_tree);
 
   const auto simulated_skew = [](const RlcTree& t) {
     sim::TransientOptions opts;

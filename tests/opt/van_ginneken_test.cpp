@@ -123,9 +123,9 @@ TEST(EvaluateBufferedTree, RejectsBufferAtLeaf) {
   const RlcTree t = long_line(3);
   std::vector<bool> bad(t.size(), false);
   bad[2] = true;  // leaf
-  EXPECT_THROW(evaluate_buffered_tree(t, bad, repeater(), 50.0, DelayModel::kWyattRc),
+  EXPECT_THROW((void)evaluate_buffered_tree(t, bad, repeater(), 50.0, DelayModel::kWyattRc),
                std::invalid_argument);
-  EXPECT_THROW(evaluate_buffered_tree(t, {true}, repeater(), 50.0, DelayModel::kWyattRc),
+  EXPECT_THROW((void)evaluate_buffered_tree(t, {true}, repeater(), 50.0, DelayModel::kWyattRc),
                std::invalid_argument);
 }
 

@@ -4,7 +4,7 @@
 
 #include "relmore/analysis/compare.hpp"
 #include "relmore/eed/eed.hpp"
-#include "relmore/engine/batch.hpp"
+#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/measure.hpp"
 
 namespace relmore::opt {
@@ -121,7 +121,7 @@ TEST(WireSizing, BatchedSweepComposesWithPool) {
   }
   const std::vector<double> serial =
       sized_line_delays(p, candidates, DelayModel::kEquivalentElmore);
-  engine::BatchAnalyzer pool(4);
+  engine::WorkerPool pool(4);
   const std::vector<double> pooled =
       sized_line_delays(p, candidates, DelayModel::kEquivalentElmore, &pool);
   EXPECT_EQ(serial, pooled);

@@ -18,8 +18,8 @@
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/circuit/rlc_tree.hpp"
 #include "relmore/eed/model.hpp"
-#include "relmore/engine/batch.hpp"
 #include "relmore/engine/batched.hpp"
+#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/source.hpp"
 #include "relmore/sim/batch_sim.hpp"
 #include "relmore/sta/corpus.hpp"

@@ -19,9 +19,9 @@
 #include "relmore/circuit/netlist.hpp"
 #include "relmore/circuit/rlc_tree.hpp"
 #include "relmore/eed/model.hpp"
-#include "relmore/engine/batch.hpp"
 #include "relmore/engine/batched.hpp"
 #include "relmore/engine/timing_engine.hpp"
+#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/diagnostics.hpp"
 
 namespace rc = relmore::circuit;
@@ -649,7 +649,7 @@ TEST(BatchedFaults, PooledAnalyzeAgreesOnFaults) {
       batch.set_sample(s, r.data(), l.data(), c.data());
     }
   }
-  eng::BatchAnalyzer pool(4);
+  eng::WorkerPool pool(4);
   const eng::BatchedModels serial = batch.analyze();
   const eng::BatchedModels pooled = batch.analyze(&pool);
   EXPECT_EQ(serial.fault_count(), 1u);

@@ -17,7 +17,7 @@
 #include "relmore/circuit/builders.hpp"
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/circuit/rlc_tree.hpp"
-#include "relmore/engine/batch.hpp"
+#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/flat_stepper.hpp"
 #include "relmore/sim/tree_transient.hpp"
 
@@ -82,7 +82,7 @@ TEST(SimTilingProperty, SimulateBitwiseEqualScalarAcrossTilesWidthsThreads) {
     ref.push_back(simulate_tree(FlatTree(tree), run.src, opts));
   }
 
-  engine::BatchAnalyzer pool(3);
+  engine::WorkerPool pool(3);
   // Tiles: single-row (maximal sink traffic), a ragged interior size,
   // >= n (one whole-tree tile), and 0 (auto via engine::KernelTuner).
   const std::size_t tiles[] = {1, 9, n + 7, 0};
@@ -96,8 +96,8 @@ TEST(SimTilingProperty, SimulateBitwiseEqualScalarAcrossTilesWidthsThreads) {
     for (const std::size_t tile : tiles) {
       bs.set_tile_rows(tile);
       EXPECT_EQ(bs.tile_rows(), tile);
-      for (engine::BatchAnalyzer* p :
-           {static_cast<engine::BatchAnalyzer*>(nullptr), &pool}) {
+      for (engine::WorkerPool* p :
+           {static_cast<engine::WorkerPool*>(nullptr), &pool}) {
         const BatchTransientResult res = bs.simulate(opts, p);
         for (std::size_t s = 0; s < kRuns; ++s) {
           for (std::size_t row = 0; row < opts.probes.size(); ++row) {
@@ -174,7 +174,7 @@ TEST(SimTilingProperty, FirstCrossingsBitwiseEqualAcrossTiles) {
         simulate_first_crossings(FlatTree(tree), runs[s].src, opts, {probe}, 0.5).front();
   }
 
-  engine::BatchAnalyzer pool(2);
+  engine::WorkerPool pool(2);
   BatchSimulator bs(FlatTree(base), 8);
   bs.resize(kRuns);
   for (std::size_t s = 0; s < kRuns; ++s) {

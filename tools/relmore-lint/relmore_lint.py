@@ -3,12 +3,10 @@
 
 The repo promises three things no general-purpose tool checks for us:
 
-  R1  Every `Status`/`Result<T>` an API hands back is consumed. The PR 6
+  R1  Every `Status`/`Result<T>` an API hands back is consumed. The
       `_checked` convention makes error handling explicit *only* if call
       sites actually look at the result; a statement-level call that drops
-      it is a silent-wrong-answer bug at corpus scale. The rule also bans
-      call sites of `[[deprecated]]` positional overloads: the compiler
-      merely warns, the lint fails.
+      it is a silent-wrong-answer bug at corpus scale.
 
   R2  The AoSoA lane loops stay bitwise-reproducible. `-ffp-contract=off`
       and fixed association order are the contract; any order-dependent or
@@ -332,115 +330,22 @@ RESULT_DECL_RE = re.compile(
     r"([A-Za-z_]\w*)\s*\("
 )
 
-DEPRECATED_RE = re.compile(r"\[\[\s*deprecated\b")
-
-
-@dataclass
-class DeprecatedOverload:
-    name: str
-    min_arity: int
-    max_arity: int
-    decl_rel: str
-    decl_line: int
-
 
 @dataclass
 class SignatureIndex:
     result_returning: set[str] = field(default_factory=set)
-    deprecated: list[DeprecatedOverload] = field(default_factory=list)
-    # Arity ranges of the *non*-deprecated overloads sharing a deprecated name.
-    fresh_arities: dict[str, set[int]] = field(default_factory=dict)
-
-
-def count_params(params: str) -> tuple[int, int]:
-    """(min_arity, max_arity) of a parameter-list string (no outer parens)."""
-    if not params.strip():
-        return (0, 0)
-    depth_round = depth_angle = depth_brace = 0
-    parts, cur = [], []
-    for ch in params:
-        if ch == "(":
-            depth_round += 1
-        elif ch == ")":
-            depth_round -= 1
-        elif ch == "<":
-            depth_angle += 1
-        elif ch == ">":
-            depth_angle = max(0, depth_angle - 1)
-        elif ch == "{":
-            depth_brace += 1
-        elif ch == "}":
-            depth_brace -= 1
-        elif ch == "," and depth_round == depth_angle == depth_brace == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        cur.append(ch)
-    parts.append("".join(cur))
-    max_arity = len(parts)
-    defaulted = sum(1 for p in parts if "=" in p)
-    return (max_arity - defaulted, max_arity)
 
 
 def index_signatures(files: list[SourceFile]) -> SignatureIndex:
     idx = SignatureIndex()
     for sf in files:
-        s = sf.stripped
-        for m in RESULT_DECL_RE.finditer(s):
+        for m in RESULT_DECL_RE.finditer(sf.stripped):
             idx.result_returning.add(m.group(1))
-        # Deprecated declarations: attribute, then the next function name + params.
-        for m in DEPRECATED_RE.finditer(s):
-            # The attribute may carry a (blanked) message: skip to the closing ]].
-            close = s.find("]]", m.start())
-            if close < 0:
-                continue
-            tail = s[close + 2 : close + 600]
-            dm = re.search(r"([A-Za-z_]\w*)\s*\(", tail)
-            if not dm:
-                continue
-            name = dm.group(1)
-            open_idx = close + 2 + dm.end() - 1
-            end = match_paren(s, open_idx)
-            if end < 0:
-                continue
-            lo, hi = count_params(s[open_idx + 1 : end - 1])
-            idx.deprecated.append(
-                DeprecatedOverload(name, lo, hi, sf.rel, line_of(s, m.start()))
-            )
-        # Arity ranges of non-deprecated overloads of those names come in a
-        # second pass below (needs the deprecated set complete first).
-    dep_names = {d.name for d in idx.deprecated}
-    if dep_names:
-        dep_spans: dict[str, list[tuple[int, int]]] = {}
-        for d in idx.deprecated:
-            dep_spans.setdefault(d.name, [])
-        for sf in files:
-            s = sf.stripped
-            for name in dep_names:
-                for m in re.finditer(r"\b" + re.escape(name) + r"\s*\(", s):
-                    # A declaration (not a call): preceded by an identifier or
-                    # `>` (return type) and followed, after the param list, by
-                    # `;` or `{` — heuristic, only used to learn arities.
-                    c, j = prev_significant(s, m.start())
-                    if not (c and (c.isalnum() or c in "_>&")):
-                        continue
-                    end = match_paren(s, s.index("(", m.start()))
-                    if end < 0:
-                        continue
-                    nxt, _ = next_significant(s, end)
-                    if nxt not in ";{" :
-                        continue
-                    # Deprecated or not? Look back a bit for the attribute.
-                    back = s[max(0, m.start() - 400) : m.start()]
-                    if DEPRECATED_RE.search(back):
-                        continue
-                    lo, hi = count_params(s[s.index("(", m.start()) + 1 : end - 1])
-                    idx.fresh_arities.setdefault(name, set()).update(range(lo, hi + 1))
     return idx
 
 
 # --------------------------------------------------------------------------
-# R1: discarded results + deprecated call sites
+# R1: discarded results
 # --------------------------------------------------------------------------
 
 
@@ -459,52 +364,13 @@ def check_r1(sf: SourceFile, idx: SignatureIndex) -> list[Finding]:
         name = m.group(0)
         open_idx = m.end()
         nxt, open_at = next_significant(s, open_idx)
-        if nxt != "(":
-            continue
-        interesting = is_result_name(name, idx)
-        dep = [d for d in idx.deprecated if d.name == name]
-        if not interesting and not dep:
+        if nxt != "(" or not is_result_name(name, idx):
             continue
         end = match_paren(s, open_at)
         if end < 0:
             continue
         line = line_of(s, m.start())
 
-        # --- deprecated-overload call sites ------------------------------
-        for d in dep:
-            if sf.rel == d.decl_rel:
-                continue  # the declaring header itself
-            # Is this a declaration? (learned-arity pass used the same test)
-            c, _ = prev_significant(s, walk_back_callee_chain(s, m.start()))
-            lo, hi = count_params(s[open_at + 1 : end - 1])
-            arity = hi  # at a call site every argument is present
-            if not (d.min_arity <= arity <= d.max_arity):
-                continue
-            pc, _ = prev_significant(s, m.start())
-            if pc and (pc.isalnum() or pc in "_>&*~"):
-                continue  # part of a declaration/definition, not a call
-            fresh = idx.fresh_arities.get(name, set())
-            if arity in fresh:
-                # Ambiguous arity: the fresh overload takes an options struct
-                # at the first diverging position; a braced init or a
-                # *Options name there means the call is fine.
-                args = s[open_at + 1 : end - 1]
-                if "{" in args or "Options" in sf.text[open_at + 1 : end - 1]:
-                    continue
-            if sf.allows(line, "R1"):
-                continue
-            findings.append(Finding(
-                sf.path, line, "R1",
-                f"call of [[deprecated]] overload '{name}' (arity {arity}); "
-                f"use the options-struct or _checked form "
-                f"(declared {d.decl_rel}:{d.decl_line})",
-            ))
-            break
-
-        if not interesting:
-            continue
-
-        # --- discarded Status/Result -------------------------------------
         # The value is used if the call expression is consumed by anything
         # other than an expression statement.
         nxt2, _ = next_significant(s, end)
