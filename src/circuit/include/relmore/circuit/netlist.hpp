@@ -16,21 +16,46 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "relmore/circuit/rlc_tree.hpp"
 #include "relmore/util/diagnostics.hpp"
 
 namespace relmore::circuit {
 
+/// Pops the next token off the front of `rest`, splitting at the bytes
+/// `is >> token` skips in the classic locale: space, \t, \n, \v, \f and
+/// \r. Returns an empty view, and empties `rest`, when no token is left.
+/// The one tokenizer of every reader here and of sta::read_design_checked:
+/// views into the caller's line, no copies.
+constexpr std::string_view next_token(std::string_view& rest) {
+  const auto is_space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+/// Every token of `line`, in order, into `out` (cleared first; its
+/// capacity is reused across lines).
+void split_tokens(std::string_view line, std::vector<std::string_view>& out);
+
 /// Parses "12.5", "2n", "0.2p", "1meg" etc. into a finite double. Rejects
 /// trailing garbage ("2nq", "1e"), non-finite literals ("nan", "inf"), and
 /// magnitudes outside double range ("1e999", "1e308k") with a structured
-/// status (kParseError / kValueOutOfRange).
-[[nodiscard]] util::Result<double> parse_spice_value_checked(const std::string& text);
+/// status (kParseError / kValueOutOfRange). The suffix is matched in place,
+/// case-insensitively, and strtod runs on a stack copy of tokens up to 63
+/// bytes, so an accepted value allocates nothing; only a reject message,
+/// or a longer token, does.
+[[nodiscard]] util::Result<double> parse_spice_value_checked(std::string_view text);
 
 /// Exception-compatible shim over parse_spice_value_checked: throws
 /// util::FaultError (a std::invalid_argument) on any rejected input.
-double parse_spice_value(const std::string& text);
+double parse_spice_value(std::string_view text);
 
 /// Writes the tree netlist format.
 void write_tree_netlist(const RlcTree& tree, std::ostream& os);
@@ -47,10 +72,21 @@ struct ReadContext {
   util::DiagnosticsReport* report = nullptr;  ///< optional sink for findings
 };
 
-/// Parses the tree netlist format and validates the result
+/// Parses the tree netlist held in `text` and validates the result
 /// (circuit::validate: finite non-negative values, sound structure,
 /// resource limits). Returns a Status with a line number (syntax errors)
-/// or node path (validation errors) on failure; never throws.
+/// or node path (validation errors) on failure; never throws. `ctx` adds
+/// design-level context: findings name the enclosing net.
+///
+/// The reader's one core, and its in-memory entry: one pass over `text`,
+/// with tokens and the section-name map as views into it, so the only
+/// strings it allocates are the section names the tree keeps. The istream
+/// overloads read the stream into a string and call it;
+/// sta::read_design_checked hands it one net block at a time.
+[[nodiscard]] util::Result<RlcTree> read_tree_netlist_checked(std::string_view text,
+                                                              const ReadContext& ctx = {});
+
+/// Reads `is` to its end and parses it as above.
 [[nodiscard]] util::Result<RlcTree> read_tree_netlist_checked(std::istream& is);
 
 /// Same, with design-level context: findings name the enclosing net.

@@ -5,12 +5,14 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "relmore/circuit/validate.hpp"
@@ -24,18 +26,21 @@ using util::Status;
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+  return out;
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream ss(line);
-  std::string tok;
-  while (ss >> tok) out.push_back(tok);
-  return out;
+/// `s` equals the lowercase ASCII `lower_ascii` under std::tolower, byte by
+/// byte: what comparing lower(s) with it decides, without the copy.
+bool iequals(std::string_view s, std::string_view lower_ascii) {
+  if (s.size() != lower_ascii.size()) return false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(s[i])) != lower_ascii[i]) return false;
+  }
+  return true;
 }
 
 Status parse_fail(int line_no, const std::string& msg) {
@@ -61,68 +66,94 @@ Status validate_parsed(const RlcTree& tree, const ReadContext& ctx) {
   return report.to_status().with_net(ctx.net);
 }
 
+/// SI scale prefixes, longest first where one is a prefix of another
+/// ("meg" before "m"): the first whose remainder is unit text wins.
+struct ScalePrefix {
+  std::string_view text;
+  double scale;
+};
+constexpr ScalePrefix kScalePrefixes[] = {
+    {"meg", 1e6}, {"f", 1e-15}, {"p", 1e-12}, {"n", 1e-9}, {"u", 1e-6},
+    {"m", 1e-3},  {"k", 1e3},   {"g", 1e9},   {"t", 1e12},
+};
+constexpr std::string_view kUnits[] = {"", "h", "f", "ohm", "s", "v"};
+
+bool is_unit(std::string_view rest) {
+  return std::any_of(std::begin(kUnits), std::end(kUnits),
+                     [&](std::string_view unit) { return iequals(rest, unit); });
+}
+
 }  // namespace
 
-Result<double> parse_spice_value_checked(const std::string& text) {
+void split_tokens(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  for (std::string_view tok = next_token(line); !tok.empty(); tok = next_token(line)) {
+    out.push_back(tok);
+  }
+}
+
+Result<double> parse_spice_value_checked(std::string_view text) {
   if (text.empty()) {
     return Status(ErrorCode::kParseError, "parse_spice_value: empty value");
   }
+  // strtod wants a NUL-terminated string: value-sized tokens are copied to
+  // the stack, only longer ones to the heap.
+  char stack_copy[64];
+  std::string heap_copy;
+  const char* begin = stack_copy;
+  if (text.size() < sizeof stack_copy) {
+    std::memcpy(stack_copy, text.data(), text.size());
+    stack_copy[text.size()] = '\0';
+  } else {
+    heap_copy.assign(text);
+    begin = heap_copy.c_str();
+  }
   errno = 0;
-  const char* begin = text.c_str();
   char* end = nullptr;
   const double base = std::strtod(begin, &end);
   if (end == begin) {
     return Status(ErrorCode::kParseError,
-                  "parse_spice_value: malformed number '" + text + "'");
+                  "parse_spice_value: malformed number '" + std::string(text) + "'");
   }
   if (errno == ERANGE && (base == HUGE_VAL || base == -HUGE_VAL)) {
-    return Status(ErrorCode::kValueOutOfRange,
-                  "parse_spice_value: magnitude of '" + text + "' exceeds double range");
+    return Status(ErrorCode::kValueOutOfRange, "parse_spice_value: magnitude of '" +
+                                                   std::string(text) + "' exceeds double range");
   }
   // Rejects strtod's "nan"/"inf"(/"infinity") spellings: a netlist value
   // must be a finite literal. (ERANGE underflow to a subnormal is fine.)
   if (!std::isfinite(base)) {
     return Status(ErrorCode::kParseError,
-                  "parse_spice_value: non-finite value '" + text + "'");
+                  "parse_spice_value: non-finite value '" + std::string(text) + "'");
   }
-  const std::string suffix = lower(text.substr(static_cast<std::size_t>(end - begin)));
-  static const std::map<std::string, double> kScale = {
-      {"", 1.0},     {"f", 1e-15}, {"p", 1e-12}, {"n", 1e-9}, {"u", 1e-6},
-      {"m", 1e-3},   {"k", 1e3},   {"meg", 1e6}, {"g", 1e9},  {"t", 1e12},
-  };
-  const auto is_unit = [](const std::string& rest) {
-    return rest.empty() || rest == "h" || rest == "f" || rest == "ohm" || rest == "s" ||
-           rest == "v";
-  };
+  const std::string_view suffix = text.substr(static_cast<std::size_t>(end - begin));
   double scale = 1.0;
   bool matched = false;
   // Longest-prefix match on the suffix; remaining letters must be unit text.
-  for (const auto& prefix : {std::string("meg"), std::string("f"), std::string("p"),
-                             std::string("n"), std::string("u"), std::string("m"),
-                             std::string("k"), std::string("g"), std::string("t")}) {
-    if (suffix.rfind(prefix, 0) == 0 && is_unit(suffix.substr(prefix.size()))) {
-      scale = kScale.at(prefix);
+  for (const ScalePrefix& prefix : kScalePrefixes) {
+    if (suffix.size() >= prefix.text.size() &&
+        iequals(suffix.substr(0, prefix.text.size()), prefix.text) &&
+        is_unit(suffix.substr(prefix.text.size()))) {
+      scale = prefix.scale;
       matched = true;
       break;
     }
   }
-  if (!matched) {
-    if (!is_unit(suffix)) {
-      // Full-token consumption or nothing: "2nq", "1e", "3..5" all land
-      // here instead of silently keeping the partially parsed prefix.
-      return Status(ErrorCode::kParseError,
-                    "parse_spice_value: trailing garbage '" + suffix + "' in '" + text + "'");
-    }
+  if (!matched && !is_unit(suffix)) {
+    // Full-token consumption or nothing: "2nq", "1e", "3..5" all land
+    // here instead of silently keeping the partially parsed prefix.
+    return Status(ErrorCode::kParseError, "parse_spice_value: trailing garbage '" +
+                                              lower(suffix) + "' in '" + std::string(text) +
+                                              "'");
   }
   const double value = base * scale;
   if (!std::isfinite(value)) {
-    return Status(ErrorCode::kValueOutOfRange,
-                  "parse_spice_value: scaled magnitude of '" + text + "' exceeds double range");
+    return Status(ErrorCode::kValueOutOfRange, "parse_spice_value: scaled magnitude of '" +
+                                                   std::string(text) + "' exceeds double range");
   }
   return value;
 }
 
-double parse_spice_value(const std::string& text) {
+double parse_spice_value(std::string_view text) {
   Result<double> res = parse_spice_value_checked(text);
   if (!res.is_ok()) throw FaultError(res.status());
   return res.value();
@@ -166,57 +197,69 @@ Result<RlcTree> with_context(const ReadContext& ctx,
   return tagged;
 }
 
-Result<RlcTree> read_tree_netlist_impl(std::istream& is, const ReadContext& ctx) {
+Result<RlcTree> read_tree_netlist_impl(std::string_view text, const ReadContext& ctx) {
   RlcTree tree;
-  std::map<std::string, SectionId> by_name;
-  std::string line;
+  // Keys view into `text`, which outlives the parse. A line holds at most
+  // one section, so the line count bounds the table.
+  std::unordered_map<std::string_view, SectionId> by_name;
+  by_name.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
   int line_no = ctx.line_offset;
-  while (std::getline(is, line)) {
+  // Lines split where std::getline would: at each '\n', with no empty
+  // line after a final one.
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    std::string_view rest = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto toks = tokenize(line);
-    if (toks.empty()) continue;
-    if (lower(toks[0]) != "section") {
-      return parse_fail(line_no, "expected 'section', got '" + toks[0] + "'");
+    rest = rest.substr(0, rest.find('#'));
+    // section <name> <parent|-> R= L= C=, and whether a seventh follows.
+    std::string_view toks[6];
+    std::size_t n = 0;
+    for (std::string_view tok = next_token(rest); !tok.empty() && n < 7; tok = next_token(rest)) {
+      if (n < 6) toks[n] = tok;
+      ++n;
     }
-    if (toks.size() != 6) {
+    if (n == 0) continue;
+    if (!iequals(toks[0], "section")) {
+      return parse_fail(line_no, "expected 'section', got '" + std::string(toks[0]) + "'");
+    }
+    if (n != 6) {
       return parse_fail(line_no, "expected: section <name> <parent|-> R= L= C=");
     }
-    const std::string& name = toks[1];
-    const std::string& parent_name = toks[2];
+    const std::string_view name = toks[1];
+    const std::string_view parent_name = toks[2];
     if (by_name.count(name) != 0) {
-      return parse_fail(line_no, "duplicate section name '" + name + "'");
+      return parse_fail(line_no, "duplicate section name '" + std::string(name) + "'");
     }
     SectionId parent = kInput;
     if (parent_name != "-") {
       const auto it = by_name.find(parent_name);
       if (it == by_name.end()) {
-        return parse_fail(line_no, "unknown parent '" + parent_name + "'");
+        return parse_fail(line_no, "unknown parent '" + std::string(parent_name) + "'");
       }
       parent = it->second;
     }
     SectionValues v;
     for (std::size_t t = 3; t < 6; ++t) {
       const auto eq = toks[t].find('=');
-      if (eq == std::string::npos) {
-        return parse_fail(line_no, "expected key=value, got '" + toks[t] + "'");
+      if (eq == std::string_view::npos) {
+        return parse_fail(line_no, "expected key=value, got '" + std::string(toks[t]) + "'");
       }
-      const std::string key = lower(toks[t].substr(0, eq));
+      const std::string_view key = toks[t].substr(0, eq);
       const Result<double> val = parse_spice_value_checked(toks[t].substr(eq + 1));
       if (!val.is_ok()) return parse_fail(line_no, val.status().message());
-      if (key == "r") {
+      if (iequals(key, "r")) {
         v.resistance = val.value();
-      } else if (key == "l") {
+      } else if (iequals(key, "l")) {
         v.inductance = val.value();
-      } else if (key == "c") {
+      } else if (iequals(key, "c")) {
         v.capacitance = val.value();
       } else {
-        return parse_fail(line_no, "unknown key '" + key + "'");
+        return parse_fail(line_no, "unknown key '" + lower(key) + "'");
       }
     }
     try {
-      by_name[name] = tree.add_section(parent, v, name);
+      by_name.emplace(name, tree.add_section(parent, v, std::string(name)));
     } catch (const std::invalid_argument& e) {
       return parse_fail(line_no, e.what());
     }
@@ -227,12 +270,18 @@ Result<RlcTree> read_tree_netlist_impl(std::istream& is, const ReadContext& ctx)
 
 }  // namespace
 
+Result<RlcTree> read_tree_netlist_checked(std::string_view text, const ReadContext& ctx) {
+  return with_context(ctx, [&] { return read_tree_netlist_impl(text, ctx); });
+}
+
 Result<RlcTree> read_tree_netlist_checked(std::istream& is) {
   return read_tree_netlist_checked(is, ReadContext{});
 }
 
 Result<RlcTree> read_tree_netlist_checked(std::istream& is, const ReadContext& ctx) {
-  return with_context(ctx, [&] { return read_tree_netlist_impl(is, ctx); });
+  std::string text;
+  for (std::string line; std::getline(is, line);) text.append(line).push_back('\n');
+  return read_tree_netlist_checked(text, ctx);
 }
 
 RlcTree read_tree_netlist(std::istream& is) {
@@ -288,10 +337,11 @@ Result<RlcTree> read_spice_impl(std::istream& is, const ReadContext& ctx) {
   std::string input_node;
 
   std::string line;
+  std::vector<std::string_view> toks;
   int line_no = ctx.line_offset;
   while (std::getline(is, line)) {
     ++line_no;
-    const auto toks = tokenize(line);
+    split_tokens(line, toks);
     if (toks.empty()) continue;
     const char kind = static_cast<char>(std::tolower(static_cast<unsigned char>(toks[0][0])));
     if (toks[0][0] == '*' || toks[0][0] == '.') continue;
@@ -301,16 +351,16 @@ Result<RlcTree> read_spice_impl(std::istream& is, const ReadContext& ctx) {
       continue;
     }
     if (kind != 'r' && kind != 'l' && kind != 'c') {
-      return parse_fail(line_no, std::string("unsupported element '") + toks[0] + "'");
+      return parse_fail(line_no, "unsupported element '" + std::string(toks[0]) + "'");
     }
     if (toks.size() < 4) return parse_fail(line_no, "element card needs: name n1 n2 value");
-    const std::string n1 = toks[1];
-    const std::string n2 = toks[2];
+    const std::string n1(toks[1]);
+    const std::string n2(toks[2]);
     const Result<double> parsed = parse_spice_value_checked(toks[3]);
     if (!parsed.is_ok()) return parse_fail(line_no, parsed.status().message());
     const double value = parsed.value();
     if (value < 0.0) {
-      return parse_fail(line_no, "negative element value " + toks[3]);
+      return parse_fail(line_no, "negative element value " + std::string(toks[3]));
     }
     if (kind == 'c') {
       const std::string node = n1 == "0" ? n2 : n1;

@@ -1,8 +1,10 @@
 #include "relmore/sta/design.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <istream>
-#include <map>
-#include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -78,35 +80,90 @@ class Findings {
   DiagnosticsReport* mirror_;
 };
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
-}
+/// Net name -> index, filled as `net` blocks are accepted. The first net
+/// of a name keeps it, which is the answer Design::find_net's scan gives.
+/// Open addressing over one array of (hash, index) slots; names are
+/// compared through the design itself. A map with a heap node per net
+/// freed one block per net between the design's own blocks when the read
+/// returned, and the corpus phase of every later analysis, allocating
+/// into those holes, ran 9-38% slower.
+class NetIndex {
+ public:
+  explicit NetIndex(const std::vector<Net>& nets) : nets_(nets) {}
+
+  /// Index of the first net named `name`, or -1.
+  [[nodiscard]] int find(std::string_view name) const {
+    if (slots_.empty()) return -1;
+    const std::uint32_t h = hash(name);
+    for (std::size_t i = h & mask();; i = (i + 1) & mask()) {
+      const Slot& slot = slots_[i];
+      if (slot.index < 0) return -1;
+      if (slot.hash == h && nets_[static_cast<std::size_t>(slot.index)].name == name) {
+        return slot.index;
+      }
+    }
+  }
+
+  /// Indexes the last net, unless an earlier net holds its name.
+  void add_last() {
+    const std::string& name = nets_.back().name;
+    if (find(name) >= 0) return;
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    place(hash(name), static_cast<int>(nets_.size() - 1));
+    ++count_;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t hash = 0;
+    int index = -1;  ///< -1: empty
+  };
+
+  static std::uint32_t hash(std::string_view name) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+  }
+  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
+
+  void place(std::uint32_t h, int index) {
+    std::size_t i = h & mask();
+    while (slots_[i].index >= 0) i = (i + 1) & mask();
+    slots_[i] = Slot{h, index};
+  }
+
+  void grow() {
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.index >= 0) place(slot.hash, slot.index);
+    }
+  }
+
+  const std::vector<Net>& nets_;
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  std::size_t count_ = 0;
+};
 
 /// Parses "key=value" into (key, value-text); returns false when `tok` has
 /// no '=' sign.
-bool split_option(const std::string& tok, std::string* key, std::string* text) {
+bool split_option(std::string_view tok, std::string_view* key, std::string_view* text) {
   const std::size_t eq = tok.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size()) return false;
+  if (eq == std::string_view::npos || eq == 0 || eq + 1 >= tok.size()) return false;
   *key = tok.substr(0, eq);
   *text = tok.substr(eq + 1);
   return true;
 }
 
 /// Parses "net:node" into its two halves.
-bool split_tap(const std::string& tok, std::string* net, std::string* node) {
+bool split_tap(std::string_view tok, std::string* net, std::string* node) {
   const std::size_t colon = tok.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= tok.size()) return false;
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 >= tok.size()) return false;
   *net = tok.substr(0, colon);
   *node = tok.substr(colon + 1);
   return true;
 }
 
 /// One parsed numeric option value, with findings on failure.
-bool parse_value(const std::string& text, const char* what, int line, const std::string& net,
+bool parse_value(std::string_view text, std::string_view what, int line, const std::string& net,
                  Findings& findings, double* out) {
   Result<double> v = circuit::parse_spice_value_checked(text);
   if (!v.is_ok()) {
@@ -146,8 +203,9 @@ namespace {
 
 /// Resolves raw references, folds pin caps, snapshots FlatTrees, and
 /// levelizes. Mutates `design` in place; findings carry every failure.
-void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
-                     const std::vector<RawPort>& raw_ports, Findings& findings) {
+void finalize_design(Design& design, const NetIndex& net_index,
+                     const std::vector<RawInst>& raw_insts, const std::vector<RawPort>& raw_ports,
+                     Findings& findings) {
   // --- resolve instances -------------------------------------------------
   // Instance and port names must be unique: find_port / path reports
   // resolve by name, and a silent duplicate would make every later query
@@ -168,7 +226,7 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
                      ri.name);
       continue;
     }
-    inst.out_net = design.find_net(ri.out_net);
+    inst.out_net = net_index.find(ri.out_net);
     if (inst.out_net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown output net '" + ri.out_net + "'",
                      ri.line, ri.name);
@@ -177,7 +235,7 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
     bool pins_ok = true;
     for (const RawPin& pin : ri.inputs) {
       Instance::Pin p;
-      p.net = design.find_net(pin.net);
+      p.net = net_index.find(pin.net);
       if (p.net < 0) {
         findings.error(ErrorCode::kInvalidArgument, "unknown input net '" + pin.net + "'",
                        ri.line, ri.name);
@@ -233,7 +291,7 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
     port.slew = rp.slew;
     port.required = rp.required;
     port.has_required = rp.has_required;
-    port.net = design.find_net(rp.net);
+    port.net = net_index.find(rp.net);
     if (port.net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown net '" + rp.net + "'", rp.line,
                      rp.name);
@@ -356,10 +414,16 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
   Findings findings(report);
   Design design;
   design.library = std::move(base);
+  NetIndex net_index(design.nets);
   std::vector<RawInst> raw_insts;
   std::vector<RawPort> raw_ports;
 
+  // One streaming pass: `line` holds the current line, `tok` views into
+  // it, and `block` one net block at a time, so peak memory is the design
+  // plus one block. All three keep their capacity from line to line.
   std::string line;
+  std::string block;
+  std::vector<std::string_view> tok;
   int line_no = 0;
   std::size_t total_sections = 0;
   constexpr std::size_t kMaxDesignSections = 4u << 20;  // 4M sections across all nets
@@ -372,9 +436,9 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       findings.error(ErrorCode::kParseError, "input truncated (injected fault)", line_no);
       break;
     }
-    const std::vector<std::string> tok = tokenize(line);
+    circuit::split_tokens(line, tok);
     if (tok.empty() || tok[0][0] == '#') continue;
-    const std::string& kw = tok[0];
+    const std::string_view kw = tok[0];
 
     if (kw == "design") {
       if (tok.size() >= 2) design.name = tok[1];
@@ -388,11 +452,12 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       spec.drive_r = 0.0;
       bool ok = true;
       for (std::size_t i = 2; i < tok.size() && ok; ++i) {
-        std::string key;
-        std::string text;
+        std::string_view key;
+        std::string_view text;
         if (!split_option(tok[i], &key, &text)) {
-          findings.error(ErrorCode::kParseError, "cell: expected key=value, got '" + tok[i] + "'",
-                         line_no, spec.name);
+          findings.error(ErrorCode::kParseError,
+                         "cell: expected key=value, got '" + std::string(tok[i]) + "'", line_no,
+                         spec.name);
           ok = false;
           break;
         }
@@ -412,8 +477,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         } else if (key == "slewfactor") {
           spec.slew_factor = v;
         } else {
-          findings.error(ErrorCode::kParseError, "cell: unknown key '" + key + "'", line_no,
-                         spec.name);
+          findings.error(ErrorCode::kParseError, "cell: unknown key '" + std::string(key) + "'",
+                         line_no, spec.name);
           ok = false;
         }
       }
@@ -429,25 +494,24 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         findings.error(ErrorCode::kParseError, "net: missing name", line_no);
         continue;
       }
-      const std::string net_name = tok[1];
-      if (design.find_net(net_name) >= 0) {
+      std::string net_name(tok[1]);
+      if (net_index.find(net_name) >= 0) {
         findings.error(ErrorCode::kDuplicateName, "duplicate net '" + net_name + "'", line_no,
                        net_name);
       }
       // Collect the block verbatim up to `end`, then hand it to the tree
       // netlist reader with this net's context (names + line offsets).
       const int block_start = line_no;
-      std::string block;
+      block.clear();
       bool closed = false;
       while (std::getline(is, line)) {
         ++line_no;
-        const std::vector<std::string> inner = tokenize(line);
-        if (!inner.empty() && inner[0] == "end") {
+        std::string_view rest = line;
+        if (circuit::next_token(rest) == "end") {
           closed = true;
           break;
         }
-        block += line;
-        block += '\n';
+        block.append(line).push_back('\n');
       }
       if (!closed) {
         findings.error(ErrorCode::kParseError, "net '" + net_name + "': missing 'end'",
@@ -458,8 +522,7 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       ctx.net = net_name;
       ctx.line_offset = block_start;
       ctx.report = findings.mirror();
-      std::istringstream block_is(block);
-      Result<circuit::RlcTree> tree = circuit::read_tree_netlist_checked(block_is, ctx);
+      Result<circuit::RlcTree> tree = circuit::read_tree_netlist_checked(block, ctx);
       if (!tree.is_ok()) {
         const Status& s = tree.status();
         findings.error(s.code(), s.message(), s.line() >= 0 ? s.line() : block_start, net_name);
@@ -472,38 +535,42 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         break;
       }
       Net net;
-      net.name = net_name;
+      net.name = std::move(net_name);
       net.tree = std::move(tree).value();
       design.nets.push_back(std::move(net));
+      net_index.add_last();
     } else if (kw == "input" || kw == "output") {
       RawPort port;
       port.is_input = kw == "input";
       port.line = line_no;
       if (tok.size() < 3) {
-        findings.error(ErrorCode::kParseError, kw + ": expected <port> <net>", line_no);
+        findings.error(ErrorCode::kParseError, std::string(kw) + ": expected <port> <net>",
+                       line_no);
         continue;
       }
       port.name = tok[1];
       if (port.is_input) {
         port.net = tok[2];
       } else if (!split_tap(tok[2], &port.net, &port.node)) {
-        findings.error(ErrorCode::kParseError, "output: expected <net>:<node>, got '" + tok[2] +
-                           "'",
+        findings.error(ErrorCode::kParseError,
+                       "output: expected <net>:<node>, got '" + std::string(tok[2]) + "'",
                        line_no, port.name);
         continue;
       }
       bool ok = true;
       for (std::size_t i = 3; i < tok.size() && ok; ++i) {
-        std::string key;
-        std::string text;
+        std::string_view key;
+        std::string_view text;
         if (!split_option(tok[i], &key, &text)) {
-          findings.error(ErrorCode::kParseError, kw + ": expected key=value, got '" + tok[i] + "'",
+          findings.error(ErrorCode::kParseError,
+                         std::string(kw) + ": expected key=value, got '" + std::string(tok[i]) +
+                             "'",
                          line_no, port.name);
           ok = false;
           break;
         }
         double v = 0.0;
-        if (!parse_value(text, kw.c_str(), line_no, port.name, findings, &v)) {
+        if (!parse_value(text, kw, line_no, port.name, findings, &v)) {
           ok = false;
           break;
         }
@@ -515,7 +582,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
           port.required = v;
           port.has_required = true;
         } else {
-          findings.error(ErrorCode::kParseError, kw + ": unknown key '" + key + "'", line_no,
+          findings.error(ErrorCode::kParseError,
+                         std::string(kw) + ": unknown key '" + std::string(key) + "'", line_no,
                          port.name);
           ok = false;
         }
@@ -527,7 +595,7 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       if (tok.size() < 5) {
         findings.error(ErrorCode::kParseError,
                        "inst: expected <name> <cell> <outnet> <innet>:<node>...", line_no,
-                       tok.size() >= 2 ? tok[1] : "");
+                       tok.size() >= 2 ? std::string(tok[1]) : "");
         continue;
       }
       inst.name = tok[1];
@@ -538,7 +606,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         RawPin pin;
         if (!split_tap(tok[i], &pin.net, &pin.node)) {
           findings.error(ErrorCode::kParseError,
-                         "inst: expected <net>:<node>, got '" + tok[i] + "'", line_no, inst.name);
+                         "inst: expected <net>:<node>, got '" + std::string(tok[i]) + "'",
+                         line_no, inst.name);
           ok = false;
           break;
         }
@@ -555,11 +624,12 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         design.clock_period = v;
       }
     } else {
-      findings.error(ErrorCode::kParseError, "unknown directive '" + kw + "'", line_no);
+      findings.error(ErrorCode::kParseError, "unknown directive '" + std::string(kw) + "'",
+                     line_no);
     }
   }
 
-  if (findings.ok()) finalize_design(design, raw_insts, raw_ports, findings);
+  if (findings.ok()) finalize_design(design, net_index, raw_insts, raw_ports, findings);
   if (!findings.ok()) return findings.status();
   return design;
 }

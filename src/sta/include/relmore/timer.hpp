@@ -15,7 +15,9 @@
 /// shims dropped: a chip-scale flow has no sensible place to catch, so
 /// the façade is Result-only by design. The Timer owns its Design behind
 /// a stable pointer, so moving the Timer never invalidates the analysis
-/// state.
+/// state. Next to the design it keeps a name index of its nets, instances
+/// and ports, built once per load, so recording an edit resolves names by
+/// binary search instead of a scan.
 
 #include <cstddef>
 #include <cstdint>
@@ -73,9 +75,9 @@ class Timer {
   /// Status of the underlying analysis.
   [[nodiscard]] util::Status report_timing(std::ostream& os, std::size_t k = 1);
 
-  [[nodiscard]] bool loaded() const { return design_ != nullptr; }
+  [[nodiscard]] bool loaded() const { return loaded_ != nullptr; }
   /// nullptr until load() succeeds.
-  [[nodiscard]] const sta::Design* design() const { return design_.get(); }
+  [[nodiscard]] const sta::Design* design() const;
   /// nullptr until analyze() succeeds.
   [[nodiscard]] const sta::TimingResult* result() const;
 
@@ -113,12 +115,15 @@ class Timer {
   [[nodiscard]] const sta::CorpusCache& cache() const { return cache_; }
 
  private:
+  /// The design and its name index, one heap object (timer.cpp).
+  struct Loaded;
+
   [[nodiscard]] util::Status ensure_analyzed();
   [[nodiscard]] util::Result<EditOutcome> commit_edit(Edit& edit,
                                                       const sta::AnalyzeOptions& options);
   [[nodiscard]] util::Result<engine::TimingEngine*> engine_for(int net_index);
 
-  std::unique_ptr<sta::Design> design_;        ///< stable address across moves
+  std::unique_ptr<Loaded> loaded_;             ///< stable address across moves
   std::optional<sta::TimingResult> result_;
   sta::AnalyzeOptions options_;
   sta::CorpusCache cache_;                     ///< injected into analyze()
@@ -183,11 +188,11 @@ class Timer::Edit {
     double value = 0.0;            ///< kPort required / kClock period
   };
 
-  Edit(Timer* timer, const sta::Design* design, std::uint64_t epoch)
-      : timer_(timer), design_(design), epoch_(epoch) {}
+  Edit(Timer* timer, const Loaded* loaded, std::uint64_t epoch)
+      : timer_(timer), loaded_(loaded), epoch_(epoch) {}
 
   Timer* timer_ = nullptr;
-  const sta::Design* design_ = nullptr;  ///< design the ops were validated against
+  const Loaded* loaded_ = nullptr;       ///< design the ops were validated against
   std::uint64_t epoch_ = 0;              ///< its epoch at edit() time
   std::vector<Op> ops_;
   bool done_ = false;

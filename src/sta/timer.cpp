@@ -1,6 +1,8 @@
 #include "relmore/timer.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -10,6 +12,60 @@ namespace relmore {
 using util::ErrorCode;
 using util::Result;
 using util::Status;
+
+namespace {
+
+/// Positions of `items` sorted by name; the sort is stable, so the first
+/// of equal names leads. 4 bytes an entry, no name copied.
+template <typename T>
+std::vector<int> positions_by_name(const std::vector<T>& items) {
+  std::vector<int> order(items.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return items[static_cast<std::size_t>(a)].name < items[static_cast<std::size_t>(b)].name;
+  });
+  return order;
+}
+
+/// Position of the first item named `name`, or -1: the answer of a
+/// front-to-back scan, by binary search over `order`.
+template <typename T>
+int find_by_name(const std::vector<T>& items, const std::vector<int>& order,
+                 const std::string& name) {
+  const auto it = std::lower_bound(order.begin(), order.end(), name,
+                                   [&](int i, const std::string& key) {
+                                     return items[static_cast<std::size_t>(i)].name < key;
+                                   });
+  return it != order.end() && items[static_cast<std::size_t>(*it)].name == name ? *it : -1;
+}
+
+}  // namespace
+
+/// Edits change values, cells and required times, never a name or the
+/// number of nets, instances or ports, so the index built here stays valid
+/// until the next load replaces the whole object.
+struct Timer::Loaded {
+  explicit Loaded(sta::Design d)
+      : design(std::move(d)),
+        nets(positions_by_name(design.nets)),
+        instances(positions_by_name(design.instances)),
+        ports(positions_by_name(design.ports)) {}
+
+  [[nodiscard]] int find_net(const std::string& name) const {
+    return find_by_name(design.nets, nets, name);
+  }
+  [[nodiscard]] int find_instance(const std::string& name) const {
+    return find_by_name(design.instances, instances, name);
+  }
+  [[nodiscard]] int find_port(const std::string& name) const {
+    return find_by_name(design.ports, ports, name);
+  }
+
+  sta::Design design;
+  std::vector<int> nets;
+  std::vector<int> instances;
+  std::vector<int> ports;
+};
 
 Timer::Timer() = default;
 Timer::~Timer() = default;
@@ -23,22 +79,25 @@ Status Timer::load(std::istream& is, sta::CellLibrary library, util::Diagnostics
 }
 
 Status Timer::load(sta::Design design) {
-  auto owned = std::make_unique<sta::Design>(std::move(design));
   // Reject before replacing: a failed load keeps the previous design.
-  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(*owned);
+  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
   if (!graph.is_ok()) return graph.status();
-  design_ = std::move(owned);
+  loaded_ = std::make_unique<Loaded>(std::move(design));
   result_.reset();
   cache_.clear();
   engines_.clear();
   return Status::ok();
 }
 
+const sta::Design* Timer::design() const {
+  return loaded_ != nullptr ? &loaded_->design : nullptr;
+}
+
 Result<sta::TimingSummary> Timer::analyze(const sta::AnalyzeOptions& options) {
-  if (design_ == nullptr) {
+  if (loaded_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
-  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(*design_);
+  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(loaded_->design);
   if (!graph.is_ok()) return graph.status();
   // The Timer's own cache rides along unless the caller plugged one in.
   // Injected per call (not stored in options_) so a moved Timer never
@@ -61,19 +120,19 @@ Status Timer::ensure_analyzed() {
 }
 
 Result<double> Timer::slack(const std::string& endpoint) {
-  if (design_ == nullptr) {
+  if (loaded_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
   if (Status s = ensure_analyzed(); !s.is_ok()) return s;
-  return sta::endpoint_slack_checked(*design_, *result_, endpoint);
+  return sta::endpoint_slack_checked(loaded_->design, *result_, endpoint);
 }
 
 Result<std::vector<sta::PathReport>> Timer::report_worst_paths(std::size_t k) {
-  if (design_ == nullptr) {
+  if (loaded_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
   if (Status s = ensure_analyzed(); !s.is_ok()) return s;
-  return sta::worst_paths_checked(*design_, *result_, k);
+  return sta::worst_paths_checked(loaded_->design, *result_, k);
 }
 
 Status Timer::report_timing(std::ostream& os, std::size_t k) {
@@ -93,17 +152,15 @@ const sta::TimingResult* Timer::result() const {
 // --- what-if edits ---------------------------------------------------------
 
 Timer::Edit Timer::edit() {
-  return Edit(this, design_.get(), design_ != nullptr ? design_->epoch : 0);
+  return Edit(this, loaded_.get(), loaded_ != nullptr ? loaded_->design.epoch : 0);
 }
 
 Result<engine::TimingEngine*> Timer::engine_for(int net_index) {
   auto it = engines_.find(net_index);
   if (it == engines_.end()) {
-    Result<engine::TimingEngine> eng = engine::TimingEngine::create_checked(
-        design_->nets[static_cast<std::size_t>(net_index)].tree);
-    if (!eng.is_ok()) {
-      return eng.status().with_net(design_->nets[static_cast<std::size_t>(net_index)].name);
-    }
+    const sta::Net& net = loaded_->design.nets[static_cast<std::size_t>(net_index)];
+    Result<engine::TimingEngine> eng = engine::TimingEngine::create_checked(net.tree);
+    if (!eng.is_ok()) return eng.status().with_net(net.name);
     it = engines_.emplace(net_index, std::move(eng).value()).first;
   }
   return &it->second;
@@ -111,14 +168,14 @@ Result<engine::TimingEngine*> Timer::engine_for(int net_index) {
 
 Status Timer::Edit::set_net_section_values(const std::string& net, const std::string& section,
                                            const circuit::SectionValues& wire) {
-  if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
+  if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int ni = design_->find_net(net);
+  const int ni = loaded_->find_net(net);
   if (ni < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown net").with_net(net);
   }
   const circuit::SectionId sid =
-      design_->nets[static_cast<std::size_t>(ni)].tree.find_by_name(section);
+      loaded_->design.nets[static_cast<std::size_t>(ni)].tree.find_by_name(section);
   if (sid < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: net has no section named '" + section + "'")
         .with_net(net);
@@ -140,19 +197,13 @@ Status Timer::Edit::set_net_section_values(const std::string& net, const std::st
 }
 
 Status Timer::Edit::set_cell(const std::string& instance, const std::string& cell) {
-  if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
+  if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  int inst = -1;
-  for (std::size_t i = 0; i < design_->instances.size(); ++i) {
-    if (design_->instances[i].name == instance) {
-      inst = static_cast<int>(i);
-      break;
-    }
-  }
+  const int inst = loaded_->find_instance(instance);
   if (inst < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown instance").with_net(instance);
   }
-  const int ci = design_->library.find(cell);
+  const int ci = loaded_->design.library.find(cell);
   if (ci < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown cell '" + cell + "'")
         .with_net(instance);
@@ -166,13 +217,13 @@ Status Timer::Edit::set_cell(const std::string& instance, const std::string& cel
 }
 
 Status Timer::Edit::set_port_required(const std::string& port, double required) {
-  if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
+  if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int pi = design_->find_port(port);
+  const int pi = loaded_->find_port(port);
   if (pi < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown port").with_net(port);
   }
-  if (design_->ports[static_cast<std::size_t>(pi)].is_input) {
+  if (loaded_->design.ports[static_cast<std::size_t>(pi)].is_input) {
     return Status(ErrorCode::kInvalidArgument, "edit: '" + port + "' is not an output port")
         .with_net(port);
   }
@@ -188,7 +239,7 @@ Status Timer::Edit::set_port_required(const std::string& port, double required) 
 }
 
 Status Timer::Edit::set_clock_period(double period) {
-  if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
+  if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
   if (!std::isfinite(period) || period < 0.0) {
     return Status(ErrorCode::kInvalidArgument, "edit: clock period must be finite and >= 0");
@@ -214,12 +265,13 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   if (edit.done_) {
     return Status(ErrorCode::kTransactionState, "edit: handle already committed");
   }
-  if (design_ == nullptr || edit.design_ != design_.get() || edit.epoch_ != design_->epoch) {
+  if (loaded_ == nullptr || edit.loaded_ != loaded_.get() ||
+      edit.epoch_ != loaded_->design.epoch) {
     return Status(ErrorCode::kInvalidArgument,
                   "edit: design changed since the handle was opened");
   }
   edit.done_ = true;  // consumed by this attempt, success or not
-  sta::Design& design = *design_;
+  sta::Design& design = loaded_->design;
 
   // Working cell assignment: cell ops apply sequentially, so later value
   // ops fold the pin caps the instance will have after the commit.

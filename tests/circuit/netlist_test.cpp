@@ -2,12 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "relmore/circuit/builders.hpp"
 
 namespace relmore::circuit {
 namespace {
+
+// The readers' one tokenizer must split exactly where stream extraction
+// did before it: random lines over an alphabet of every separator, a NUL,
+// high bytes and token text.
+TEST(Tokenizer, SplitsWhereStreamExtractionDoes) {
+  const std::string alphabet = std::string(" \t\n\v\f\r", 6) + std::string("\0", 1) +
+                               "\x80\xff#=:ab01.";
+  std::mt19937_64 rng(7);
+  std::vector<std::string_view> got;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string line(rng() % 40, ' ');
+    for (char& c : line) c = alphabet[rng() % alphabet.size()];
+    std::vector<std::string> want;
+    std::istringstream is(line);
+    for (std::string tok; is >> tok;) want.push_back(tok);
+    split_tokens(line, got);
+    ASSERT_EQ(got.size(), want.size()) << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << trial;
+  }
+}
 
 TEST(SpiceValue, PlainNumbers) {
   EXPECT_DOUBLE_EQ(parse_spice_value("12.5"), 12.5);

@@ -219,6 +219,98 @@ TEST(TimerEdit, StaleHandleFailsAfterReload) {
   EXPECT_EQ(edit.commit().status().code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(TimerEdit, UnknownNamesKeepTheirMessages) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(16, 2)).is_ok());
+  Timer::Edit edit = timer.edit();
+  const util::Status net = edit.set_net_section_values("nope", "s0", {});
+  EXPECT_EQ(net.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(net.message(), "edit: unknown net");
+  EXPECT_EQ(net.net(), "nope");
+  const util::Status inst = edit.set_cell("u9_9", "buf_x1");
+  EXPECT_EQ(inst.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(inst.message(), "edit: unknown instance");
+  EXPECT_EQ(inst.net(), "u9_9");
+  const util::Status port = edit.set_port_required("out9", 1e-9);
+  EXPECT_EQ(port.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(port.message(), "edit: unknown port");
+  EXPECT_EQ(port.net(), "out9");
+  // Names that sort next to real ones are still unknown, not neighbours.
+  EXPECT_FALSE(edit.set_net_section_values("n0_", "s0", {}).is_ok());
+  EXPECT_FALSE(edit.set_net_section_values("n0_00", "s0", {}).is_ok());
+  EXPECT_FALSE(edit.set_cell("", "buf_x1").is_ok());
+  EXPECT_EQ(edit.pending(), 0u);
+}
+
+// Every name of the corpus resolves to the index a front-to-back scan of
+// the Design finds.
+TEST(TimerEdit, EveryNameResolves) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(40, 5)).is_ok());
+  const sta::Design& design = *timer.design();
+  Timer::Edit edit = timer.edit();
+  for (const sta::Net& net : design.nets) {
+    EXPECT_TRUE(edit.set_net_section_values(net.name, "s0", {1.0, 0.0, 1e-15}).is_ok())
+        << net.name;
+  }
+  for (const sta::Instance& inst : design.instances) {
+    const std::string& cell = design.library.cell(static_cast<std::size_t>(inst.cell)).name;
+    EXPECT_TRUE(edit.set_cell(inst.name, cell).is_ok()) << inst.name;
+  }
+  for (const sta::DesignPort& port : design.ports) {
+    EXPECT_EQ(edit.set_port_required(port.name, 1e-9).is_ok(), !port.is_input) << port.name;
+  }
+  EXPECT_EQ(edit.pending(), design.nets.size() + design.instances.size() +
+                                design.endpoint_count());
+}
+
+// The index belongs to the loaded design: a reload replaces it whole.
+TEST(TimerEdit, NamesResolveAgainstTheCurrentLoad) {
+  const std::string a = "net na\nsection s0 - R=1 L=0 C=1f\nend\n"
+                        "net nb\nsection s0 - R=1 L=0 C=1f\nend\n"
+                        "input ia na\noutput oa nb:s0\ninst ua buf_x1 nb na:s0\n";
+  const std::string b = "net ma\nsection s0 - R=1 L=0 C=1f\nend\n"
+                        "net mb\nsection s0 - R=1 L=0 C=1f\nend\n"
+                        "input ib ma\noutput ob mb:s0\ninst ub buf_x1 mb ma:s0\n";
+  Timer timer;
+  std::istringstream in_a(a);
+  ASSERT_TRUE(timer.load(in_a).is_ok());
+  {
+    Timer::Edit edit = timer.edit();
+    EXPECT_TRUE(edit.set_net_section_values("nb", "s0", {2.0, 0.0, 1e-15}).is_ok());
+    EXPECT_TRUE(edit.set_cell("ua", "buf_x4").is_ok());
+    EXPECT_TRUE(edit.set_port_required("oa", 1e-9).is_ok());
+    EXPECT_FALSE(edit.set_net_section_values("mb", "s0", {}).is_ok());
+  }
+  std::istringstream in_b(b);
+  ASSERT_TRUE(timer.load(in_b).is_ok());
+  Timer::Edit edit = timer.edit();
+  EXPECT_EQ(edit.set_net_section_values("nb", "s0", {}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(edit.set_cell("ua", "buf_x4").code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(edit.set_port_required("oa", 1e-9).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(edit.set_net_section_values("mb", "s0", {2.0, 0.0, 1e-15}).is_ok());
+  EXPECT_TRUE(edit.set_cell("ub", "buf_x4").is_ok());
+  EXPECT_TRUE(edit.set_port_required("ob", 1e-9).is_ok());
+  ASSERT_TRUE(edit.commit().is_ok());
+  EXPECT_EQ(timer.design()->instances[0].cell, timer.design()->library.find("buf_x4"));
+}
+
+// The index lives with the heap-held design, so it moves with the Timer.
+TEST(TimerEdit, MovedTimerStillEdits) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(16, 6)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  Timer moved = std::move(timer);
+  Timer::Edit edit = moved.edit();
+  ASSERT_TRUE(edit.set_net_section_values("n1_2", "s0", {75.0, 0.0, 30e-15}).is_ok());
+  ASSERT_TRUE(edit.set_cell("u0_1", "buf_x4").is_ok());
+  ASSERT_TRUE(edit.set_port_required("out2", 1.5e-9).is_ok());
+  util::Result<Timer::EditOutcome> outcome = edit.commit();
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_TRUE(outcome.value().incremental);
+  expect_bitwise_equal(*moved.result(), oracle(*moved.design()));
+}
+
 TEST(TimerEdit, AbandonedHandleAppliesNothing) {
   Timer timer;
   ASSERT_TRUE(timer.load(synthetic(16, 4)).is_ok());
