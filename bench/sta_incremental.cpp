@@ -3,13 +3,14 @@
 /// what-if loop the edit API exists for. For each corpus size the bench
 /// measures
 ///
-///   retime full        — one cold TimingGraph::analyze_checked pass (no
-///                        corpus cache): what a non-incremental client
-///                        pays per what-if query
+///   retime full        — one cold single-thread
+///                        TimingGraph::analyze_checked pass (no corpus
+///                        cache): what a non-incremental client pays per
+///                        what-if query
 ///   retime edit f=F%   — one Timer::edit() transaction editing F% of the
 ///                        nets (wire value edits, the common what-if) and
-///                        committing: engine-journal apply + cache restamp
-///                        + dirty-cone update_checked, in place
+///                        committing: staged values + re-snapshot + cache
+///                        restamp + dirty-cone update_checked, in place
 ///
 /// Rows reuse the shared BenchRow schema with n = nets in the corpus,
 /// samples = edits per commit, ns_per_section = ns per net per pass, and
@@ -19,7 +20,9 @@
 /// bitwise WNS/TNS check of the in-place result against a from-scratch
 /// analysis of the edited design (the exhaustive per-point check lives in
 /// tests/sta/retime_property_test.cpp).
-/// `--json <path>` writes the rows; `--quick` shrinks the grid for CI.
+/// `--json <path>` writes the rows; `--quick` times each cell for less
+/// long, for CI. Both run the 2000-net corpus: its f=0.1% cell, one
+/// commit of two edits, is where work that grows with the design shows.
 
 #include <bit>
 #include <chrono>
@@ -117,10 +120,10 @@ int main(int argc, char** argv) {
   const std::string json_path = benchio::json_path_from_args(argc, argv);
   const double min_seconds = quick ? 0.02 : 0.3;
 
-  // Full grid ⊇ quick grid, so a --quick CI run's keys all exist in the
-  // committed baseline (bench_regress compares the intersection).
-  std::vector<std::size_t> sizes = {200};
-  if (!quick) sizes.push_back(2000);  // the acceptance corpus
+  // Quick and full runs share the grid, so a --quick CI run's keys all
+  // exist in the committed baseline (bench_regress compares the
+  // intersection). 2000 nets is the acceptance corpus.
+  const std::size_t sizes[] = {200, 2000};
   const double fractions[] = {0.001, 0.01, 0.05};
 
   std::vector<benchio::BenchRow> rows;
@@ -151,14 +154,17 @@ int main(int argc, char** argv) {
     }
 
     // The graph is structure-only; value edits never invalidate it, and the
-    // Timer keeps its Design at a stable address. Default options with no
-    // corpus cache = the cold full pass a non-incremental client runs.
+    // Timer keeps its Design at a stable address. No corpus cache = the
+    // cold full pass a non-incremental client runs. One thread, like the
+    // commit: a pool started per analyze call costs from ~0.1 to several ms
+    // depending on the host, which would move every speedup cell with it.
     const util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(*timer.design());
     if (!graph.is_ok()) {
       std::cerr << "sta_incremental: " << graph.status().to_string() << "\n";
       return 1;
     }
-    const sta::AnalyzeOptions cold{};
+    sta::AnalyzeOptions cold;
+    cold.threads = 1;
 
     const auto add_row = [&](const std::string& name, std::size_t edits, const Measured& m,
                              double full_ns) {

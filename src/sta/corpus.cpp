@@ -108,6 +108,20 @@ std::uint64_t options_fingerprint(const AnalyzeOptions& options) {
   return 0x51a0'0000ULL + static_cast<std::uint64_t>(phase_policy(options.fault_policy));
 }
 
+NetModels analyze_net(const Net& net, const AnalyzeOptions& options) {
+  NetModels out;
+  const eed::AnalyzeOptions scalar_opts{phase_policy(options.fault_policy)};
+  Result<eed::TreeModel> model = eed::analyze_checked(net.flat, scalar_opts);
+  if (!model.is_ok()) {
+    out.faulted = true;
+    out.status = model.status().with_net(net.name);
+    return out;
+  }
+  fill_from_model(net, model.value(), out);
+  out.analyzed = true;
+  return out;
+}
+
 Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeOptions& options) {
   if (design.nets.empty()) {
     return Status(ErrorCode::kEmptyTree, "analyze_corpus: design has no nets");
@@ -117,7 +131,6 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
                   "analyze_corpus: threads must be at most " +
                       std::to_string(engine::WorkerPool::kMaxThreads));
   }
-  const FaultPolicy policy = phase_policy(options.fault_policy);
   const std::size_t attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
   const util::RunControl rc{options.deadline, options.cancel};
   const std::size_t n_nets = design.nets.size();
@@ -176,7 +189,6 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   // is exactly the retry set. Quarantine is the ladder's floor: a net
   // still failing after the budget is marked faulted with the last
   // transient's status and poisons only its own timing cone.
-  const eed::AnalyzeOptions scalar_opts{policy};
   const auto quarantine = [&](const Status& why) {
     for (const std::size_t ni : pending) {
       NetModels& slot = out.nets[ni];
@@ -195,16 +207,7 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
       pool.parallel_for(pending.size(), [&](std::size_t k) {
         if (corpus_stopped()) return;
         const std::size_t ni = pending[k];
-        const Net& net = design.nets[ni];
-        NetModels& slot = out.nets[ni];
-        Result<eed::TreeModel> model = eed::analyze_checked(net.flat, scalar_opts);
-        if (!model.is_ok()) {
-          slot.faulted = true;
-          slot.status = model.status().with_net(net.name);
-          return;
-        }
-        fill_from_model(net, model.value(), slot);
-        slot.analyzed = true;
+        out.nets[ni] = analyze_net(design.nets[ni], options);
       });
     } catch (...) {
       ep = std::current_exception();

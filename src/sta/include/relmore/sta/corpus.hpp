@@ -166,6 +166,15 @@ class CorpusCache {
 /// poisoning slots.
 [[nodiscard]] std::uint64_t options_fingerprint(const AnalyzeOptions& options);
 
+/// One net's tap models: `eed::analyze_checked` on `net.flat` under the
+/// phase fault policy of `options`. Never fails: a rejected tree comes
+/// back `faulted` with its status, a degenerate one `analyzed` and
+/// `faulted`; only `analyzed && !faulted` models belong in a CorpusCache.
+/// The corpus phase computes every net it schedules with this, so a net
+/// restamped here (relmore::Timer after an edit) carries the corpus
+/// phase's bits by construction.
+[[nodiscard]] NetModels analyze_net(const Net& net, const AnalyzeOptions& options = {});
+
 /// Analyzes every net of `design`. Returns a Status only for caller
 /// errors (empty design; threads above engine::WorkerPool::kMaxThreads
 /// -> kInvalidArgument), under FaultPolicy::kThrow when a net faulted or

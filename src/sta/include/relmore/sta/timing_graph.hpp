@@ -141,8 +141,14 @@ struct UpdateStats {
 class TimingGraph {
  public:
   /// Validates that `design` is finalized (nets snapshot, topo order
-  /// covering every net) and builds the graph.
+  /// covering every net, net levels rising along every instance edge) and
+  /// builds the graph.
   [[nodiscard]] static util::Result<TimingGraph> build_checked(const Design& design);
+
+  /// build_checked's per-net check: kInvalidArgument naming the net when
+  /// its FlatTree snapshot does not match its tree. A caller that
+  /// re-snapshots some nets of a built graph's design re-checks just those.
+  [[nodiscard]] static util::Status check_snapshot(const Net& net);
 
   /// Runs corpus moment analysis + levelized propagation. Execution knobs
   /// in `options` never change results (bitwise).
@@ -152,12 +158,20 @@ class TimingGraph {
   /// Incrementally re-times `result` (a prior full analysis of this
   /// design) after the edits described by `seeds`: arrivals/slews are
   /// repropagated forward and required times backward only through the
-  /// levelized dirty cones, with a frontier cutoff wherever a recomputed
-  /// net's forward half is bitwise-unchanged. On success `result` is
+  /// dirty cones, with a frontier cutoff wherever a recomputed net's
+  /// forward half is bitwise-unchanged. On success `result` is
   /// bitwise-equal to a from-scratch analyze of the edited design in
-  /// every PointTiming, wire delay, WNS/TNS, and endpoint row; the
-  /// corpus-phase bookkeeping (fault/cache counts, diagnostics) keeps
-  /// its last-full-analysis values.
+  /// every PointTiming, wire delay, WNS/TNS, endpoint count and endpoint
+  /// row; the corpus-phase bookkeeping (fault/cache counts, diagnostics)
+  /// keeps its last-full-analysis values. Seeds may repeat a net.
+  ///
+  /// Cost: the nets of the two cones, popped from worklists in
+  /// (Net::level, net index) order, plus the endpoint rows on the nets
+  /// the backward cone re-timed, each moved to its new place in the
+  /// sorted rows. Two passes stay linear in the design on purpose: the
+  /// up-front check of every net's tap count against `result`, and the
+  /// TNS sum in port order (the order fixes its rounding), which runs
+  /// only when a negative slack moved.
   ///
   /// `cache` must cover every net in the dirty cones at its current epoch
   /// (the Timer guarantees this: a full analyze fills it, edits restamp
@@ -166,7 +180,8 @@ class TimingGraph {
   /// polled at cone-frontier boundaries; a stop returns ok with
   /// UpdateStats::stop_status non-ok and the partially-updated `result`
   /// must be discarded. Errors leave `result` unchanged only for the
-  /// up-front validation failures; a cache miss mid-cone also requires
+  /// up-front validation failures and a failed workspace allocation
+  /// (kResourceExhausted); a cache miss mid-cone also requires
   /// discarding (the Timer treats every failure path the same way).
   [[nodiscard]] util::Result<UpdateStats> update_checked(TimingResult& result, CorpusCache& cache,
                                                          const UpdateSeeds& seeds,
@@ -179,12 +194,20 @@ class TimingGraph {
   const Design* design_;
 };
 
-/// Slack of the endpoint (output port) named `port`. kInvalidArgument for
-/// unknown or non-endpoint ports; kNonFiniteMoment when the endpoint sits
-/// in a faulted fanout cone.
+/// Slack of the endpoint (output port) named `port` (the first port of
+/// that name). kInvalidArgument for unknown or non-endpoint ports;
+/// kNonFiniteMoment when the endpoint sits in a faulted fanout cone.
 [[nodiscard]] util::Result<double> endpoint_slack_checked(const Design& design,
                                                           const TimingResult& result,
                                                           const std::string& port);
+
+/// endpoint_slack_checked for a port the caller has already resolved:
+/// `port_index` indexes Design::ports (-1: no port has that name) and
+/// `port` is the queried name the messages quote.
+[[nodiscard]] util::Result<double> endpoint_slack_at_checked(const Design& design,
+                                                             const TimingResult& result,
+                                                             int port_index,
+                                                             const std::string& port);
 
 /// The `k` worst (smallest-slack) constrained endpoints' critical paths,
 /// backtracked through winning arcs. Fewer than `k` when the design has

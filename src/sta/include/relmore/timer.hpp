@@ -15,20 +15,19 @@
 /// shims dropped: a chip-scale flow has no sensible place to catch, so
 /// the façade is Result-only by design. The Timer owns its Design behind
 /// a stable pointer, so moving the Timer never invalidates the analysis
-/// state. Next to the design it keeps a name index of its nets, instances
-/// and ports, built once per load, so recording an edit resolves names by
-/// binary search instead of a scan.
+/// state. Next to the design it keeps, built once per load, the
+/// sta::TimingGraph every analyze() and commit runs on and a name index of
+/// its nets, instances and ports, so recording an edit or asking a slack
+/// resolves names by binary search instead of a scan.
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "relmore/engine/timing_engine.hpp"
 #include "relmore/sta/sta.hpp"
 #include "relmore/util/diagnostics.hpp"
 
@@ -100,11 +99,13 @@ class Timer {
   class Edit;
 
   /// Opens a what-if edit transaction. Record edits on the handle, then
-  /// `commit()` to apply them atomically: every wire edit is mapped onto
-  /// the net's persistent engine::TimingEngine (O(depth) moment updates
-  /// under its transaction journal) instead of re-snapshotting the net,
-  /// and a failing edit rolls every net back — the design is untouched by
-  /// a failed commit (strong guarantee). An abandoned handle applies
+  /// `commit()` to apply them atomically: the commit stages and validates
+  /// every new section value before it writes any, so a failing edit
+  /// leaves the design untouched (strong guarantee). What a commit costs:
+  /// the edited nets (each re-snapshot and re-analyzed whole — a few
+  /// sections in a typical net), the dirty cones, and the endpoint rows on
+  /// them, plus two passes linear in the design that stay on purpose (see
+  /// sta::TimingGraph::update_checked). An abandoned handle applies
   /// nothing. One commit per handle; at most one handle should be open at
   /// a time (the Timer serializes nothing).
   [[nodiscard]] Edit edit();
@@ -115,21 +116,18 @@ class Timer {
   [[nodiscard]] const sta::CorpusCache& cache() const { return cache_; }
 
  private:
-  /// The design and its name index, one heap object (timer.cpp).
+  /// The design, its timing graph and its name index, one heap object
+  /// (timer.cpp).
   struct Loaded;
 
   [[nodiscard]] util::Status ensure_analyzed();
   [[nodiscard]] util::Result<EditOutcome> commit_edit(Edit& edit,
                                                       const sta::AnalyzeOptions& options);
-  [[nodiscard]] util::Result<engine::TimingEngine*> engine_for(int net_index);
 
   std::unique_ptr<Loaded> loaded_;             ///< stable address across moves
   std::optional<sta::TimingResult> result_;
   sta::AnalyzeOptions options_;
   sta::CorpusCache cache_;                     ///< injected into analyze()
-  /// Lazily created per edited net, kept in sync with Net::tree across
-  /// commits (created on a net's first edit, dropped on load()).
-  std::map<int, engine::TimingEngine> engines_;
 };
 
 /// One what-if edit transaction (Timer::edit()). Ops validate their
@@ -160,7 +158,8 @@ class Timer::Edit {
   [[nodiscard]] util::Status set_clock_period(double period);
 
   /// Applies the recorded ops. On success the design is mutated (epoch
-  /// bumped, edited nets re-snapshot, cache restamped) and the cached
+  /// bumped, edited nets re-snapshot, their cache slots restamped with
+  /// sta::analyze_net, the corpus phase's own per-net step) and the cached
   /// analysis — when one exists — is incrementally re-timed through the
   /// dirty cones, falling back to dropping it when the cones cannot be
   /// served from the cache. On error the design and analysis are exactly

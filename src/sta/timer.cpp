@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <ostream>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,11 +43,34 @@ int find_by_name(const std::vector<T>& items, const std::vector<int>& order,
   return it != order.end() && items[static_cast<std::size_t>(*it)].name == name ? *it : -1;
 }
 
+/// One section value a commit will write. The ops stage their values
+/// first — one entry per (net, section), holding the latest — so every op
+/// is checked before the design changes.
+struct StagedValue {
+  int net = -1;
+  circuit::SectionId section = circuit::kInput;
+  circuit::SectionValues v;
+};
+
+/// A folded value the moment kernels cannot take: the raw wire values
+/// passed the record-time check, but adding pin caps can overflow.
+Status check_folded(const circuit::SectionValues& v, circuit::SectionId section) {
+  for (const double x : {v.resistance, v.inductance, v.capacitance}) {
+    if (util::valid_element_value(x)) continue;
+    const bool non_finite = std::isnan(x) || std::isinf(x);
+    return Status(non_finite ? ErrorCode::kNonFiniteValue : ErrorCode::kNegativeValue,
+                  std::string("edit: ") + (non_finite ? "non-finite" : "negative") +
+                      " element value in edit of section " + std::to_string(section),
+                  section);
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
-/// Edits change values, cells and required times, never a name or the
-/// number of nets, instances or ports, so the index built here stays valid
-/// until the next load replaces the whole object.
+/// Edits change values, cells and required times, never a name, a level or
+/// the number of nets, instances or ports, so the graph and the index built
+/// here stay valid until the next load replaces the whole object.
 struct Timer::Loaded {
   explicit Loaded(sta::Design d)
       : design(std::move(d)),
@@ -62,6 +89,7 @@ struct Timer::Loaded {
   }
 
   sta::Design design;
+  std::optional<sta::TimingGraph> graph;  ///< over `design`, set by Timer::load
   std::vector<int> nets;
   std::vector<int> instances;
   std::vector<int> ports;
@@ -79,13 +107,15 @@ Status Timer::load(std::istream& is, sta::CellLibrary library, util::Diagnostics
 }
 
 Status Timer::load(sta::Design design) {
-  // Reject before replacing: a failed load keeps the previous design.
-  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
+  // Reject before replacing: a failed load keeps the previous design. The
+  // graph points into the design, so it is built where the design will live.
+  auto next = std::make_unique<Loaded>(std::move(design));
+  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(next->design);
   if (!graph.is_ok()) return graph.status();
-  loaded_ = std::make_unique<Loaded>(std::move(design));
+  next->graph = std::move(graph).value();
+  loaded_ = std::move(next);
   result_.reset();
   cache_.clear();
-  engines_.clear();
   return Status::ok();
 }
 
@@ -97,14 +127,12 @@ Result<sta::TimingSummary> Timer::analyze(const sta::AnalyzeOptions& options) {
   if (loaded_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
-  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(loaded_->design);
-  if (!graph.is_ok()) return graph.status();
   // The Timer's own cache rides along unless the caller plugged one in.
   // Injected per call (not stored in options_) so a moved Timer never
   // leaves a stale pointer to the old object's member behind.
   sta::AnalyzeOptions effective = options;
   if (effective.cache == nullptr) effective.cache = &cache_;
-  Result<sta::TimingResult> result = graph.value().analyze_checked(effective);
+  Result<sta::TimingResult> result = loaded_->graph->analyze_checked(effective);
   if (!result.is_ok()) return result.status();
   result_ = std::move(result).value();
   options_ = options;
@@ -124,7 +152,8 @@ Result<double> Timer::slack(const std::string& endpoint) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
   if (Status s = ensure_analyzed(); !s.is_ok()) return s;
-  return sta::endpoint_slack_checked(loaded_->design, *result_, endpoint);
+  return sta::endpoint_slack_at_checked(loaded_->design, *result_, loaded_->find_port(endpoint),
+                                        endpoint);
 }
 
 Result<std::vector<sta::PathReport>> Timer::report_worst_paths(std::size_t k) {
@@ -153,17 +182,6 @@ const sta::TimingResult* Timer::result() const {
 
 Timer::Edit Timer::edit() {
   return Edit(this, loaded_.get(), loaded_ != nullptr ? loaded_->design.epoch : 0);
-}
-
-Result<engine::TimingEngine*> Timer::engine_for(int net_index) {
-  auto it = engines_.find(net_index);
-  if (it == engines_.end()) {
-    const sta::Net& net = loaded_->design.nets[static_cast<std::size_t>(net_index)];
-    Result<engine::TimingEngine> eng = engine::TimingEngine::create_checked(net.tree);
-    if (!eng.is_ok()) return eng.status().with_net(net.name);
-    it = engines_.emplace(net_index, std::move(eng).value()).first;
-  }
-  return &it->second;
 }
 
 Status Timer::Edit::set_net_section_values(const std::string& net, const std::string& section,
@@ -273,98 +291,85 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   edit.done_ = true;  // consumed by this attempt, success or not
   sta::Design& design = loaded_->design;
 
-  // Working cell assignment: cell ops apply sequentially, so later value
-  // ops fold the pin caps the instance will have after the commit.
-  std::vector<int> cell_of(design.instances.size());
-  for (std::size_t i = 0; i < design.instances.size(); ++i) cell_of[i] = design.instances[i].cell;
-
-  std::vector<int> touched;  // nets with an open engine transaction, first-touch order
-  std::vector<char> fwd(design.nets.size(), 0);
-  std::vector<char> bwd(design.nets.size(), 0);
+  // --- stage: every op validated before anything is written -------------
+  // Cell swaps apply in op order, so later value ops fold the pin caps the
+  // instance will have after the commit. Both tables are hashed, so a
+  // transaction stays linear in its op count.
+  std::unordered_map<int, int> cells;  // instance -> its latest swapped cell
+  std::vector<StagedValue> staged;
+  std::unordered_map<std::uint64_t, std::size_t> staged_at;  // (net, section) -> staged slot
   sta::UpdateSeeds seeds;
 
-  const auto rollback_all = [&]() {
-    for (const int ni : touched) engines_.at(ni).rollback();
+  const auto input_cap = [&](int instance) {
+    const auto it = cells.find(instance);
+    const int cell =
+        it != cells.end() ? it->second : design.instances[static_cast<std::size_t>(instance)].cell;
+    return design.library.cell(static_cast<std::size_t>(cell)).input_cap;
   };
-  const auto touch = [&](int ni) -> Result<engine::TimingEngine*> {
-    Result<engine::TimingEngine*> eng = engine_for(ni);
-    if (!eng.is_ok()) return eng;
-    if (!eng.value()->in_transaction()) {
-      eng.value()->begin_transaction();
-      touched.push_back(ni);
+  const auto key = [](int ni, circuit::SectionId sid) {
+    return std::uint64_t{static_cast<std::uint32_t>(ni)} << 32 | static_cast<std::uint32_t>(sid);
+  };
+  // The values section `sid` of net `ni` has at this point of the commit.
+  const auto current = [&](int ni, circuit::SectionId sid) {
+    const auto it = staged_at.find(key(ni, sid));
+    if (it != staged_at.end()) return staged[it->second].v;
+    return design.nets[static_cast<std::size_t>(ni)].tree.section(sid).v;
+  };
+  const auto stage = [&](int ni, circuit::SectionId sid, const circuit::SectionValues& v) {
+    if (Status s = check_folded(v, sid); !s.is_ok()) {
+      return s.with_net(design.nets[static_cast<std::size_t>(ni)].name);
     }
-    return eng;
+    const auto [it, added] = staged_at.try_emplace(key(ni, sid), staged.size());
+    if (added) {
+      staged.push_back(StagedValue{ni, sid, v});
+    } else {
+      staged[it->second].v = v;
+    }
+    return Status::ok();
   };
   // The folded shunt C at `node` of net `ni`: raw wire C plus the pin cap
   // of every instance input tapping the node — the finalize fold, against
-  // the working cell assignment, summed in tap order (finalize's order).
+  // the staged cell assignment, summed in tap order (finalize's order).
   const auto folded_cap = [&](int ni, circuit::SectionId node, double wire_c) {
     double c = wire_c;
     for (const sta::Net::Tap& tap : design.nets[static_cast<std::size_t>(ni)].taps) {
-      if (tap.node == node && !tap.is_port) {
-        const int ci = cell_of[static_cast<std::size_t>(tap.index)];
-        c += design.library.cell(static_cast<std::size_t>(ci)).input_cap;
-      }
+      if (tap.node == node && !tap.is_port) c += input_cap(tap.index);
     }
     return c;
   };
 
-  // --- apply ops onto the per-net engines (journaled, rollback on error) --
   for (const Edit::Op& op : edit.ops_) {
     switch (op.kind) {
       case Edit::OpKind::kValue: {
-        Result<engine::TimingEngine*> eng = touch(op.net);
-        if (!eng.is_ok()) {
-          rollback_all();
-          return eng.status();
-        }
         circuit::SectionValues v = op.wire;
         v.capacitance = folded_cap(op.net, op.section, op.wire.capacitance);
-        try {
-          eng.value()->set_section_values(op.section, v);
-        } catch (const util::FaultError& e) {
-          rollback_all();
-          return e.status().with_net(design.nets[static_cast<std::size_t>(op.net)].name);
-        }
-        fwd[static_cast<std::size_t>(op.net)] = 1;
+        if (Status s = stage(op.net, op.section, v); !s.is_ok()) return s;
+        seeds.forward_nets.push_back(op.net);
         break;
       }
       case Edit::OpKind::kCell: {
         const sta::Instance& inst = design.instances[static_cast<std::size_t>(op.instance)];
-        const double old_cap =
-            design.library.cell(static_cast<std::size_t>(cell_of[static_cast<std::size_t>(
-                                    op.instance)]))
-                .input_cap;
+        const double old_cap = input_cap(op.instance);
         const double new_cap = design.library.cell(static_cast<std::size_t>(op.cell)).input_cap;
         for (const sta::Instance::Pin& pin : inst.inputs) {
-          Result<engine::TimingEngine*> eng = touch(pin.net);
-          if (!eng.is_ok()) {
-            rollback_all();
-            return eng.status();
-          }
           const sta::Net& in_net = design.nets[static_cast<std::size_t>(pin.net)];
           const circuit::SectionId node = in_net.taps[static_cast<std::size_t>(pin.tap)].node;
-          circuit::SectionValues v = eng.value()->tree().section(node).v;
+          circuit::SectionValues v = current(pin.net, node);
           // Exact inverse of the old fold, then the new fold, in this
           // order — bitwise-reproducible regardless of edit history.
           v.capacitance = v.capacitance - old_cap + new_cap;
-          try {
-            eng.value()->set_section_values(node, v);
-          } catch (const util::FaultError& e) {
-            rollback_all();
-            return e.status().with_net(in_net.name);
-          }
-          fwd[static_cast<std::size_t>(pin.net)] = 1;
+          if (Status s = stage(pin.net, node, v); !s.is_ok()) return s;
+          seeds.forward_nets.push_back(pin.net);
           // The swapped arc tables move this pin's required time even when
           // the output net's driver (required, constrained) pair does not.
-          bwd[static_cast<std::size_t>(pin.net)] = 1;
+          seeds.backward_nets.push_back(pin.net);
         }
-        fwd[static_cast<std::size_t>(inst.out_net)] = 1;
-        cell_of[static_cast<std::size_t>(op.instance)] = op.cell;
+        seeds.forward_nets.push_back(inst.out_net);
+        cells[op.instance] = op.cell;
         break;
       }
       case Edit::OpKind::kPort:
-        bwd[static_cast<std::size_t>(design.ports[static_cast<std::size_t>(op.port)].net)] = 1;
+        seeds.backward_nets.push_back(design.ports[static_cast<std::size_t>(op.port)].net);
         break;
       case Edit::OpKind::kClock:
         seeds.clock_changed = true;
@@ -372,21 +377,24 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
     }
   }
 
-  // --- commit: engines first, then the Design mirrors them ---------------
-  for (const int ni : touched) {
-    engines_.at(ni).commit();  // relmore-lint: allow(R1) engine commit() returns void
-  }
+  // --- write: values, snapshots, constraints, cells ----------------------
+  std::vector<int> touched;  // the nets with a staged value, each once
+  touched.reserve(staged.size());
+  for (const StagedValue& s : staged) touched.push_back(s.net);
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   design.epoch += 1;
+  for (const StagedValue& s : staged) {
+    design.nets[static_cast<std::size_t>(s.net)].tree.values(s.section) = s.v;
+  }
+  bool can_update = true;
   for (const int ni : touched) {
     sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
-    const engine::TimingEngine& eng = engines_.at(ni);
-    for (std::size_t i = 0; i < net.tree.size(); ++i) {
-      net.tree.values(static_cast<circuit::SectionId>(i)) =
-          eng.tree().section(static_cast<circuit::SectionId>(i)).v;
-    }
     net.flat = circuit::FlatTree(net.tree);
     net.epoch = design.epoch;
     net.total_cap = net.tree.total_capacitance();
+    // The graph was checked at load; only these snapshots are new.
+    if (!sta::TimingGraph::check_snapshot(net).is_ok()) can_update = false;
   }
   for (const Edit::Op& op : edit.ops_) {
     if (op.kind == Edit::OpKind::kPort) {
@@ -397,60 +405,36 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
       design.clock_period = op.value;
     }
   }
-  for (std::size_t i = 0; i < design.instances.size(); ++i) design.instances[i].cell = cell_of[i];
+  for (const auto& [inst, cell] : cells) design.instances[static_cast<std::size_t>(inst)].cell = cell;
 
-  // --- restamp the cache at the new epoch from the engines' O(depth)
-  // node models (bitwise-identical to eed::analyze of the mirrored tree,
-  // the engine contract). A degenerate model is conservatively NOT stored
-  // — the next analyze recomputes the net with full fault handling — and
-  // disables the in-place re-time (its cone could not be served).
-  bool can_update = true;
+  // --- restamp the cache at the new epoch with the corpus phase's own
+  // per-net step. A faulted model is NOT stored — the next analyze
+  // recomputes the net with full fault handling — and disables the
+  // in-place re-time (its cone could not be served).
   const std::uint64_t fingerprint = sta::options_fingerprint(options);
   for (const int ni : touched) {
     const sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
-    const engine::TimingEngine& eng = engines_.at(ni);
-    sta::NetModels models;
-    models.taps.resize(net.taps.size());
-    bool healthy = true;
-    for (std::size_t t = 0; t < net.taps.size(); ++t) {
-      const eed::NodeModel m = eng.node(net.taps[t].node);
-      // zeta/omega_n are legitimately +inf for pure-RC nodes; NaN and
-      // non-finite Elmore sums are what full analysis would flag.
-      if (!std::isfinite(m.sum_rc) || !std::isfinite(m.sum_lc) || std::isnan(m.zeta) ||
-          std::isnan(m.omega_n)) {
-        healthy = false;
-        break;
-      }
-      models.taps[t] = m;
-    }
-    if (!healthy) {
+    sta::NetModels models = sta::analyze_net(net, options);
+    if (!models.analyzed || models.faulted) {
       can_update = false;
       continue;
     }
-    models.analyzed = true;
     cache_.store(static_cast<std::size_t>(ni), net.epoch, fingerprint, std::move(models));
   }
 
   // --- re-time the cached analysis through the dirty cones ----------------
-  for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
-    if (fwd[ni] != 0) seeds.forward_nets.push_back(static_cast<int>(ni));
-    if (bwd[ni] != 0) seeds.backward_nets.push_back(static_cast<int>(ni));
-  }
   EditOutcome outcome;
   if (result_.has_value() && result_->stop_status.is_ok() && can_update) {
-    Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
-    if (graph.is_ok()) {
-      sta::AnalyzeOptions effective = options;
-      if (effective.cache == nullptr) effective.cache = &cache_;
-      Result<sta::UpdateStats> stats =
-          graph.value().update_checked(*result_, *effective.cache, seeds, effective);
-      if (stats.is_ok() && stats.value().stop_status.is_ok()) {
-        outcome.incremental = true;
-        outcome.stats = stats.value();
-        return outcome;
-      }
-      if (stats.is_ok()) outcome.stats = stats.value();  // stopped: report why
+    sta::AnalyzeOptions effective = options;
+    if (effective.cache == nullptr) effective.cache = &cache_;
+    Result<sta::UpdateStats> stats =
+        loaded_->graph->update_checked(*result_, *effective.cache, seeds, effective);
+    if (stats.is_ok() && stats.value().stop_status.is_ok()) {
+      outcome.incremental = true;
+      outcome.stats = stats.value();
+      return outcome;
     }
+    if (stats.is_ok()) outcome.stats = stats.value();  // stopped: report why
   }
   // Any fallback path: the old analysis no longer matches the design.
   result_.reset();

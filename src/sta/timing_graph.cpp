@@ -5,10 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <new>
 #include <stdexcept>
 
 #include "relmore/opt/path_timing.hpp"
+#include "relmore/util/arena.hpp"
 #include "relmore/util/deadline.hpp"
 
 namespace relmore::sta {
@@ -150,6 +153,95 @@ void backward_time_net(const Design& design, int ni, TimingResult& result) {
   }
 }
 
+/// The tap timing of output port `pi`: what its summary row and its slack
+/// query both read.
+const PointTiming& endpoint_timing(const Design& design, const TimingResult& result,
+                                   std::size_t pi) {
+  const DesignPort& port = design.ports[pi];
+  return result.nets[static_cast<std::size_t>(port.net)].taps[static_cast<std::size_t>(port.tap)];
+}
+
+/// The summary row of output port `pi` with tap timing `tt`, all but its
+/// name.
+EndpointSlack endpoint_row(std::size_t pi, const PointTiming& tt) {
+  EndpointSlack row;
+  row.port = static_cast<int>(pi);
+  row.timed = tt.timed;
+  row.constrained = tt.constrained;
+  if (tt.timed) {
+    row.arrival = tt.arrival;
+    row.required = tt.required;
+    row.slack = tt.required - tt.arrival;
+  }
+  return row;
+}
+
+/// The summary order: timed+constrained rows first, then timed, then
+/// untimed; ascending slack within a rank; the port index breaks ties, so
+/// the order is total: every way of sorting the same rows agrees.
+int row_rank(const EndpointSlack& row) {
+  return row.timed && row.constrained ? 0 : row.timed ? 1 : 2;
+}
+
+bool row_before(const EndpointSlack& a, const EndpointSlack& b) {
+  const int ra = row_rank(a);
+  const int rb = row_rank(b);
+  if (ra != rb) return ra < rb;
+  if (a.slack != b.slack) return a.slack < b.slack;
+  return a.port < b.port;
+}
+
+/// A TNS term: constrained and negative. These rows lead the order.
+bool in_tns(const EndpointSlack& row) { return row_rank(row) == 0 && row.slack < 0.0; }
+
+/// The endpoint count a row belongs to: untimed, constrained, or neither.
+std::size_t* row_count(TimingSummary& summary, const EndpointSlack& row) {
+  if (!row.timed) return &summary.untimed_endpoints;
+  return row.constrained ? &summary.constrained_endpoints : nullptr;
+}
+
+/// WNS from sorted rows: the first row's slack when that row is
+/// constrained, since the order puts the worst constrained row first.
+double worst_slack(const TimingSummary& summary) {
+  const std::vector<EndpointSlack>& rows = summary.endpoints_by_slack;
+  return !rows.empty() && row_rank(rows.front()) == 0 ? rows.front().slack : 0.0;
+}
+
+/// Caller storage for total_negative_slack: one slot per design port, and
+/// one bit per port in `terms` (kTermBits to a word).
+struct TnsScratch {
+  double* by_port = nullptr;
+  std::uint64_t* terms = nullptr;
+};
+constexpr std::size_t kTermBits = 64;
+
+std::size_t term_words(const Design& design) {
+  return (design.ports.size() + kTermBits - 1) / kTermBits;
+}
+
+/// TNS from sorted rows: the TNS terms, which lead the order, are
+/// scattered by port and summed left to right in port order, so the
+/// rounding never depends on how the rows came about. Only the terms'
+/// slots are written and read; the bit set orders them.
+double total_negative_slack(const Design& design, const TimingSummary& summary,
+                            const TnsScratch& scratch) {
+  const std::size_t words = term_words(design);
+  std::fill_n(scratch.terms, words, std::uint64_t{0});
+  for (const EndpointSlack& row : summary.endpoints_by_slack) {
+    if (!in_tns(row)) break;
+    const auto pi = static_cast<std::size_t>(row.port);
+    scratch.by_port[pi] = row.slack;
+    scratch.terms[pi / kTermBits] |= std::uint64_t{1} << (pi % kTermBits);
+  }
+  double tns = 0.0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = scratch.terms[w]; bits != 0; bits &= bits - 1) {
+      tns += scratch.by_port[w * kTermBits + static_cast<std::size_t>(std::countr_zero(bits))];
+    }
+  }
+  return tns;
+}
+
 /// Rebuilds the endpoint summary (rows, WNS/TNS, endpoint counts) from
 /// the per-point timings. The corpus-phase counters
 /// (faulted/incomplete/cache) are left untouched — the caller
@@ -159,49 +251,20 @@ void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   summary.endpoints = 0;
   summary.constrained_endpoints = 0;
   summary.untimed_endpoints = 0;
-  summary.tns = 0.0;
   summary.endpoints_by_slack.clear();
   for (std::size_t pi = 0; pi < design.ports.size(); ++pi) {
-    const DesignPort& port = design.ports[pi];
-    if (port.is_input) continue;
+    if (design.ports[pi].is_input) continue;
     ++summary.endpoints;
-    EndpointSlack row;
-    row.port = static_cast<int>(pi);
-    row.name = port.name;
-    const PointTiming& tt =
-        result.nets[static_cast<std::size_t>(port.net)].taps[static_cast<std::size_t>(port.tap)];
-    row.timed = tt.timed;
-    row.constrained = tt.constrained;
-    if (!tt.timed) {
-      ++summary.untimed_endpoints;
-    } else {
-      row.arrival = tt.arrival;
-      row.required = tt.required;
-      row.slack = tt.required - tt.arrival;
-      if (tt.constrained) {
-        ++summary.constrained_endpoints;
-        if (row.slack < 0.0) summary.tns += row.slack;
-      }
-    }
+    EndpointSlack row = endpoint_row(pi, endpoint_timing(design, result, pi));
+    row.name = design.ports[pi].name;
+    if (std::size_t* count = row_count(summary, row)) ++*count;
     summary.endpoints_by_slack.push_back(std::move(row));
   }
-  std::sort(summary.endpoints_by_slack.begin(), summary.endpoints_by_slack.end(),
-            [](const EndpointSlack& a, const EndpointSlack& b) {
-              // timed+constrained rows first, ascending slack; stable
-              // tie-break on port index keeps the order deterministic.
-              const int ra = a.timed && a.constrained ? 0 : a.timed ? 1 : 2;
-              const int rb = b.timed && b.constrained ? 0 : b.timed ? 1 : 2;
-              if (ra != rb) return ra < rb;
-              if (a.slack != b.slack) return a.slack < b.slack;
-              return a.port < b.port;
-            });
-  summary.wns = 0.0;
-  bool first = true;
-  for (const EndpointSlack& row : summary.endpoints_by_slack) {
-    if (!row.timed || !row.constrained) continue;
-    if (first || row.slack < summary.wns) summary.wns = row.slack;
-    first = false;
-  }
+  std::sort(summary.endpoints_by_slack.begin(), summary.endpoints_by_slack.end(), row_before);
+  summary.wns = worst_slack(summary);
+  std::vector<double> by_port(design.ports.size());
+  std::vector<std::uint64_t> terms(term_words(design));
+  summary.tns = total_negative_slack(design, summary, TnsScratch{by_port.data(), terms.data()});
 }
 
 /// Bitwise comparison of the forward-owned fields (timed/arrival/slew);
@@ -224,7 +287,105 @@ bool same_forward_net(const NetTiming& a, const NetTiming& b) {
   return true;
 }
 
+/// Bitwise comparison of two summary rows, names aside.
+bool same_row(const EndpointSlack& a, const EndpointSlack& b) {
+  return a.timed == b.timed && a.constrained == b.constrained && same_bits(a.arrival, b.arrival) &&
+         same_bits(a.required, b.required) && same_bits(a.slack, b.slack);
+}
+
+/// The endpoints an incremental pass re-timed, each with the tap timing
+/// its summary row was built from: slot i holds port `ports[i]` and its
+/// timing `before[i]`, in the caller's storage (one slot per design port).
+struct EndpointLog {
+  int* ports = nullptr;
+  PointTiming* before = nullptr;
+  std::size_t size = 0;
+};
+
+/// The summary after an incremental pass, equal bit for bit to what
+/// rebuild_endpoint_summary would build. Each logged endpoint's row is
+/// re-derived; a row whose bits moved is found by binary search on its
+/// old key (the order is total, so the key names exactly one row), takes
+/// the new bits, and is rotated to its place — work in the distance each
+/// row moves, not in the endpoint count. The endpoint counts move by the
+/// difference, WNS is re-read from the first row, and TNS is re-summed
+/// when a moved row was or became a TNS term.
+void update_endpoint_summary(const Design& design, const EndpointLog& log,
+                             const TnsScratch& scratch, TimingResult& result) {
+  TimingSummary& summary = result.summary;
+  std::vector<EndpointSlack>& rows = summary.endpoints_by_slack;
+  bool tns_moved = false;
+  for (std::size_t i = 0; i < log.size; ++i) {
+    const auto pi = static_cast<std::size_t>(log.ports[i]);
+    const EndpointSlack old = endpoint_row(pi, log.before[i]);
+    EndpointSlack now = endpoint_row(pi, endpoint_timing(design, result, pi));
+    if (same_row(old, now)) continue;
+    const auto it = std::lower_bound(rows.begin(), rows.end(), old, row_before);
+    if (it == rows.end() || it->port != old.port) {
+      // Rows that are not this result's own: derive them all again.
+      rebuild_endpoint_summary(design, result);
+      return;
+    }
+    tns_moved = tns_moved || in_tns(old) || in_tns(now);
+    if (std::size_t* count = row_count(summary, old)) --*count;
+    if (std::size_t* count = row_count(summary, now)) ++*count;
+    now.name = std::move(it->name);
+    *it = std::move(now);
+    // Every other row is in order: move this one to its place.
+    if (it != rows.begin() && row_before(*it, *(it - 1))) {
+      std::rotate(std::lower_bound(rows.begin(), it, *it, row_before), it, it + 1);
+    } else if (it + 1 != rows.end() && row_before(*(it + 1), *it)) {
+      std::rotate(it, it + 1, std::lower_bound(it + 1, rows.end(), *it, row_before));
+    }
+  }
+  summary.wns = worst_slack(summary);
+  if (tns_moved) summary.tns = total_negative_slack(design, summary, scratch);
+}
+
+/// The nets one cone sweep has yet to visit, popped in (Net::level, net
+/// index) order: ascending with `Before = std::greater<>` (a min-heap) for
+/// the forward sweep, descending with `std::less<>` for the backward one.
+/// Levels rise along every instance edge (build_checked rejects a design
+/// where they do not), so either order is topological, and a sweep visits
+/// the nets its cone reaches instead of scanning Design::topo_nets. The
+/// heap lives in caller storage of one slot per net; the caller's dirty
+/// flag admits a net at most once, so it never overflows and nothing in a
+/// sweep allocates.
+template <typename Before>
+class ConeWorklist {
+ public:
+  ConeWorklist(const Design& design, std::uint64_t* heap) : design_(design), heap_(heap) {}
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  void push(int ni) {
+    const auto level = static_cast<std::uint32_t>(design_.nets[static_cast<std::size_t>(ni)].level);
+    heap_[size_++] = std::uint64_t{level} << 32 | static_cast<std::uint32_t>(ni);
+    std::push_heap(heap_, heap_ + size_, Before{});
+  }
+
+  int pop() {
+    std::pop_heap(heap_, heap_ + size_, Before{});
+    --size_;
+    return static_cast<int>(heap_[size_] & 0xFFFF'FFFFU);
+  }
+
+ private:
+  const Design& design_;
+  std::uint64_t* heap_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
+
+Status TimingGraph::check_snapshot(const Net& net) {
+  if (net.flat.size() != net.tree.size()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "TimingGraph: net snapshot is stale (re-run read_design)")
+        .with_net(net.name);
+  }
+  return Status::ok();
+}
 
 Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
   if (design.nets.empty()) {
@@ -235,10 +396,19 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
                   "TimingGraph: design is not finalized (topological order incomplete)");
   }
   for (const Net& net : design.nets) {
-    if (net.flat.size() != net.tree.size()) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "TimingGraph: net snapshot is stale (re-run read_design)")
-          .with_net(net.name);
+    if (Status s = check_snapshot(net); !s.is_ok()) return s;
+  }
+  // The cone sweeps of update_checked visit nets in (level, index) order,
+  // which is topological only when every instance edge climbs a level.
+  for (const Instance& inst : design.instances) {
+    const int out_level = design.nets[static_cast<std::size_t>(inst.out_net)].level;
+    for (const Instance::Pin& pin : inst.inputs) {
+      if (design.nets[static_cast<std::size_t>(pin.net)].level >= out_level) {
+        return Status(ErrorCode::kInvalidArgument,
+                      "TimingGraph: net levels do not rise through the instance "
+                      "(re-run read_design)")
+            .with_net(inst.name);
+      }
     }
   }
   return TimingGraph(&design);
@@ -317,11 +487,59 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   const util::RunControl rc{options.deadline, options.cancel};
   UpdateStats stats;
 
+  // --- workspace: the calling thread's arena, reused across calls --------
+  // One slot per net for the dirty flags and each worklist, one per port
+  // for the endpoint log and the TNS scatter; beyond the flags, only what
+  // the cones touch is written. A failed grab leaves `result` unchanged.
+  util::Arena& arena = util::thread_arena();
+  const util::ArenaScope scope(arena);
+  std::uint8_t* dirty = nullptr;
+  std::uint64_t* forward_heap = nullptr;
+  std::uint64_t* backward_heap = nullptr;
+  EndpointLog log;
+  TnsScratch tns;
+  try {
+    dirty = arena.grab<std::uint8_t>(n_nets);
+    forward_heap = arena.grab<std::uint64_t>(n_nets);
+    backward_heap = arena.grab<std::uint64_t>(n_nets);
+    log.ports = arena.grab<int>(design.ports.size());
+    log.before = arena.grab<PointTiming>(design.ports.size());
+    tns.by_port = arena.grab<double>(design.ports.size());
+    tns.terms = arena.grab<std::uint64_t>(term_words(design));
+  } catch (const std::bad_alloc&) {
+    return Status(ErrorCode::kResourceExhausted, "update: workspace allocation failed");
+  }
+  std::fill_n(dirty, n_nets, std::uint8_t{0});
+  constexpr std::uint8_t kForward = 1;   // queued for the forward sweep
+  constexpr std::uint8_t kBackward = 2;  // queued for the backward sweep
+  constexpr std::uint8_t kLogged = 4;    // endpoint timings logged
+  ConeWorklist<std::greater<>> forward(design, forward_heap);
+  ConeWorklist<std::less<>> backward(design, backward_heap);
+  const auto mark = [dirty](std::uint8_t sweep, auto& worklist, int ni) {
+    std::uint8_t& flags = dirty[static_cast<std::size_t>(ni)];
+    if ((flags & sweep) != 0) return;
+    flags |= sweep;
+    worklist.push(ni);
+  };
+  // Logs a net's endpoint timings before a sweep first writes its taps, so
+  // the log holds what the summary rows were built from.
+  const auto log_endpoints = [&](int ni) {
+    std::uint8_t& flags = dirty[static_cast<std::size_t>(ni)];
+    if ((flags & kLogged) != 0) return;
+    flags |= kLogged;
+    const Net& net = design.nets[static_cast<std::size_t>(ni)];
+    const NetTiming& nt = result.nets[static_cast<std::size_t>(ni)];
+    for (std::size_t t = 0; t < net.taps.size(); ++t) {
+      if (!net.taps[t].is_port) continue;
+      log.ports[log.size] = net.taps[t].index;
+      log.before[log.size] = nt.taps[t];
+      ++log.size;
+    }
+  };
+
   // --- seed the dirty sets -------------------------------------------------
-  std::vector<char> fwd(n_nets, 0);
-  std::vector<char> bwd(n_nets, 0);
   for (const int ni : seeds.forward_nets) {
-    fwd[static_cast<std::size_t>(ni)] = 1;
+    mark(kForward, forward, ni);
     // A wire edit moves this net's total load, which every arc *into* its
     // driving instance reads — in the forward max loop (covered: this net
     // is forward-dirty) and in the backward required of each input pin.
@@ -330,41 +548,34 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
     const Net& net = design.nets[static_cast<std::size_t>(ni)];
     if (net.driver_kind == DriverKind::kInstance) {
       const Instance& inst = design.instances[static_cast<std::size_t>(net.driver_index)];
-      for (const Instance::Pin& pin : inst.inputs) {
-        bwd[static_cast<std::size_t>(pin.net)] = 1;
-      }
+      for (const Instance::Pin& pin : inst.inputs) mark(kBackward, backward, pin.net);
     }
   }
-  for (const int ni : seeds.backward_nets) bwd[static_cast<std::size_t>(ni)] = 1;
+  for (const int ni : seeds.backward_nets) mark(kBackward, backward, ni);
   if (seeds.clock_changed) {
     // The clock is the fallback constraint of every endpoint without its
     // own required=, so each net carrying such an endpoint re-derives.
-    for (std::size_t ni = 0; ni < n_nets; ++ni) {
-      for (const Net::Tap& tap : design.nets[ni].taps) {
-        if (tap.is_port && !design.ports[static_cast<std::size_t>(tap.index)].has_required) {
-          bwd[ni] = 1;
-          break;
-        }
-      }
+    for (const DesignPort& port : design.ports) {
+      if (!port.is_input && !port.has_required) mark(kBackward, backward, port.net);
     }
   }
 
   // --- forward cone sweep: dirty nets only, frontier cutoff on equality ---
-  // One scan over the levelized order; a dirty net is recomputed into a
-  // reused scratch with exactly the full sweep's code, committed only when
-  // some forward bit moved, and its changed taps mark their consumer
-  // instances' output nets dirty. RunControl is polled at cone-frontier
-  // boundaries (every kPollStride positions), the corpus-ladder contract.
+  // Nets leave the worklist in levelized order; a dirty net is recomputed
+  // into a reused scratch with exactly the full sweep's code, committed
+  // only when some forward bit moved, and its changed taps mark their
+  // consumer instances' output nets dirty. RunControl is polled at
+  // cone-frontier boundaries (every kPollStride nets, the first one
+  // included), the corpus-ladder contract.
   NetTiming scratch;
   constexpr std::size_t kPollStride = 64;
   // relmore-lint: begin-hot-loop(retime-forward-frontier)
-  for (std::size_t k = 0; k < design.topo_nets.size(); ++k) {
+  for (std::size_t k = 0; !forward.empty(); ++k) {
     if (k % kPollStride == 0 && rc.armed() && rc.stop_code() != ErrorCode::kOk) {
       stats.stop_status = rc.stop_status();
       return stats;
     }
-    const int ni = design.topo_nets[k];
-    if (fwd[static_cast<std::size_t>(ni)] == 0) continue;
+    const int ni = forward.pop();
     const Net& net = design.nets[static_cast<std::size_t>(ni)];
     const NetModels* models = cache.find(static_cast<std::size_t>(ni), net.epoch, fingerprint);
     if (models == nullptr) {
@@ -383,6 +594,7 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
       ++stats.frontier_cutoffs;
       continue;
     }
+    log_endpoints(ni);
     nt.faulted = scratch.faulted;
     nt.driver.timed = scratch.driver.timed;
     nt.driver.arrival = scratch.driver.arrival;
@@ -397,23 +609,23 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
       nt.wire_delay[t] = scratch.wire_delay[t];
       if (tap_changed && !net.taps[t].is_port) {
         const Instance& inst = design.instances[static_cast<std::size_t>(net.taps[t].index)];
-        fwd[static_cast<std::size_t>(inst.out_net)] = 1;
+        mark(kForward, forward, inst.out_net);
       }
     }
-    bwd[static_cast<std::size_t>(ni)] = 1;
+    mark(kBackward, backward, ni);
     ++stats.forward_retimed;
   }
   // relmore-lint: end-hot-loop
 
   // --- backward cone sweep: reverse order, fanin marking on change --------
   // relmore-lint: begin-hot-loop(retime-backward-frontier)
-  for (std::size_t k = 0; k < design.topo_nets.size(); ++k) {
+  for (std::size_t k = 0; !backward.empty(); ++k) {
     if (k % kPollStride == 0 && rc.armed() && rc.stop_code() != ErrorCode::kOk) {
       stats.stop_status = rc.stop_status();
       return stats;
     }
-    const int ni = design.topo_nets[design.topo_nets.size() - 1 - k];
-    if (bwd[static_cast<std::size_t>(ni)] == 0) continue;
+    const int ni = backward.pop();
+    log_endpoints(ni);
     NetTiming& nt = result.nets[static_cast<std::size_t>(ni)];
     const double old_required = nt.driver.required;
     const bool old_constrained = nt.driver.constrained;
@@ -424,31 +636,35 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
     const Net& net = design.nets[static_cast<std::size_t>(ni)];
     if (driver_moved && net.driver_kind == DriverKind::kInstance) {
       const Instance& inst = design.instances[static_cast<std::size_t>(net.driver_index)];
-      for (const Instance::Pin& pin : inst.inputs) {
-        bwd[static_cast<std::size_t>(pin.net)] = 1;
-      }
+      for (const Instance::Pin& pin : inst.inputs) mark(kBackward, backward, pin.net);
     } else if (!driver_moved) {
       ++stats.frontier_cutoffs;
     }
   }
   // relmore-lint: end-hot-loop
 
-  rebuild_endpoint_summary(design, result);
+  // Every net whose tap timing moved went through the backward sweep, so
+  // the log names every endpoint whose row may have moved.
+  update_endpoint_summary(design, log, tns, result);
   return stats;
 }
 
 Result<double> endpoint_slack_checked(const Design& design, const TimingResult& result,
                                       const std::string& port) {
-  const int pi = design.find_port(port);
-  if (pi < 0) {
+  return endpoint_slack_at_checked(design, result, design.find_port(port), port);
+}
+
+Result<double> endpoint_slack_at_checked(const Design& design, const TimingResult& result,
+                                         int port_index, const std::string& port) {
+  if (port_index < 0) {
     return Status(ErrorCode::kInvalidArgument, "unknown port '" + port + "'");
   }
-  const DesignPort& p = design.ports[static_cast<std::size_t>(pi)];
+  const auto pi = static_cast<std::size_t>(port_index);
+  const DesignPort& p = design.ports[pi];
   if (p.is_input) {
     return Status(ErrorCode::kInvalidArgument, "port '" + port + "' is not an endpoint");
   }
-  const PointTiming& tt =
-      result.nets[static_cast<std::size_t>(p.net)].taps[static_cast<std::size_t>(p.tap)];
+  const PointTiming& tt = endpoint_timing(design, result, pi);
   if (!tt.timed) {
     return Status(ErrorCode::kNonFiniteMoment,
                   "endpoint '" + port + "' is untimed (faulted fanout cone)")

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relmore/timer.hpp"
+#include "relmore/util/fault_injector.hpp"
 
 namespace relmore {
 namespace {
@@ -44,6 +46,9 @@ sta::TimingResult oracle(const sta::Design& design) {
 void expect_bitwise_equal(const sta::TimingResult& got, const sta::TimingResult& want) {
   EXPECT_EQ(bits(got.summary.wns), bits(want.summary.wns));
   EXPECT_EQ(bits(got.summary.tns), bits(want.summary.tns));
+  EXPECT_EQ(got.summary.endpoints, want.summary.endpoints);
+  EXPECT_EQ(got.summary.constrained_endpoints, want.summary.constrained_endpoints);
+  EXPECT_EQ(got.summary.untimed_endpoints, want.summary.untimed_endpoints);
   ASSERT_EQ(got.nets.size(), want.nets.size());
   for (std::size_t ni = 0; ni < want.nets.size(); ++ni) {
     const sta::NetTiming& g = got.nets[ni];
@@ -66,12 +71,58 @@ void expect_bitwise_equal(const sta::TimingResult& got, const sta::TimingResult&
   for (std::size_t i = 0; i < want.summary.endpoints_by_slack.size(); ++i) {
     const sta::EndpointSlack& g = got.summary.endpoints_by_slack[i];
     const sta::EndpointSlack& w = want.summary.endpoints_by_slack[i];
-    EXPECT_EQ(g.port, w.port);
-    EXPECT_EQ(bits(g.slack), bits(w.slack));
-    EXPECT_EQ(g.timed, w.timed);
-    EXPECT_EQ(g.constrained, w.constrained);
+    EXPECT_EQ(g.port, w.port) << "row " << i;
+    EXPECT_EQ(g.name, w.name) << "row " << i;
+    EXPECT_EQ(g.timed, w.timed) << "row " << i;
+    EXPECT_EQ(g.constrained, w.constrained) << "row " << i;
+    EXPECT_EQ(bits(g.arrival), bits(w.arrival)) << "row " << i;
+    EXPECT_EQ(bits(g.required), bits(w.required)) << "row " << i;
+    EXPECT_EQ(bits(g.slack), bits(w.slack)) << "row " << i;
   }
 }
+
+sta::Design parse(const std::string& text) {
+  std::istringstream is(text);
+  util::Result<sta::Design> design = sta::read_design_checked(is);
+  EXPECT_TRUE(design.is_ok()) << design.status().to_string();
+  return std::move(design).value();
+}
+
+util::Result<Timer::EditOutcome> commit_clock(Timer& timer, double period) {
+  Timer::Edit edit = timer.edit();
+  EXPECT_TRUE(edit.set_clock_period(period).is_ok());
+  return edit.commit();
+}
+
+// Two copies of one stage, a/u0/c and b/u1/d: the endpoints on them reach
+// bitwise-equal slacks, which only the port index orders. `ox` carries its
+// own constraint, so it stays constrained without a clock.
+constexpr const char* kTwins = R"(design twins
+net a
+section s0 - R=100 L=0 C=10f
+section s1 s0 R=80 L=0 C=12f
+end
+net b
+section s0 - R=100 L=0 C=10f
+section s1 s0 R=80 L=0 C=12f
+end
+net c
+section s0 - R=200 L=0 C=20f
+end
+net d
+section s0 - R=200 L=0 C=20f
+end
+input ia a at=0 slew=20p
+input ib b at=0 slew=20p
+output oa a:s1
+output ob b:s1
+output oc c:s0
+output od d:s0
+output ox c:s0 required=90p
+inst u0 buf_x1 c a:s1
+inst u1 buf_x1 d b:s1
+clock 1n
+)";
 
 TEST(CorpusCache, SecondAnalyzeIsAllHitsAndBitwiseEqual) {
   Timer timer;
@@ -168,6 +219,170 @@ TEST(TimerEdit, IdenticalValuesCutOffAtTheFrontier) {
   EXPECT_EQ(outcome.value().stats.forward_retimed, 0u);
   EXPECT_GE(outcome.value().stats.frontier_cutoffs, 1u);
   expect_bitwise_equal(*timer.result(), oracle(*timer.design()));
+}
+
+// Commits that move rows between ranks and break and re-create slack ties:
+// the in-place summary must land on the rows, counts and order a
+// from-scratch analyze sorts into.
+TEST(TimerEdit, EndpointsMoveBetweenRanksAndTiesKeepPortOrder) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(parse(kTwins)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const sta::Design& design = *timer.design();
+  const auto row_of = [&](const std::string& name) {
+    const std::vector<sta::EndpointSlack>& rows = timer.result()->summary.endpoints_by_slack;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].name == name) return i;
+    }
+    return rows.size();
+  };
+  const auto expect_tie = [&](const char* first, const char* second) {
+    const std::vector<sta::EndpointSlack>& rows = timer.result()->summary.endpoints_by_slack;
+    const std::size_t i = row_of(first);
+    const std::size_t j = row_of(second);
+    ASSERT_LT(i, rows.size());
+    ASSERT_LT(j, rows.size());
+    EXPECT_EQ(bits(rows[i].slack), bits(rows[j].slack)) << first << " vs " << second;
+    EXPECT_EQ(j, i + 1) << first << " vs " << second;  // port order breaks the tie
+  };
+  expect_tie("oa", "ob");
+  expect_tie("oc", "od");
+  EXPECT_EQ(timer.result()->summary.constrained_endpoints, 5u);
+
+  // No clock: the four fallback endpoints drop to the unconstrained rank.
+  util::Result<Timer::EditOutcome> outcome = commit_clock(timer, 0.0);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_TRUE(outcome.value().incremental);
+  EXPECT_EQ(timer.result()->summary.constrained_endpoints, 1u);
+  expect_bitwise_equal(*timer.result(), oracle(design));
+
+  // A clock again: they come back.
+  outcome = commit_clock(timer, 1e-9);
+  ASSERT_TRUE(outcome.is_ok());
+  EXPECT_TRUE(outcome.value().incremental);
+  EXPECT_EQ(timer.result()->summary.constrained_endpoints, 5u);
+  expect_bitwise_equal(*timer.result(), oracle(design));
+  expect_tie("oa", "ob");
+
+  // Break the ties, then restore the exact values: the rows that moved
+  // apart meet again, and only the port tie-break orders them.
+  const int b = design.find_net("b");
+  ASSERT_GE(b, 0);
+  const circuit::SectionValues original =
+      design.nets[static_cast<std::size_t>(b)].tree.section(0).v;  // no pin on s0
+  for (const circuit::SectionValues v : {circuit::SectionValues{160.0, 0.0, 25e-15}, original}) {
+    Timer::Edit edit = timer.edit();
+    ASSERT_TRUE(edit.set_net_section_values("b", "s0", v).is_ok());
+    outcome = edit.commit();
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_TRUE(outcome.value().incremental);
+    expect_bitwise_equal(*timer.result(), oracle(design));
+  }
+  expect_tie("oa", "ob");
+  expect_tie("oc", "od");
+
+  // The same walk with the ties in place: drop and restore the clock.
+  for (const double period : {0.0, 1e-9}) {
+    outcome = commit_clock(timer, period);
+    ASSERT_TRUE(outcome.is_ok());
+    EXPECT_TRUE(outcome.value().incremental);
+    expect_bitwise_equal(*timer.result(), oracle(design));
+  }
+}
+
+// A pin cap of 1e308 on a:s0: any wire C above ~0.8e308 folds to +inf.
+constexpr const char* kHugePin = R"(design huge
+cell huge r=1k cap=1e308 intrinsic=1p
+net a
+section s0 - R=1m L=0 C=1f
+end
+net b
+section s0 - R=100 L=0 C=10f
+end
+net c
+section s0 - R=100 L=0 C=10f
+end
+net d
+section s0 - R=100 L=0 C=10f
+end
+input ia a at=0 slew=20p
+input ic c at=0 slew=20p
+output ob b:s0
+output od d:s0
+inst u0 huge b a:s0
+inst u1 buf_x1 d c:s0
+clock 1n
+)";
+
+TEST(TimerEdit, OverflowingFoldFailsAndChangesNothing) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(parse(kHugePin)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const sta::Design& design = *timer.design();
+  const sta::TimingResult before = *timer.result();
+  const std::uint64_t epoch = design.epoch;
+  const sta::CorpusCache::Counters counters = timer.cache().counters();
+  const auto values = [&](const char* net) {
+    return design.nets[static_cast<std::size_t>(design.find_net(net))].tree.section(0).v;
+  };
+  const circuit::SectionValues a0 = values("a");
+  const circuit::SectionValues c0 = values("c");
+  const int u1_cell = design.instances[1].cell;
+
+  // Two valid ops first: the failing third must take them down with it.
+  Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_cell("u1", "buf_x4").is_ok());
+  ASSERT_TRUE(edit.set_net_section_values("c", "s0", {150.0, 0.0, 30e-15}).is_ok());
+  ASSERT_TRUE(edit.set_net_section_values("a", "s0", {1e-3, 0.0, 1.7e308}).is_ok());
+  util::Result<Timer::EditOutcome> failed = edit.commit();
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.status().code(), ErrorCode::kNonFiniteValue);
+  EXPECT_EQ(failed.status().net(), "a");
+
+  EXPECT_EQ(design.epoch, epoch);
+  for (const auto& [net, want] : {std::pair{"a", a0}, std::pair{"c", c0}}) {
+    const circuit::SectionValues got = values(net);
+    EXPECT_EQ(bits(got.resistance), bits(want.resistance)) << net;
+    EXPECT_EQ(bits(got.inductance), bits(want.inductance)) << net;
+    EXPECT_EQ(bits(got.capacitance), bits(want.capacitance)) << net;
+  }
+  EXPECT_EQ(design.instances[1].cell, u1_cell);
+  ASSERT_NE(timer.result(), nullptr);
+  expect_bitwise_equal(*timer.result(), before);
+  EXPECT_EQ(timer.cache().counters().hits, counters.hits);
+  EXPECT_EQ(timer.cache().counters().misses, counters.misses);
+  EXPECT_EQ(timer.cache().counters().stores, counters.stores);
+
+  // The Timer is still in step: a valid commit re-times in place.
+  Timer::Edit next = timer.edit();
+  ASSERT_TRUE(next.set_net_section_values("c", "s0", {150.0, 0.0, 30e-15}).is_ok());
+  util::Result<Timer::EditOutcome> outcome = next.commit();
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_TRUE(outcome.value().incremental);
+  expect_bitwise_equal(*timer.result(), oracle(design));
+}
+
+// Timer::slack resolves through the load's name index; its answers,
+// codes and messages are endpoint_slack_checked's for every name.
+TEST(TimerEdit, SlackByIndexAnswersLikeTheScan) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(24, 8)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const sta::Design& design = *timer.design();
+  std::vector<std::string> names = {"nope", "", "out"};
+  for (const sta::DesignPort& port : design.ports) names.push_back(port.name);
+  for (const std::string& name : names) {
+    const util::Result<double> got = timer.slack(name);
+    const util::Result<double> want = sta::endpoint_slack_checked(design, *timer.result(), name);
+    ASSERT_EQ(got.is_ok(), want.is_ok()) << name;
+    if (want.is_ok()) {
+      EXPECT_EQ(bits(got.value()), bits(want.value())) << name;
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code()) << name;
+      EXPECT_EQ(got.status().message(), want.status().message()) << name;
+      EXPECT_EQ(got.status().net(), want.status().net()) << name;
+    }
+  }
 }
 
 TEST(TimerEdit, CommitWithoutPriorAnalysisIsNotIncremental) {
@@ -360,6 +575,97 @@ TEST(UpdateChecked, SeedOutOfRangeIsRejected) {
   seeds.backward_nets.push_back(-3);
   EXPECT_EQ(graph.value().update_checked(updated, cache, seeds).status().code(),
             ErrorCode::kInvalidArgument);
+}
+
+TEST(UpdateChecked, ResultOfAnotherShapeIsRejectedUntouched) {
+  sta::Design design = synthetic(16, 6);
+  util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
+  ASSERT_TRUE(graph.is_ok());
+  sta::AnalyzeOptions options;
+  sta::CorpusCache cache;
+  options.cache = &cache;
+  util::Result<sta::TimingResult> result = graph.value().analyze_checked(options);
+  ASSERT_TRUE(result.is_ok());
+  sta::UpdateSeeds seeds;
+  seeds.forward_nets.push_back(0);
+
+  // Another design's result: another net count.
+  sta::TimingResult other = oracle(synthetic(20, 6));
+  const sta::TimingResult other_before = other;
+  util::Result<sta::UpdateStats> stats = graph.value().update_checked(other, cache, seeds);
+  EXPECT_EQ(stats.status().code(), ErrorCode::kInvalidArgument);
+  expect_bitwise_equal(other, other_before);
+
+  // This design's result with one net's taps resized.
+  sta::TimingResult stale = result.value();
+  ASSERT_FALSE(stale.nets[5].taps.empty());
+  stale.nets[5].taps.pop_back();
+  const sta::TimingResult stale_before = stale;
+  stats = graph.value().update_checked(stale, cache, seeds);
+  EXPECT_EQ(stats.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stats.status().net(), design.nets[5].name);
+  expect_bitwise_equal(stale, stale_before);
+}
+
+// The update's workspace comes from the thread arena; a grab that fails
+// (injected) is a kResourceExhausted before anything is written, and the
+// Timer falls back to dropping its analysis.
+TEST(UpdateChecked, WorkspaceAllocationFailureLeavesTheResultUntouched) {
+  util::FaultInjector& faults = util::FaultInjector::instance();
+  faults.disarm_all();
+  sta::Design design = synthetic(16, 6);
+  util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
+  ASSERT_TRUE(graph.is_ok());
+  sta::AnalyzeOptions options;
+  sta::CorpusCache cache;
+  options.cache = &cache;
+  util::Result<sta::TimingResult> result = graph.value().analyze_checked(options);
+  ASSERT_TRUE(result.is_ok());
+  sta::UpdateSeeds seeds;
+  seeds.forward_nets.push_back(0);
+
+  sta::TimingResult updated = result.value();
+  ASSERT_TRUE(faults.arm_spec("arena-alloc:every=1:limit=1").is_ok());
+  util::Result<sta::UpdateStats> stats = graph.value().update_checked(updated, cache, seeds);
+  faults.disarm_all();
+  EXPECT_EQ(stats.status().code(), ErrorCode::kResourceExhausted);
+  expect_bitwise_equal(updated, result.value());
+  EXPECT_TRUE(graph.value().update_checked(updated, cache, seeds).is_ok());
+
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(16, 6)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_net_section_values("n0_1", "s0", {70.0, 0.0, 20e-15}).is_ok());
+  ASSERT_TRUE(faults.arm_spec("arena-alloc:every=1:limit=1").is_ok());
+  util::Result<Timer::EditOutcome> outcome = edit.commit();
+  faults.disarm_all();
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_FALSE(outcome.value().incremental);
+  EXPECT_EQ(timer.result(), nullptr);
+  util::Result<sta::TimingSummary> summary = timer.analyze();
+  ASSERT_TRUE(summary.is_ok());
+  expect_bitwise_equal(*timer.result(), oracle(*timer.design()));
+}
+
+// Summary rows that are not the result's own (here: none at all) cannot
+// be updated in place; the update derives them again.
+TEST(UpdateChecked, ForeignSummaryRowsAreRebuilt) {
+  sta::Design design = synthetic(16, 6);
+  util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
+  ASSERT_TRUE(graph.is_ok());
+  sta::AnalyzeOptions options;
+  sta::CorpusCache cache;
+  options.cache = &cache;
+  util::Result<sta::TimingResult> result = graph.value().analyze_checked(options);
+  ASSERT_TRUE(result.is_ok());
+  sta::TimingResult updated = result.value();
+  updated.summary.endpoints_by_slack.clear();
+  sta::UpdateSeeds seeds;
+  seeds.clock_changed = true;  // every endpoint re-derives
+  design.clock_period *= 0.5;
+  ASSERT_TRUE(graph.value().update_checked(updated, cache, seeds).is_ok());
+  expect_bitwise_equal(updated, oracle(design));
 }
 
 TEST(UpdateChecked, EmptySeedsAreANoOp) {

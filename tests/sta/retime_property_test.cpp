@@ -1,11 +1,14 @@
 // Property: for ANY (design, edit-sequence) draw, the incrementally
 // re-timed result is bitwise-equal to a from-scratch analysis of the
-// edited design — WNS/TNS, every PointTiming, every wire delay, every
-// endpoint row — and stays so across thread counts.
-// 100+ random draws, several commits each, all four edit-op kinds.
+// edited design — WNS/TNS, endpoint counts, every PointTiming, every wire
+// delay, every endpoint row — and stays so across thread counts.
+// 100+ random draws, several commits each, all four edit-op kinds, with
+// constraints drawn around the endpoint arrivals so endpoints violate,
+// recover and lose their constraint.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -37,6 +40,10 @@ void expect_bitwise_equal(const sta::TimingResult& got, const sta::TimingResult&
   ASSERT_EQ(got.nets.size(), want.nets.size());
   EXPECT_EQ(bits(got.summary.wns), bits(want.summary.wns)) << "draw " << draw;
   EXPECT_EQ(bits(got.summary.tns), bits(want.summary.tns)) << "draw " << draw;
+  EXPECT_EQ(got.summary.endpoints, want.summary.endpoints) << "draw " << draw;
+  EXPECT_EQ(got.summary.constrained_endpoints, want.summary.constrained_endpoints)
+      << "draw " << draw;
+  EXPECT_EQ(got.summary.untimed_endpoints, want.summary.untimed_endpoints) << "draw " << draw;
   const auto same_point = [](const sta::PointTiming& a, const sta::PointTiming& b) {
     return a.timed == b.timed && a.constrained == b.constrained &&
            bits(a.arrival) == bits(b.arrival) && bits(a.slew) == bits(b.slew) &&
@@ -58,16 +65,55 @@ void expect_bitwise_equal(const sta::TimingResult& got, const sta::TimingResult&
   ASSERT_EQ(got.winning_input, want.winning_input) << "draw " << draw;
   ASSERT_EQ(got.summary.endpoints_by_slack.size(), want.summary.endpoints_by_slack.size());
   for (std::size_t i = 0; i < want.summary.endpoints_by_slack.size(); ++i) {
-    ASSERT_EQ(got.summary.endpoints_by_slack[i].port, want.summary.endpoints_by_slack[i].port)
-        << "draw " << draw;
-    ASSERT_EQ(bits(got.summary.endpoints_by_slack[i].slack),
-              bits(want.summary.endpoints_by_slack[i].slack))
-        << "draw " << draw;
+    const sta::EndpointSlack& g = got.summary.endpoints_by_slack[i];
+    const sta::EndpointSlack& w = want.summary.endpoints_by_slack[i];
+    ASSERT_EQ(g.port, w.port) << "draw " << draw << " row " << i;
+    ASSERT_EQ(g.name, w.name) << "draw " << draw << " row " << i;
+    ASSERT_EQ(g.timed, w.timed) << "draw " << draw << " row " << i;
+    ASSERT_EQ(g.constrained, w.constrained) << "draw " << draw << " row " << i;
+    ASSERT_EQ(bits(g.arrival), bits(w.arrival)) << "draw " << draw << " row " << i;
+    ASSERT_EQ(bits(g.required), bits(w.required)) << "draw " << draw << " row " << i;
+    ASSERT_EQ(bits(g.slack), bits(w.slack)) << "draw " << draw << " row " << i;
   }
 }
 
-/// One random edit recorded on `edit`; every op kind reachable.
-void record_random_op(Rng& rng, const sta::Design& design, Timer::Edit& edit) {
+/// WNS and TNS by their definitions, apart from the library's own
+/// bookkeeping: WNS the smallest constrained slack (0 without one), TNS
+/// the negative constrained slacks summed in port order.
+void expect_summary_definition(const sta::TimingResult& result, std::uint64_t draw) {
+  std::vector<sta::EndpointSlack> rows = result.summary.endpoints_by_slack;
+  std::sort(rows.begin(), rows.end(),
+            [](const sta::EndpointSlack& a, const sta::EndpointSlack& b) { return a.port < b.port; });
+  double wns = 0.0;
+  double tns = 0.0;
+  bool constrained = false;
+  for (const sta::EndpointSlack& row : rows) {
+    if (!row.timed || !row.constrained) continue;
+    if (!constrained || row.slack < wns) wns = row.slack;
+    constrained = true;
+    if (row.slack < 0.0) tns += row.slack;
+  }
+  EXPECT_EQ(bits(result.summary.wns), bits(wns)) << "draw " << draw;
+  EXPECT_EQ(bits(result.summary.tns), bits(tns)) << "draw " << draw;
+}
+
+/// The median arrival over the timed endpoints: constraints drawn around
+/// it leave about half the endpoints violated, so TNS has terms to move.
+double median_arrival(const sta::TimingResult& result) {
+  std::vector<double> arrivals;
+  for (const sta::EndpointSlack& row : result.summary.endpoints_by_slack) {
+    if (row.timed) arrivals.push_back(row.arrival);
+  }
+  if (arrivals.empty()) return 1e-9;
+  std::nth_element(arrivals.begin(), arrivals.begin() + arrivals.size() / 2, arrivals.end());
+  return arrivals[arrivals.size() / 2];
+}
+
+/// One random edit recorded on `edit`; every op kind reachable. Required
+/// times and clock periods are drawn around `pivot`, and one clock draw in
+/// four removes the clock, unconstraining every endpoint without its own
+/// required time.
+void record_random_op(Rng& rng, const sta::Design& design, double pivot, Timer::Edit& edit) {
   switch (rng.below(6)) {
     case 0:
     case 1:
@@ -99,12 +145,14 @@ void record_random_op(Rng& rng, const sta::Design& design, Timer::Edit& edit) {
       if (outputs.empty()) return;
       const sta::DesignPort& port =
           design.ports[static_cast<std::size_t>(outputs[rng.below(outputs.size())])];
-      ASSERT_TRUE(edit.set_port_required(port.name, (0.5 + 2.0 * rng.unit()) * 1e-9).is_ok());
+      ASSERT_TRUE(edit.set_port_required(port.name, (0.6 + 0.8 * rng.unit()) * pivot).is_ok());
       break;
     }
-    default:  // clock retarget
-      ASSERT_TRUE(edit.set_clock_period((1.0 + 2.0 * rng.unit()) * 1e-9).is_ok());
+    default: {  // clock retarget
+      const double period = rng.below(4) == 0 ? 0.0 : (0.6 + 0.8 * rng.unit()) * pivot;
+      ASSERT_TRUE(edit.set_clock_period(period).is_ok());
       break;
+    }
   }
 }
 
@@ -127,11 +175,14 @@ TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
     sta::AnalyzeOptions options;
     options.threads = 1u + static_cast<unsigned>(rng.below(4));
     ASSERT_TRUE(timer.analyze(options).is_ok());
+    const double pivot = median_arrival(*timer.result());
 
     for (std::size_t commit = 0; commit < kCommitsPerDraw; ++commit) {
       Timer::Edit edit = timer.edit();
       const std::size_t ops = 1 + rng.below(5);
-      for (std::size_t op = 0; op < ops; ++op) record_random_op(rng, *timer.design(), edit);
+      for (std::size_t op = 0; op < ops; ++op) {
+        record_random_op(rng, *timer.design(), pivot, edit);
+      }
       util::Result<Timer::EditOutcome> outcome = edit.commit();
       ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string() << " draw " << draw;
       ASSERT_TRUE(outcome.value().incremental) << "draw " << draw << " commit " << commit;
@@ -143,6 +194,7 @@ TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
       util::Result<sta::TimingResult> fresh = graph.value().analyze_checked();
       ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
       expect_bitwise_equal(*timer.result(), fresh.value(), draw);
+      expect_summary_definition(fresh.value(), draw);
 
       // Spot-check knob independence: a differently-threaded fresh run
       // lands on the same bits (every 8th draw to keep the soak quick).

@@ -230,6 +230,20 @@ TEST(TimingGraph, BuildRejectsUnfinalizedDesigns) {
   util::Result<TimingGraph> g = TimingGraph::build_checked(d);
   ASSERT_FALSE(g.is_ok());  // flat snapshot no longer matches the tree
   EXPECT_EQ(g.status().net(), "n0");
+  EXPECT_EQ(TimingGraph::check_snapshot(d.nets[0]).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(TimingGraph::check_snapshot(d.nets[1]).is_ok());
+}
+
+// update_checked visits nets in (level, index) order, which is only
+// topological when levels rise through every instance.
+TEST(TimingGraph, BuildRejectsLevelsThatDoNotRise) {
+  Design d = parse(kGolden);
+  ASSERT_TRUE(TimingGraph::build_checked(d).is_ok());
+  d.nets[2].level = d.nets[1].level;  // u1: n1 -> n2
+  util::Result<TimingGraph> g = TimingGraph::build_checked(d);
+  ASSERT_FALSE(g.is_ok());
+  EXPECT_EQ(g.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(g.status().net(), "u1");
 }
 
 }  // namespace
