@@ -1,11 +1,16 @@
 #include "relmore/eed/response.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "relmore/eed/second_order.hpp"
 #include "relmore/util/integrate.hpp"
+#include "relmore/util/roots.hpp"
 
 namespace relmore::eed {
 
@@ -91,20 +96,44 @@ namespace {
 
 /// S(t) = integral from 0 to t of the unit step response. The step
 /// response is 1 + r1 e^{p1 t} + r2 e^{p2 t} with r_i the residues of
-/// H(s)/s, so S(t) = t + sum_i (r_i/p_i)(e^{p_i t} - 1).
-double integrated_step_response(const NodeModel& node, double t) {
-  if (t <= 0.0) return 0.0;
-  if (is_rc_limit(node)) {
-    const double T = node.sum_rc;
-    return t - T * -std::expm1(-t / T);
+/// H(s)/s, so S(t) = t + sum_i (r_i/p_i)(e^{p_i t} - 1). The poles and
+/// residues are computed once per node, not once per evaluation.
+class IntegratedStep {
+ public:
+  explicit IntegratedStep(const NodeModel& node)
+      : rc_limit_(is_rc_limit(node)), sum_rc_(node.sum_rc) {
+    if (rc_limit_) return;
+    std::tie(p1_, p2_) = node_poles(node);
+    const double wn2 = node.omega_n * node.omega_n;
+    const Complex r1 = wn2 / (p1_ * (p1_ - p2_));
+    const Complex r2 = wn2 / (p2_ * (p2_ - p1_));
+    c1_ = r1 / p1_;
+    c2_ = r2 / p2_;
   }
-  auto [p1, p2] = node_poles(node);
-  const double wn2 = node.omega_n * node.omega_n;
-  const Complex r1 = wn2 / (p1 * (p1 - p2));
-  const Complex r2 = wn2 / (p2 * (p2 - p1));
-  const Complex acc =
-      r1 / p1 * (std::exp(p1 * t) - 1.0) + r2 / p2 * (std::exp(p2 * t) - 1.0);
-  return t + acc.real();
+
+  double operator()(double t) const {
+    if (t <= 0.0) return 0.0;
+    if (rc_limit_) return t - sum_rc_ * -std::expm1(-t / sum_rc_);
+    const Complex acc = c1_ * (std::exp(p1_ * t) - 1.0) + c2_ * (std::exp(p2_ * t) - 1.0);
+    return t + acc.real();
+  }
+
+ private:
+  bool rc_limit_;
+  double sum_rc_;
+  Complex p1_;
+  Complex p2_;
+  Complex c1_;  ///< r1 / p1
+  Complex c2_;  ///< r2 / p2
+};
+
+/// The ramp response v(t) = V/T·[S(t) − S(t−T)] for a rise T > 0.
+double ramp_response(const IntegratedStep& step, double t, double v_supply,
+                     double rise_seconds) {
+  if (t <= 0.0) return 0.0;
+  const double s_now = step(t);
+  const double s_shift = t > rise_seconds ? step(t - rise_seconds) : 0.0;
+  return v_supply / rise_seconds * (s_now - s_shift);
 }
 
 }  // namespace
@@ -112,11 +141,80 @@ double integrated_step_response(const NodeModel& node, double t) {
 double ramp_input_response(const NodeModel& node, double t, double v_supply,
                            double rise_seconds) {
   if (rise_seconds <= 0.0) return step_response(node, t, v_supply);
-  if (t <= 0.0) return 0.0;
-  const double s_now = integrated_step_response(node, t);
-  const double s_shift = t > rise_seconds ? integrated_step_response(node, t - rise_seconds)
-                                          : 0.0;
-  return v_supply / rise_seconds * (s_now - s_shift);
+  return ramp_response(IntegratedStep(node), t, v_supply, rise_seconds);
+}
+
+util::Result<RampStage> ramp_stage_checked(const NodeModel& node, double rise_seconds) {
+  if (rise_seconds < 0.0) {
+    return util::Status(util::ErrorCode::kNegativeValue, "ramp_stage: negative input rise");
+  }
+  if (rise_seconds == 0.0) return RampStage{delay_50(node), rise_time(node)};
+
+  // The 10/50/90% levels, and what one forward search per level would
+  // do: start at t = 0, where every level's f = response - level is
+  // -level (never a root), and grow the bracket by 1.6 from 5% of the
+  // larger of the rise and the node's own delay, at most 400 times.
+  constexpr std::array<double, 3> kLevels{0.1, 0.5, 0.9};
+  constexpr std::array<const char*, 3> kLevelNames{"10%", "50%", "90%"};
+  constexpr double kGrowth = 1.6;
+  constexpr int kMaxExpand = 400;
+  const IntegratedStep step(node);
+  const auto response = [&](double t) { return ramp_response(step, t, 1.0, rise_seconds); };
+  const double scale = std::max(rise_seconds, std::max(delay_50(node), 1e-18));
+
+  // The bracket points depend on the node and the rise, not on the level,
+  // so one scan evaluates each point once and tests it against every
+  // level still open. A level's bracket is its first sign change, with
+  // both end values kept for Brent.
+  struct Bracket {
+    double lo = 0.0;
+    double hi = 0.0;
+    double f_lo = 0.0;
+    double f_hi = 0.0;
+  };
+  std::array<Bracket, 3> brackets{};
+  std::array<bool, 3> bracketed{};
+  std::size_t open = kLevels.size();
+  // relmore-lint: begin-hot-loop(ramp-stage-scan)
+  double lo = 0.0;
+  double r_lo = response(lo);
+  double width = 0.05 * scale;
+  for (int i = 0; i < kMaxExpand && open > 0; ++i) {
+    const double hi = lo + width;
+    const double r_hi = response(hi);
+    for (std::size_t k = 0; k < kLevels.size(); ++k) {
+      if (bracketed[k]) continue;
+      const double f_lo = r_lo - kLevels[k];
+      const double f_hi = r_hi - kLevels[k];
+      if (!util::opposite_signs(f_lo, f_hi)) continue;
+      brackets[k] = Bracket{lo, hi, f_lo, f_hi};
+      bracketed[k] = true;
+      --open;
+    }
+    lo = hi;
+    r_lo = r_hi;
+    width *= kGrowth;
+  }
+  // relmore-lint: end-hot-loop
+  for (std::size_t k = 0; k < kLevels.size(); ++k) {
+    if (!bracketed[k]) {
+      return util::Status(util::ErrorCode::kInvalidArgument,
+                          std::string("ramp_stage: the response never crosses ") +
+                              kLevelNames[k]);
+    }
+  }
+
+  std::array<double, 3> crossings{};
+  // relmore-lint: begin-hot-loop(ramp-stage-solve)
+  for (std::size_t k = 0; k < kLevels.size(); ++k) {
+    const Bracket& b = brackets[k];
+    const double level = kLevels[k];
+    // A bracket that passed the sign test always yields a root.
+    crossings[k] = *util::brent_bracketed([&](double t) { return response(t) - level; }, b.lo,
+                                          b.hi, b.f_lo, b.f_hi);
+  }
+  // relmore-lint: end-hot-loop
+  return RampStage{crossings[1] - 0.5 * rise_seconds, crossings[2] - crossings[0]};
 }
 
 sim::Waveform ramp_input_waveform(const NodeModel& node, const std::vector<double>& times,

@@ -37,7 +37,9 @@ struct PathTiming {
 };
 
 /// Stage delay and output rise for a linear-ramp input with the given rise
-/// time (0 = ideal step), computed from the closed-form ramp response.
+/// time (0 = ideal step): eed::ramp_stage_checked, with its failures as
+/// exceptions — std::invalid_argument on a negative rise,
+/// std::runtime_error when the response never crosses a level.
 [[nodiscard]] StageTiming time_stage(const eed::NodeModel& node, double input_rise_seconds);
 
 /// Walks the path: stage k is driven by a ramp whose rise time equals

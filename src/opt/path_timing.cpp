@@ -1,49 +1,25 @@
 #include "relmore/opt/path_timing.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "relmore/eed/eed.hpp"
 #include "relmore/engine/timing_engine.hpp"
-#include "relmore/util/roots.hpp"
 
 namespace relmore::opt {
 
-namespace {
-
-/// First upward crossing of `level` by the closed-form ramp response.
-double ramp_crossing(const eed::NodeModel& node, double rise, double level) {
-  const auto f = [&](double t) {
-    return eed::ramp_input_response(node, t, 1.0, rise) - level;
-  };
-  // Characteristic time scale: the larger of the input rise and the
-  // node's own delay sets the bracket growth.
-  const double scale = std::max(rise, std::max(eed::delay_50(node), 1e-18));
-  const auto root = util::find_root_forward(f, 0.0, 0.05 * scale, 1.6, 400);
-  if (!root) throw std::runtime_error("time_stage: response never crossed level");
-  return *root;
-}
-
-}  // namespace
-
 StageTiming time_stage(const eed::NodeModel& node, double input_rise_seconds) {
-  if (input_rise_seconds < 0.0) {
-    throw std::invalid_argument("time_stage: negative input rise");
+  const util::Result<eed::RampStage> stage = eed::ramp_stage_checked(node, input_rise_seconds);
+  if (!stage.is_ok()) {
+    if (stage.status().code() == util::ErrorCode::kNegativeValue) {
+      throw std::invalid_argument("time_stage: negative input rise");
+    }
+    throw std::runtime_error("time_stage: response never crossed level");
   }
   StageTiming out;
   out.zeta = node.zeta;
   out.input_rise = input_rise_seconds;
-  if (input_rise_seconds == 0.0) {
-    out.delay = eed::delay_50(node);
-    out.output_rise = eed::rise_time(node);
-    return out;
-  }
-  const double t50_out = ramp_crossing(node, input_rise_seconds, 0.5);
-  const double t50_in = 0.5 * input_rise_seconds;
-  out.delay = t50_out - t50_in;
-  const double t10 = ramp_crossing(node, input_rise_seconds, 0.1);
-  const double t90 = ramp_crossing(node, input_rise_seconds, 0.9);
-  out.output_rise = t90 - t10;
+  out.delay = stage.value().delay;
+  out.output_rise = stage.value().output_rise;
   return out;
 }
 

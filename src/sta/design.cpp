@@ -576,6 +576,11 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         }
         if (key == "at" && port.is_input) {
           port.arrival = v;
+        } else if (key == "slew" && port.is_input && v < 0.0) {
+          findings.error(ErrorCode::kNegativeValue,
+                         std::string(kw) + ": negative slew '" + std::string(text) + "'",
+                         line_no, port.name);
+          ok = false;
         } else if (key == "slew" && port.is_input) {
           port.slew = v;
         } else if (key == "required" && !port.is_input) {

@@ -25,10 +25,11 @@
 ///
 /// `read_design_checked` validates everything it resolves (unknown
 /// cells/nets/nodes, double-driven or undriven nets, combinational
-/// cycles) and tags every finding with the offending net/instance name
-/// (Diagnostic::net), then *finalizes* the design: pin caps folded,
-/// per-net FlatTree snapshots stamped with the design epoch, total load
-/// per net precomputed, and nets levelized into a topological order.
+/// cycles, a negative input `slew=`; `at=` is signed) and tags every
+/// finding with the offending net/instance name (Diagnostic::net), then
+/// *finalizes* the design: pin caps folded, per-net FlatTree snapshots
+/// stamped with the design epoch, total load per net precomputed, and
+/// nets levelized into a topological order.
 
 #include <cstdint>
 #include <iosfwd>
@@ -94,7 +95,7 @@ struct DesignPort {
   int net = -1;
   int tap = -1;                ///< output ports: tap index in the net; inputs: -1
   double arrival = 0.0;        ///< input ports: launch time [s]
-  double slew = 0.0;           ///< input ports: 10-90% edge rate [s] (0 = step)
+  double slew = 0.0;           ///< input ports: 10-90% edge rate [s] (0 = step, >= 0)
   double required = 0.0;       ///< output ports: required time [s]
   bool has_required = false;   ///< false: fall back to the design clock
 };

@@ -7,9 +7,10 @@
 ///
 /// Semantics (the STA conventions, documented in docs/sta.md):
 ///  - wire stage: each tap of a net sees the EED closed form of its tree
-///    node driven by the driver's 10-90% slew (opt::time_stage — ideal
-///    step when the slew is 0); tap arrival = driver arrival + stage
-///    delay, tap slew = the stage's 10-90% output rise.
+///    node driven by the driver's 10-90% slew (eed::ramp_stage_checked —
+///    ideal step when the slew is 0); tap arrival = driver arrival + stage
+///    delay, tap slew = the stage's 10-90% output rise. A tap the kernel
+///    cannot time (no crossing) is left untimed and faults its net.
 ///  - cell stage: instance output arrival = max over input pins of
 ///    (pin arrival + delay table(pin slew, output net load)); the winning
 ///    pin also supplies the output slew lookup. Loads are the driven
@@ -51,7 +52,8 @@ struct NetTiming {
   PointTiming driver;
   std::vector<PointTiming> taps;    ///< parallel to Net::taps
   std::vector<double> wire_delay;   ///< driver -> tap stage delay, per tap
-  bool faulted = false;             ///< moments unavailable (faulted or not run)
+  bool faulted = false;             ///< moments unavailable (faulted or not run),
+                                    ///< or a tap's wire stage not timeable
 };
 
 /// One endpoint's summary row.

@@ -8,9 +8,8 @@
 #include <functional>
 #include <limits>
 #include <new>
-#include <stdexcept>
 
-#include "relmore/opt/path_timing.hpp"
+#include "relmore/eed/response.hpp"
 #include "relmore/util/arena.hpp"
 #include "relmore/util/deadline.hpp"
 
@@ -102,17 +101,17 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
   // Wire stages to every tap.
   if (!nt.driver.timed || nt.faulted) return winning;
   for (std::size_t t = 0; t < net.taps.size(); ++t) {
-    try {
-      const opt::StageTiming stage = opt::time_stage(models.taps[t], nt.driver.slew);
-      nt.taps[t].timed = true;
-      nt.taps[t].arrival = nt.driver.arrival + stage.delay;
-      nt.taps[t].slew = stage.output_rise;
-      nt.wire_delay[t] = stage.delay;
-    } catch (const std::exception&) {
-      // Ramp root-finding failed for this tap's model: degrade the tap
-      // to untimed (same isolation as a corpus-phase fault).
+    const Result<eed::RampStage> stage = eed::ramp_stage_checked(models.taps[t], nt.driver.slew);
+    if (!stage.is_ok()) {
+      // No crossing for this tap's model and slew: the tap stays untimed
+      // and the net faulted (same isolation as a corpus-phase fault).
       nt.faulted = true;
+      continue;
     }
+    nt.taps[t].timed = true;
+    nt.taps[t].arrival = nt.driver.arrival + stage.value().delay;
+    nt.taps[t].slew = stage.value().output_rise;
+    nt.wire_delay[t] = stage.value().delay;
   }
   return winning;
 }

@@ -1,17 +1,8 @@
 #include "relmore/util/roots.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace relmore::util {
-
-namespace {
-
-bool opposite_signs(double fa, double fb) {
-  return (fa <= 0.0 && fb >= 0.0) || (fa >= 0.0 && fb <= 0.0);
-}
-
-}  // namespace
 
 std::optional<double> bisect(const std::function<double(double)>& f, double a, double b,
                              const RootOptions& opts) {
@@ -40,80 +31,9 @@ std::optional<double> bisect(const std::function<double(double)>& f, double a, d
 
 std::optional<double> brent(const std::function<double(double)>& f, double a, double b,
                             const RootOptions& opts) {
-  double fa = f(a);
-  double fb = f(b);
-  if (!opposite_signs(fa, fb)) return std::nullopt;
-  if (fa == 0.0) return a;
-  if (fb == 0.0) return b;
-
-  if (std::abs(fa) < std::abs(fb)) {
-    std::swap(a, b);
-    std::swap(fa, fb);
-  }
-  double c = a;
-  double fc = fa;
-  double d = b - a;  // step taken two iterations ago
-  double e = d;      // step taken last iteration
-
-  for (int iter = 0; iter < opts.max_iter; ++iter) {
-    if (std::abs(fc) < std::abs(fb)) {
-      a = b;
-      b = c;
-      c = a;
-      fa = fb;
-      fb = fc;
-      fc = fa;
-    }
-    const double tol = 2.0 * std::numeric_limits<double>::epsilon() * std::abs(b) +
-                       0.5 * opts.x_tol;
-    const double m = 0.5 * (c - b);
-    if (std::abs(m) <= tol || fb == 0.0 ||
-        (opts.f_tol > 0.0 && std::abs(fb) <= opts.f_tol)) {
-      return b;
-    }
-    if (std::abs(e) < tol || std::abs(fa) <= std::abs(fb)) {
-      d = m;  // bisection
-      e = m;
-    } else {
-      double p;
-      double q;
-      const double s = fb / fa;
-      if (a == c) {
-        // secant
-        p = 2.0 * m * s;
-        q = 1.0 - s;
-      } else {
-        // inverse quadratic interpolation
-        const double qq = fa / fc;
-        const double r = fb / fc;
-        p = s * (2.0 * m * qq * (qq - r) - (b - a) * (r - 1.0));
-        q = (qq - 1.0) * (r - 1.0) * (s - 1.0);
-      }
-      if (p > 0.0) {
-        q = -q;
-      } else {
-        p = -p;
-      }
-      if (2.0 * p < std::min(3.0 * m * q - std::abs(tol * q), std::abs(e * q))) {
-        e = d;
-        d = p / q;
-      } else {
-        d = m;
-        e = m;
-      }
-    }
-    a = b;
-    fa = fb;
-    b += (std::abs(d) > tol) ? d : (m > 0.0 ? tol : -tol);
-    fb = f(b);
-    if ((fb > 0.0) == (fc > 0.0)) {
-      c = a;
-      fc = fa;
-      e = b - a;
-      d = e;
-    }
-  }
-  return b;
+  const double fa = f(a);
+  const double fb = f(b);
+  return brent_bracketed(f, a, b, fa, fb, opts);
 }
 
 std::optional<double> find_root_forward(const std::function<double(double)>& f, double a,
@@ -127,9 +47,7 @@ std::optional<double> find_root_forward(const std::function<double(double)>& f, 
   for (int i = 0; i < max_expand; ++i) {
     const double hi = lo + step;
     const double fhi = f(hi);
-    if ((flo <= 0.0 && fhi >= 0.0) || (flo >= 0.0 && fhi <= 0.0)) {
-      return brent(f, lo, hi, opts);
-    }
+    if (opposite_signs(flo, fhi)) return brent_bracketed(f, lo, hi, flo, fhi, opts);
     lo = hi;
     flo = fhi;
     step *= growth;

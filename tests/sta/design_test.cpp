@@ -228,6 +228,35 @@ TEST(ReadDesign, CombinationalCycleRejected) {
   EXPECT_EQ(r.status().net(), "n1");
 }
 
+// A negative input slew has no ramp to time, so the reader rejects it,
+// named by port and line like any bad value. The arrival stays signed.
+TEST(ReadDesign, NegativeInputSlewRejected) {
+  DiagnosticsReport report;
+  util::Result<Design> r = parse(
+      "net nb\nsection s0 - R=1 L=0 C=1f\nend\n"
+      "input b nb at=0 slew=-5p\n"
+      "output ob nb:s0\n",
+      &report);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kNegativeValue);
+  EXPECT_EQ(r.status().net(), "b");
+  EXPECT_EQ(r.status().line(), 4);
+  EXPECT_NE(r.status().message().find("slew"), std::string::npos);
+  ASSERT_FALSE(report.entries().empty());
+  EXPECT_EQ(report.entries().front().code, ErrorCode::kNegativeValue);
+  EXPECT_EQ(report.entries().front().net, "b");
+  EXPECT_EQ(report.entries().front().line, 4);
+
+  util::Result<Design> early = parse(
+      "net nb\nsection s0 - R=1 L=0 C=1f\nend\n"
+      "input b nb at=-5p slew=0\n"
+      "output ob nb:s0\n");
+  ASSERT_TRUE(early.is_ok()) << early.status().to_string();
+  EXPECT_DOUBLE_EQ(
+      early.value().ports[static_cast<std::size_t>(early.value().find_port("b"))].arrival,
+      -5e-12);
+}
+
 TEST(ReadDesign, MissingEndRejected) {
   util::Result<Design> r = parse("net a\nsection s0 - R=1 L=0 C=1f\n");
   ASSERT_FALSE(r.is_ok());

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "relmore/sta/design.hpp"
+#include "relmore/timer.hpp"
 #include "relmore/util/diagnostics.hpp"
 
 namespace relmore::sta {
@@ -219,6 +223,97 @@ TEST(TimingGraph, FaultedNetPoisonsOnlyItsOwnCone) {
   util::Result<TimingResult> thrown = g.value().analyze_checked(strict);
   ASSERT_FALSE(thrown.is_ok());
   EXPECT_EQ(thrown.status().net(), "nb");
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Bitwise equality of two timings of one net: fault flag, every point,
+/// every wire delay.
+void expect_same_net(const NetTiming& got, const NetTiming& want, const std::string& net) {
+  const auto same = [](const PointTiming& a, const PointTiming& b) {
+    return a.timed == b.timed && a.constrained == b.constrained &&
+           bits(a.arrival) == bits(b.arrival) && bits(a.slew) == bits(b.slew) &&
+           bits(a.required) == bits(b.required);
+  };
+  EXPECT_EQ(got.faulted, want.faulted) << net;
+  EXPECT_TRUE(same(got.driver, want.driver)) << net;
+  ASSERT_EQ(got.taps.size(), want.taps.size()) << net;
+  for (std::size_t t = 0; t < want.taps.size(); ++t) {
+    EXPECT_TRUE(same(got.taps[t], want.taps[t])) << net << " tap " << t;
+    EXPECT_EQ(bits(got.wire_delay[t]), bits(want.wire_delay[t])) << net << " tap " << t;
+  }
+}
+
+// A wire stage with no crossing (here an infinite input slew, which the
+// reader cannot produce, set on the parsed design) faults its net in the
+// sweep: every tap of it and its fanout cone come back untimed, the
+// neighbouring path keeps its bits, and an incremental update after an
+// edit elsewhere still equals a from-scratch analyze.
+TEST(TimingGraph, WireStageWithNoCrossingPoisonsOnlyItsOwnCone) {
+  const char* text =
+      "net na\nsection s0 - R=100 L=1n C=10f\nsection s1 s0 R=80 L=1n C=12f\nend\n"
+      "net nb\nsection s0 - R=100 L=1n C=10f\nsection s1 s0 R=80 L=1n C=12f\nend\n"
+      "net nc\nsection s0 - R=200 L=0 C=20f\nend\n"
+      "net nd\nsection s0 - R=200 L=0 C=20f\nend\n"
+      "input a na at=0 slew=20p\n"
+      "input b nb at=0 slew=20p\n"
+      "output oa nc:s0 required=1n\n"
+      "output ob nd:s0 required=1n\n"
+      "output pb nb:s0 required=1n\n"
+      "inst u0 buf_x1 nc na:s1\n"
+      "inst u1 buf_x1 nd nb:s1\n";
+  const Design clean = parse(text);
+  Design d = parse(text);
+  d.ports[static_cast<std::size_t>(d.find_port("b"))].slew =
+      std::numeric_limits<double>::infinity();
+  const TimingResult want = analyze(clean);
+  const TimingResult res = analyze(d);
+  const auto net = [&d](const char* name) { return static_cast<std::size_t>(d.find_net(name)); };
+
+  // The faulted net and its cone: nb's taps, u1's output nd, and both of
+  // their endpoints.
+  EXPECT_TRUE(res.nets[net("nb")].faulted);
+  EXPECT_TRUE(res.nets[net("nb")].driver.timed);  // the launch itself is timed
+  for (const PointTiming& tap : res.nets[net("nb")].taps) EXPECT_FALSE(tap.timed);
+  EXPECT_FALSE(res.nets[net("nd")].driver.timed);
+  for (const PointTiming& tap : res.nets[net("nd")].taps) EXPECT_FALSE(tap.timed);
+  EXPECT_EQ(res.summary.untimed_endpoints, 2u);
+  EXPECT_EQ(endpoint_slack_checked(d, res, "ob").status().code(), ErrorCode::kNonFiniteMoment);
+  EXPECT_EQ(endpoint_slack_checked(d, res, "pb").status().code(), ErrorCode::kNonFiniteMoment);
+
+  // The neighbouring path a -> na -> u0 -> nc -> oa keeps its bits.
+  for (const char* name : {"na", "nc"}) {
+    expect_same_net(res.nets[net(name)], want.nets[net(name)], name);
+  }
+  EXPECT_TRUE(res.nets[net("nc")].taps[0].timed);
+
+  // An incremental commit on the clean path, with the faulted cone
+  // standing, matches a from-scratch analyze of the edited design.
+  Timer timer;
+  ASSERT_TRUE(timer.load(std::move(d)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_net_section_values("na", "s1", {90.0, 1e-9, 15e-15}).is_ok());
+  util::Result<Timer::EditOutcome> outcome = edit.commit();
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_TRUE(outcome.value().incremental);
+  const TimingResult fresh = analyze(*timer.design());
+  const TimingResult& updated = *timer.result();
+  ASSERT_EQ(updated.nets.size(), fresh.nets.size());
+  for (std::size_t ni = 0; ni < fresh.nets.size(); ++ni) {
+    expect_same_net(updated.nets[ni], fresh.nets[ni], timer.design()->nets[ni].name);
+  }
+  EXPECT_EQ(bits(updated.summary.wns), bits(fresh.summary.wns));
+  EXPECT_EQ(bits(updated.summary.tns), bits(fresh.summary.tns));
+  EXPECT_EQ(updated.summary.untimed_endpoints, fresh.summary.untimed_endpoints);
+  ASSERT_EQ(updated.summary.endpoints_by_slack.size(), fresh.summary.endpoints_by_slack.size());
+  for (std::size_t i = 0; i < fresh.summary.endpoints_by_slack.size(); ++i) {
+    const EndpointSlack& got = updated.summary.endpoints_by_slack[i];
+    const EndpointSlack& ref = fresh.summary.endpoints_by_slack[i];
+    EXPECT_EQ(got.port, ref.port) << i;
+    EXPECT_EQ(got.timed, ref.timed) << i;
+    EXPECT_EQ(bits(got.slack), bits(ref.slack)) << i;
+  }
 }
 
 TEST(TimingGraph, BuildRejectsUnfinalizedDesigns) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace relmore::util {
 namespace {
@@ -64,6 +66,40 @@ TEST(FindRootForward, GivesUpWithoutSignChange) {
 
 TEST(FindRootForward, RejectsNonPositiveStep) {
   EXPECT_FALSE(find_root_forward([](double x) { return x - 1.0; }, 0.0, 0.0).has_value());
+}
+
+// The end-values entry is the loop brent() runs: handed f(a) and f(b), it
+// returns brent()'s root bit for bit, two evaluations sooner.
+TEST(BrentBracketed, EndValuesEntryReturnsThePlainEntrysRoot) {
+  int calls = 0;
+  const auto f = [&calls](double x) {
+    ++calls;
+    return std::cos(x) - x;
+  };
+  const double brackets[][2] = {{0.0, 1.0}, {-2.0, 3.0}, {0.7, 0.75}, {1.0, 0.0}};
+  for (const auto& ab : brackets) {
+    calls = 0;
+    const auto plain = brent(f, ab[0], ab[1]);
+    const int plain_calls = calls;
+    const double fa = f(ab[0]);
+    const double fb = f(ab[1]);
+    calls = 0;
+    const auto ends = brent_bracketed(f, ab[0], ab[1], fa, fb);
+    ASSERT_TRUE(plain.has_value());
+    ASSERT_TRUE(ends.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*ends), std::bit_cast<std::uint64_t>(*plain))
+        << ab[0] << " " << ab[1];
+    EXPECT_EQ(calls, plain_calls - 2);
+  }
+}
+
+TEST(BrentBracketed, RejectsGivenEndsThatShareASign) {
+  const auto f = [](double x) { return x * x + 1.0; };
+  EXPECT_FALSE(brent_bracketed(f, -1.0, 1.0, f(-1.0), f(1.0)).has_value());
+  // The given values decide, not f: x brackets 0 on [-1, 1], but ends
+  // handed in as (1, 2) share a sign.
+  EXPECT_FALSE(brent_bracketed([](double x) { return x; }, -1.0, 1.0, 1.0, 2.0).has_value());
+  EXPECT_FALSE(brent_bracketed([](double x) { return x; }, -1.0, 1.0, -2.0, -1.0).has_value());
 }
 
 // Property sweep: Brent finds sin roots at k*pi from tight brackets.
