@@ -201,8 +201,9 @@ std::size_t Design::endpoint_count() const {
 
 namespace {
 
-/// Resolves raw references, folds pin caps, snapshots FlatTrees, and
-/// levelizes. Mutates `design` in place; findings carry every failure.
+/// Resolves raw references, folds pin caps, snapshots FlatTrees, sums the
+/// per-net tap offsets, and levelizes. Mutates `design` in place; findings
+/// carry every failure.
 void finalize_design(Design& design, const NetIndex& net_index,
                      const std::vector<RawInst>& raw_insts, const std::vector<RawPort>& raw_ports,
                      Findings& findings) {
@@ -347,10 +348,12 @@ void finalize_design(Design& design, const NetIndex& net_index,
   }
   if (!findings.ok()) return;
 
-  // --- fold pin caps, snapshot, precompute loads -------------------------
+  // --- fold pin caps, snapshot, precompute loads, sum tap offsets --------
   design.epoch += 1;
+  design.tap_offset.assign(design.nets.size() + 1, 0);
   for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
     Net& net = design.nets[ni];
+    design.tap_offset[ni + 1] = design.tap_offset[ni] + net.taps.size();
     for (const Net::Tap& tap : net.taps) {
       if (tap.is_port || tap.node == circuit::kInput) continue;
       const Instance& inst = design.instances[static_cast<std::size_t>(tap.index)];

@@ -28,9 +28,10 @@
 /// cycles, a negative input `slew=`; `at=` is signed) and tags every
 /// finding with the offending net/instance name (Diagnostic::net), then
 /// *finalizes* the design: pin caps folded, per-net FlatTree snapshots
-/// stamped with the design epoch, total load per net precomputed, and
-/// nets levelized into a topological order.
+/// stamped with the design epoch, total load per net precomputed, per-net
+/// tap offsets summed, and nets levelized into a topological order.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -113,6 +114,12 @@ struct Design {
   /// Net indices in propagation order (every net appears after the nets
   /// that feed its driver).
   std::vector<int> topo_nets;
+
+  /// Where each net's taps start in the design-wide per-tap arrays of a
+  /// TimingResult: the prefix sums of the nets' tap counts, so net `ni`
+  /// owns slots [tap_offset[ni], tap_offset[ni + 1]) and the last entry
+  /// is the design's tap total. Size nets.size() + 1.
+  std::vector<std::size_t> tap_offset;
 
   [[nodiscard]] int find_net(const std::string& net_name) const;
   [[nodiscard]] int find_port(const std::string& port_name) const;

@@ -47,13 +47,12 @@ struct PointTiming {
   bool constrained = false;  ///< required reachable from a constrained endpoint
 };
 
-/// Per-net timing: the driving point plus one entry per tap.
+/// Per-net timing: the driving point. The net's taps live in the
+/// design-wide TimingResult::taps / wire_delay arrays.
 struct NetTiming {
   PointTiming driver;
-  std::vector<PointTiming> taps;    ///< parallel to Net::taps
-  std::vector<double> wire_delay;   ///< driver -> tap stage delay, per tap
-  bool faulted = false;             ///< moments unavailable (faulted or not run),
-                                    ///< or a tap's wire stage not timeable
+  bool faulted = false;  ///< moments unavailable (faulted or not run),
+                         ///< or a tap's wire stage not timeable
 };
 
 /// One endpoint's summary row.
@@ -82,9 +81,15 @@ struct TimingSummary {
 };
 
 /// Full analysis result; the input to slack queries and path extraction.
+/// Its shape is four lengths — nets, instances, taps and wire delays —
+/// and those are what every reader checks against the design: tap `t` of
+/// net `ni` sits at slot Design::tap_offset[ni] + t of `taps` and
+/// `wire_delay`, so no net has a tap count of its own that could disagree.
 struct TimingResult {
   TimingSummary summary;
   std::vector<NetTiming> nets;       ///< indexed like Design::nets
+  std::vector<PointTiming> taps;     ///< every net's taps, by Design::tap_offset
+  std::vector<double> wire_delay;    ///< driver -> tap stage delay, parallel to `taps`
   std::vector<int> winning_input;    ///< per instance: arrival-setting pin, -1 = none
   /// Non-ok when corpus analysis stopped at a deadline/cancellation
   /// (kDeadlineExceeded / kCancelled). Completed cones are still timed
@@ -143,8 +148,8 @@ struct UpdateStats {
 class TimingGraph {
  public:
   /// Validates that `design` is finalized (nets snapshot, topo order
-  /// covering every net, net levels rising along every instance edge) and
-  /// builds the graph.
+  /// covering every net, tap offsets summing the nets' tap counts, net
+  /// levels rising along every instance edge) and builds the graph.
   [[nodiscard]] static util::Result<TimingGraph> build_checked(const Design& design);
 
   /// build_checked's per-net check: kInvalidArgument naming the net when
@@ -170,10 +175,11 @@ class TimingGraph {
   /// Cost: the nets of the two cones, popped from worklists in
   /// (Net::level, net index) order, plus the endpoint rows on the nets
   /// the backward cone re-timed, each moved to its new place in the
-  /// sorted rows. Two passes stay linear in the design on purpose: the
-  /// up-front check of every net's tap count against `result`, and the
-  /// TNS sum in port order (the order fixes its rounding), which runs
-  /// only when a negative slack moved.
+  /// sorted rows. The up-front shape check is O(1): four lengths. One
+  /// pass stays linear in the design on purpose, the TNS sum in port
+  /// order (the order fixes its rounding), which runs only when a
+  /// negative slack moved; the only other per-net work is clearing one
+  /// dirty-flag byte per net.
   ///
   /// `cache` must cover every net in the dirty cones at its current epoch
   /// (the Timer guarantees this: a full analyze fills it, edits restamp
@@ -192,20 +198,24 @@ class TimingGraph {
   [[nodiscard]] const Design& design() const { return *design_; }
 
  private:
-  explicit TimingGraph(const Design* design) : design_(design) {}
+  TimingGraph(const Design* design, std::size_t max_taps)
+      : design_(design), max_taps_(max_taps) {}
   const Design* design_;
+  std::size_t max_taps_;  ///< largest per-net tap count: the update's forward scratch
 };
 
 /// Slack of the endpoint (output port) named `port` (the first port of
-/// that name). kInvalidArgument for unknown or non-endpoint ports;
-/// kNonFiniteMoment when the endpoint sits in a faulted fanout cone.
+/// that name). kInvalidArgument for unknown or non-endpoint ports and for
+/// a result whose shape is not this design's; kNonFiniteMoment when the
+/// endpoint sits in a faulted fanout cone.
 [[nodiscard]] util::Result<double> endpoint_slack_checked(const Design& design,
                                                           const TimingResult& result,
                                                           const std::string& port);
 
 /// endpoint_slack_checked for a port the caller has already resolved:
-/// `port_index` indexes Design::ports (-1: no port has that name) and
-/// `port` is the queried name the messages quote.
+/// `port_index` indexes Design::ports (-1: no port has that name; any
+/// index outside the ports is rejected) and `port` is the queried name
+/// the messages quote.
 [[nodiscard]] util::Result<double> endpoint_slack_at_checked(const Design& design,
                                                              const TimingResult& result,
                                                              int port_index,
@@ -213,7 +223,9 @@ class TimingGraph {
 
 /// The `k` worst (smallest-slack) constrained endpoints' critical paths,
 /// backtracked through winning arcs. Fewer than `k` when the design has
-/// fewer timed endpoints.
+/// fewer timed endpoints. kInvalidArgument for a result whose shape is
+/// not this design's, or whose rows or winning pins name points the
+/// design does not have.
 [[nodiscard]] util::Result<std::vector<PathReport>> worst_paths_checked(
     const Design& design, const TimingResult& result, std::size_t k);
 

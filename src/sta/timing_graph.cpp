@@ -39,25 +39,62 @@ void endpoint_required(const Design& design, const DesignPort& port, double* req
   }
 }
 
+/// The design's tap total: the length of a result's per-tap arrays.
+std::size_t tap_count(const Design& design) {
+  return design.tap_offset.empty() ? 0 : design.tap_offset.back();
+}
+
+/// Whether `result` has `design`'s shape: its four lengths. They bound
+/// every index the update, slack and path code derives from the design,
+/// so a result that passes cannot be read or written out of bounds. A
+/// result of another design with the same four lengths passes too.
+bool shaped_for(const Design& design, const TimingResult& result) {
+  return result.nets.size() == design.nets.size() &&
+         result.winning_input.size() == design.instances.size() &&
+         result.taps.size() == tap_count(design) && result.wire_delay.size() == tap_count(design);
+}
+
+/// The slot of tap `tap` of net `ni` in a result's per-tap arrays.
+std::size_t tap_slot(const Design& design, int ni, int tap) {
+  return design.tap_offset[static_cast<std::size_t>(ni)] + static_cast<std::size_t>(tap);
+}
+
+/// One net's timing where forward_time_net writes it: the driver point and
+/// fault flag, and one slot per tap of the net for tap timings and wire
+/// delays — the net's own slots of a result, or the update's scratch.
+struct NetSlots {
+  NetTiming* net = nullptr;
+  PointTiming* taps = nullptr;
+  double* wire_delay = nullptr;
+};
+
+NetSlots slots_of(const Design& design, TimingResult& result, int ni) {
+  const std::size_t begin = design.tap_offset[static_cast<std::size_t>(ni)];
+  return {&result.nets[static_cast<std::size_t>(ni)], result.taps.data() + begin,
+          result.wire_delay.data() + begin};
+}
+
 /// Recomputes net `ni`'s forward half — driver point, tap arrivals/slews,
-/// wire delays, fault flag — into `nt`, reading upstream tap timings from
+/// wire delays, fault flag — into `out`, reading upstream tap timings from
 /// `result`. Required/constrained fields are reset to unconstrained (the
 /// backward sweep owns them). Shared verbatim between the full forward
 /// sweep and the incremental dirty-cone scan so both produce identical
 /// bits by construction. Returns the arrival-setting input pin of an
 /// instance driver (-1 when none / not all pins timed).
 int forward_time_net(const Design& design, int ni, const NetModels& models,
-                     const TimingResult& result, NetTiming& nt) {
+                     const TimingResult& result, const NetSlots& out) {
   const Net& net = design.nets[static_cast<std::size_t>(ni)];
+  NetTiming& nt = *out.net;
   nt.driver = PointTiming{};
-  nt.taps.assign(net.taps.size(), PointTiming{});
-  nt.wire_delay.assign(net.taps.size(), 0.0);
+  PointTiming untimed;
+  untimed.required = kInf;
+  std::fill_n(out.taps, net.taps.size(), untimed);
+  std::fill_n(out.wire_delay, net.taps.size(), 0.0);
   // A net the corpus never reached (deadline/cancel stop) is untimed
   // exactly like a faulted one: its cone degrades, everything else keeps
   // its uninterrupted-run bits.
   nt.faulted = models.faulted || !models.analyzed;
   nt.driver.required = kInf;
-  for (PointTiming& tap : nt.taps) tap.required = kInf;
 
   // Driving point.
   int winning = -1;
@@ -74,8 +111,7 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
     double best = -kInf;
     for (std::size_t pi = 0; pi < inst.inputs.size(); ++pi) {
       const Instance::Pin& pin = inst.inputs[pi];
-      const PointTiming& at =
-          result.nets[static_cast<std::size_t>(pin.net)].taps[static_cast<std::size_t>(pin.tap)];
+      const PointTiming& at = result.taps[tap_slot(design, pin.net, pin.tap)];
       if (!at.timed) {
         all_timed = false;
         break;
@@ -88,8 +124,7 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
     }
     if (all_timed && winning >= 0) {
       const Instance::Pin& win = inst.inputs[static_cast<std::size_t>(winning)];
-      const PointTiming& at =
-          result.nets[static_cast<std::size_t>(win.net)].taps[static_cast<std::size_t>(win.tap)];
+      const PointTiming& at = result.taps[tap_slot(design, win.net, win.tap)];
       nt.driver.timed = true;
       nt.driver.arrival = best;
       nt.driver.slew = cell.arc_slew(at.slew, load);
@@ -108,10 +143,10 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
       nt.faulted = true;
       continue;
     }
-    nt.taps[t].timed = true;
-    nt.taps[t].arrival = nt.driver.arrival + stage.value().delay;
-    nt.taps[t].slew = stage.value().output_rise;
-    nt.wire_delay[t] = stage.value().delay;
+    out.taps[t].timed = true;
+    out.taps[t].arrival = nt.driver.arrival + stage.value().delay;
+    out.taps[t].slew = stage.value().output_rise;
+    out.wire_delay[t] = stage.value().delay;
   }
   return winning;
 }
@@ -122,12 +157,13 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
 /// sweep and the incremental fanin-cone scan.
 void backward_time_net(const Design& design, int ni, TimingResult& result) {
   const Net& net = design.nets[static_cast<std::size_t>(ni)];
-  NetTiming& nt = result.nets[static_cast<std::size_t>(ni)];
+  const NetSlots own = slots_of(design, result, ni);
+  NetTiming& nt = *own.net;
   nt.driver.required = kInf;
   nt.driver.constrained = false;
   for (std::size_t t = 0; t < net.taps.size(); ++t) {
     const Net::Tap& tap = net.taps[t];
-    PointTiming& tt = nt.taps[t];
+    PointTiming& tt = own.taps[t];
     tt.required = kInf;
     tt.constrained = false;
     if (tap.is_port) {
@@ -145,7 +181,7 @@ void backward_time_net(const Design& design, int ni, TimingResult& result) {
       }
     }
     if (tt.constrained && tt.timed) {
-      const double cand = tt.required - nt.wire_delay[t];
+      const double cand = tt.required - own.wire_delay[t];
       if (cand < nt.driver.required) nt.driver.required = cand;
       nt.driver.constrained = true;
     }
@@ -157,7 +193,7 @@ void backward_time_net(const Design& design, int ni, TimingResult& result) {
 const PointTiming& endpoint_timing(const Design& design, const TimingResult& result,
                                    std::size_t pi) {
   const DesignPort& port = design.ports[pi];
-  return result.nets[static_cast<std::size_t>(port.net)].taps[static_cast<std::size_t>(port.tap)];
+  return result.taps[tap_slot(design, port.net, port.tap)];
 }
 
 /// The summary row of output port `pi` with tap timing `tt`, all but its
@@ -218,27 +254,31 @@ std::size_t term_words(const Design& design) {
   return (design.ports.size() + kTermBits - 1) / kTermBits;
 }
 
-/// TNS from sorted rows: the TNS terms, which lead the order, are
-/// scattered by port and summed left to right in port order, so the
-/// rounding never depends on how the rows came about. Only the terms'
-/// slots are written and read; the bit set orders them.
-double total_negative_slack(const Design& design, const TimingSummary& summary,
-                            const TnsScratch& scratch) {
+/// TNS from sorted rows into `*tns`: the TNS terms, which lead the
+/// order, are scattered by port and summed left to right in port order,
+/// so the rounding never depends on how the rows came about. Only the
+/// terms' slots are written and read; the bit set orders them. False,
+/// with `*tns` untouched, when a term names no port of the design: rows
+/// of another design's result, which the length guard lets through.
+bool total_negative_slack(const Design& design, const TimingSummary& summary,
+                          const TnsScratch& scratch, double* tns) {
   const std::size_t words = term_words(design);
   std::fill_n(scratch.terms, words, std::uint64_t{0});
   for (const EndpointSlack& row : summary.endpoints_by_slack) {
     if (!in_tns(row)) break;
     const auto pi = static_cast<std::size_t>(row.port);
+    if (pi >= design.ports.size()) return false;
     scratch.by_port[pi] = row.slack;
     scratch.terms[pi / kTermBits] |= std::uint64_t{1} << (pi % kTermBits);
   }
-  double tns = 0.0;
+  double sum = 0.0;
   for (std::size_t w = 0; w < words; ++w) {
     for (std::uint64_t bits = scratch.terms[w]; bits != 0; bits &= bits - 1) {
-      tns += scratch.by_port[w * kTermBits + static_cast<std::size_t>(std::countr_zero(bits))];
+      sum += scratch.by_port[w * kTermBits + static_cast<std::size_t>(std::countr_zero(bits))];
     }
   }
-  return tns;
+  *tns = sum;
+  return true;
 }
 
 /// Rebuilds the endpoint summary (rows, WNS/TNS, endpoint counts) from
@@ -263,7 +303,8 @@ void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   summary.wns = worst_slack(summary);
   std::vector<double> by_port(design.ports.size());
   std::vector<std::uint64_t> terms(term_words(design));
-  summary.tns = total_negative_slack(design, summary, TnsScratch{by_port.data(), terms.data()});
+  // Rows built from the design's own ports: every term has its slot.
+  total_negative_slack(design, summary, TnsScratch{by_port.data(), terms.data()}, &summary.tns);
 }
 
 /// Bitwise comparison of the forward-owned fields (timed/arrival/slew);
@@ -277,9 +318,11 @@ bool same_forward_point(const PointTiming& a, const PointTiming& b) {
   return a.timed == b.timed && same_bits(a.arrival, b.arrival) && same_bits(a.slew, b.slew);
 }
 
-bool same_forward_net(const NetTiming& a, const NetTiming& b) {
-  if (a.faulted != b.faulted || !same_forward_point(a.driver, b.driver)) return false;
-  for (std::size_t t = 0; t < a.taps.size(); ++t) {
+bool same_forward_net(const NetSlots& a, const NetSlots& b, std::size_t taps) {
+  if (a.net->faulted != b.net->faulted || !same_forward_point(a.net->driver, b.net->driver)) {
+    return false;
+  }
+  for (std::size_t t = 0; t < taps; ++t) {
     if (!same_forward_point(a.taps[t], b.taps[t])) return false;
     if (!same_bits(a.wire_delay[t], b.wire_delay[t])) return false;
   }
@@ -308,7 +351,9 @@ struct EndpointLog {
 /// the new bits, and is rotated to its place — work in the distance each
 /// row moves, not in the endpoint count. The endpoint counts move by the
 /// difference, WNS is re-read from the first row, and TNS is re-summed
-/// when a moved row was or became a TNS term.
+/// when a moved row was or became a TNS term. Rows that are not this
+/// result's own — a logged row not found, a term naming no port of the
+/// design — are all derived again instead.
 void update_endpoint_summary(const Design& design, const EndpointLog& log,
                              const TnsScratch& scratch, TimingResult& result) {
   TimingSummary& summary = result.summary;
@@ -321,7 +366,6 @@ void update_endpoint_summary(const Design& design, const EndpointLog& log,
     if (same_row(old, now)) continue;
     const auto it = std::lower_bound(rows.begin(), rows.end(), old, row_before);
     if (it == rows.end() || it->port != old.port) {
-      // Rows that are not this result's own: derive them all again.
       rebuild_endpoint_summary(design, result);
       return;
     }
@@ -338,7 +382,9 @@ void update_endpoint_summary(const Design& design, const EndpointLog& log,
     }
   }
   summary.wns = worst_slack(summary);
-  if (tns_moved) summary.tns = total_negative_slack(design, summary, scratch);
+  if (tns_moved && !total_negative_slack(design, summary, scratch, &summary.tns)) {
+    rebuild_endpoint_summary(design, result);
+  }
 }
 
 /// The nets one cone sweep has yet to visit, popped in (Net::level, net
@@ -387,15 +433,35 @@ Status TimingGraph::check_snapshot(const Net& net) {
 }
 
 Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
-  if (design.nets.empty()) {
+  const std::size_t n_nets = design.nets.size();
+  if (n_nets == 0) {
     return Status(ErrorCode::kEmptyTree, "TimingGraph: design has no nets");
   }
-  if (design.topo_nets.size() != design.nets.size()) {
+  if (design.topo_nets.size() != n_nets) {
     return Status(ErrorCode::kCycle,
                   "TimingGraph: design is not finalized (topological order incomplete)");
   }
   for (const Net& net : design.nets) {
     if (Status s = check_snapshot(net); !s.is_ok()) return s;
+  }
+  // Every result lays out its per-tap arrays by the tap offsets, and its
+  // guards compare only their total, so the offsets must be exactly the
+  // prefix sums of the nets' tap counts.
+  const std::vector<std::size_t>& offset = design.tap_offset;
+  if (offset.size() != n_nets + 1 || offset[0] != 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "TimingGraph: design has no tap offsets (re-run read_design)");
+  }
+  std::size_t max_taps = 0;
+  for (std::size_t ni = 0; ni < n_nets; ++ni) {
+    const std::size_t taps = design.nets[ni].taps.size();
+    if (offset[ni + 1] != offset[ni] + taps) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "TimingGraph: tap offsets do not match the net's tap count "
+                    "(re-run read_design)")
+          .with_net(design.nets[ni].name);
+    }
+    max_taps = std::max(max_taps, taps);
   }
   // The cone sweeps of update_checked visit nets in (level, index) order,
   // which is topological only when every instance edge climbs a level.
@@ -410,7 +476,7 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
       }
     }
   }
-  return TimingGraph(&design);
+  return TimingGraph(&design, max_taps);
 }
 
 Result<TimingResult> TimingGraph::analyze_checked(const AnalyzeOptions& options) const {
@@ -421,13 +487,15 @@ Result<TimingResult> TimingGraph::analyze_checked(const AnalyzeOptions& options)
 
   TimingResult result;
   result.nets.resize(design.nets.size());
+  result.taps.resize(tap_count(design));
+  result.wire_delay.resize(tap_count(design));
   result.winning_input.assign(design.instances.size(), -1);
 
   // --- forward sweep: arrivals and slews, in net topological order --------
   for (const int ni : design.topo_nets) {
     const Net& net = design.nets[static_cast<std::size_t>(ni)];
     const int winning = forward_time_net(design, ni, corpus.nets[static_cast<std::size_t>(ni)],
-                                         result, result.nets[static_cast<std::size_t>(ni)]);
+                                         result, slots_of(design, result, ni));
     if (net.driver_kind == DriverKind::kInstance) {
       result.winning_input[static_cast<std::size_t>(net.driver_index)] = winning;
     }
@@ -454,19 +522,12 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
                                                 const AnalyzeOptions& options) const {
   const Design& design = *design_;
   const std::size_t n_nets = design.nets.size();
-  if (result.nets.size() != n_nets ||
-      result.winning_input.size() != design.instances.size()) {
+  if (!shaped_for(design, result)) {
     return Status(ErrorCode::kInvalidArgument, "update: result does not belong to this design");
   }
   if (!result.stop_status.is_ok()) {
     return Status(ErrorCode::kInvalidArgument,
                   "update: cannot update a stop-interrupted result (re-analyze)");
-  }
-  for (std::size_t ni = 0; ni < n_nets; ++ni) {
-    if (result.nets[ni].taps.size() != design.nets[ni].taps.size()) {
-      return Status(ErrorCode::kInvalidArgument, "update: result shape is stale (re-analyze)")
-          .with_net(design.nets[ni].name);
-    }
   }
   const auto in_range = [n_nets](int ni) {
     return ni >= 0 && static_cast<std::size_t>(ni) < n_nets;
@@ -488,19 +549,24 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
 
   // --- workspace: the calling thread's arena, reused across calls --------
   // One slot per net for the dirty flags and each worklist, one per port
-  // for the endpoint log and the TNS scatter; beyond the flags, only what
-  // the cones touch is written. A failed grab leaves `result` unchanged.
+  // for the endpoint log and the TNS scatter, and the largest net's tap
+  // count for the forward scratch; beyond the flags, only what the cones
+  // touch is written. A failed grab leaves `result` unchanged.
   util::Arena& arena = util::thread_arena();
   const util::ArenaScope scope(arena);
   std::uint8_t* dirty = nullptr;
   std::uint64_t* forward_heap = nullptr;
   std::uint64_t* backward_heap = nullptr;
+  NetTiming scratch_net;
+  NetSlots scratch{&scratch_net};
   EndpointLog log;
   TnsScratch tns;
   try {
     dirty = arena.grab<std::uint8_t>(n_nets);
     forward_heap = arena.grab<std::uint64_t>(n_nets);
     backward_heap = arena.grab<std::uint64_t>(n_nets);
+    scratch.taps = arena.grab<PointTiming>(max_taps_);
+    scratch.wire_delay = arena.grab<double>(max_taps_);
     log.ports = arena.grab<int>(design.ports.size());
     log.before = arena.grab<PointTiming>(design.ports.size());
     tns.by_port = arena.grab<double>(design.ports.size());
@@ -527,11 +593,11 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
     if ((flags & kLogged) != 0) return;
     flags |= kLogged;
     const Net& net = design.nets[static_cast<std::size_t>(ni)];
-    const NetTiming& nt = result.nets[static_cast<std::size_t>(ni)];
+    const PointTiming* taps = slots_of(design, result, ni).taps;
     for (std::size_t t = 0; t < net.taps.size(); ++t) {
       if (!net.taps[t].is_port) continue;
       log.ports[log.size] = net.taps[t].index;
-      log.before[log.size] = nt.taps[t];
+      log.before[log.size] = taps[t];
       ++log.size;
     }
   };
@@ -566,7 +632,6 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   // consumer instances' output nets dirty. RunControl is polled at
   // cone-frontier boundaries (every kPollStride nets, the first one
   // included), the corpus-ladder contract.
-  NetTiming scratch;
   constexpr std::size_t kPollStride = 64;
   // relmore-lint: begin-hot-loop(retime-forward-frontier)
   for (std::size_t k = 0; !forward.empty(); ++k) {
@@ -582,30 +647,31 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
           .with_net(net.name);
     }
     const int winning = forward_time_net(design, ni, *models, result, scratch);
-    NetTiming& nt = result.nets[static_cast<std::size_t>(ni)];
+    const NetSlots own = slots_of(design, result, ni);
     if (net.driver_kind == DriverKind::kInstance) {
       // Committed even on a cutoff: a tie can move the winning pin while
       // the output timing stays bitwise-identical, and a from-scratch
       // analyze would report the new winner.
       result.winning_input[static_cast<std::size_t>(net.driver_index)] = winning;
     }
-    if (same_forward_net(nt, scratch)) {
+    if (same_forward_net(own, scratch, net.taps.size())) {
       ++stats.frontier_cutoffs;
       continue;
     }
     log_endpoints(ni);
-    nt.faulted = scratch.faulted;
-    nt.driver.timed = scratch.driver.timed;
-    nt.driver.arrival = scratch.driver.arrival;
-    nt.driver.slew = scratch.driver.slew;
-    for (std::size_t t = 0; t < nt.taps.size(); ++t) {
-      PointTiming& dst = nt.taps[t];
+    NetTiming& nt = *own.net;
+    nt.faulted = scratch_net.faulted;
+    nt.driver.timed = scratch_net.driver.timed;
+    nt.driver.arrival = scratch_net.driver.arrival;
+    nt.driver.slew = scratch_net.driver.slew;
+    for (std::size_t t = 0; t < net.taps.size(); ++t) {
+      PointTiming& dst = own.taps[t];
       const PointTiming& src = scratch.taps[t];
       const bool tap_changed = !same_forward_point(dst, src);
       dst.timed = src.timed;
       dst.arrival = src.arrival;
       dst.slew = src.slew;
-      nt.wire_delay[t] = scratch.wire_delay[t];
+      own.wire_delay[t] = scratch.wire_delay[t];
       if (tap_changed && !net.taps[t].is_port) {
         const Instance& inst = design.instances[static_cast<std::size_t>(net.taps[t].index)];
         mark(kForward, forward, inst.out_net);
@@ -655,7 +721,11 @@ Result<double> endpoint_slack_checked(const Design& design, const TimingResult& 
 
 Result<double> endpoint_slack_at_checked(const Design& design, const TimingResult& result,
                                          int port_index, const std::string& port) {
-  if (port_index < 0) {
+  if (!shaped_for(design, result)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "endpoint_slack: result does not belong to this design");
+  }
+  if (port_index < 0 || static_cast<std::size_t>(port_index) >= design.ports.size()) {
     return Status(ErrorCode::kInvalidArgument, "unknown port '" + port + "'");
   }
   const auto pi = static_cast<std::size_t>(port_index);
@@ -674,7 +744,7 @@ Result<double> endpoint_slack_at_checked(const Design& design, const TimingResul
 
 Result<std::vector<PathReport>> worst_paths_checked(const Design& design,
                                                     const TimingResult& result, std::size_t k) {
-  if (result.nets.size() != design.nets.size()) {
+  if (!shaped_for(design, result)) {
     return Status(ErrorCode::kInvalidArgument,
                   "worst_paths: result does not belong to this design");
   }
@@ -682,6 +752,11 @@ Result<std::vector<PathReport>> worst_paths_checked(const Design& design,
   for (const EndpointSlack& row : result.summary.endpoints_by_slack) {
     if (out.size() >= k) break;
     if (!row.timed) continue;
+    if (row.port < 0 || static_cast<std::size_t>(row.port) >= design.ports.size() ||
+        design.ports[static_cast<std::size_t>(row.port)].is_input) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "worst_paths: endpoint row names no endpoint of this design");
+    }
     const DesignPort& port = design.ports[static_cast<std::size_t>(row.port)];
     PathReport path;
     path.endpoint = port.name;
@@ -699,11 +774,12 @@ Result<std::vector<PathReport>> worst_paths_checked(const Design& design,
       const Net& net = design.nets[static_cast<std::size_t>(ni)];
       const NetTiming& nt = result.nets[static_cast<std::size_t>(ni)];
       const Net::Tap& t = net.taps[static_cast<std::size_t>(tap)];
-      const PointTiming& tt = nt.taps[static_cast<std::size_t>(tap)];
+      const std::size_t slot = tap_slot(design, ni, tap);
+      const PointTiming& tt = result.taps[slot];
       PathPoint wire;
       wire.point = "net " + net.name + " @ " +
                    net.tree.section(t.node).name;
-      wire.incr = nt.wire_delay[static_cast<std::size_t>(tap)];
+      wire.incr = result.wire_delay[slot];
       wire.arrival = tt.arrival;
       wire.slew = tt.slew;
       rev.push_back(std::move(wire));
@@ -721,14 +797,13 @@ Result<std::vector<PathReport>> worst_paths_checked(const Design& design,
         const Instance& inst = design.instances[static_cast<std::size_t>(net.driver_index)];
         const Cell& cell = design.library.cell(static_cast<std::size_t>(inst.cell));
         const int wi = result.winning_input[static_cast<std::size_t>(net.driver_index)];
-        if (wi < 0) {
+        if (wi < 0 || static_cast<std::size_t>(wi) >= inst.inputs.size()) {
           return Status(ErrorCode::kInvalidArgument,
                         "worst_paths: untimed instance on path (inconsistent result)")
               .with_net(net.name);
         }
         const Instance::Pin& pin = inst.inputs[static_cast<std::size_t>(wi)];
-        const PointTiming& pin_t =
-            result.nets[static_cast<std::size_t>(pin.net)].taps[static_cast<std::size_t>(pin.tap)];
+        const PointTiming& pin_t = result.taps[tap_slot(design, pin.net, pin.tap)];
         PathPoint gate;
         gate.point = inst.name + " (" + cell.name + ")";
         gate.incr = nt.driver.arrival - pin_t.arrival;

@@ -5,10 +5,12 @@
 //  - a rejected corpus carries a non-ok Status and at least one error in
 //    the mirrored report;
 //  - an accepted design is finalized: the topological order covers every
-//    net, every net has a driver and a current FlatTree snapshot;
+//    net, every net has a driver and a current FlatTree snapshot, and the
+//    tap offsets are the prefix sums of the nets' tap counts;
 //  - an accepted design times end to end without an exception — the whole
 //    TimingGraph flow under kSkipAndFlag (per-net faults must be isolated,
-//    never thrown across the corpus phase).
+//    never thrown across the corpus phase) — into a result whose per-tap
+//    arrays have the design's tap total as their length.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,11 +47,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   const sta::Design& design = parsed.value();
   if (design.topo_nets.size() != design.nets.size()) std::abort();
-  for (const sta::Net& net : design.nets) {
+  if (design.tap_offset.size() != design.nets.size() + 1) std::abort();
+  std::size_t taps = 0;
+  for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
+    const sta::Net& net = design.nets[ni];
     if (net.driver_kind == sta::DriverKind::kNone) std::abort();
     if (net.flat.size() != net.tree.size()) std::abort();
     if (net.epoch != design.epoch) std::abort();
+    if (design.tap_offset[ni] != taps) std::abort();
+    taps += net.taps.size();
   }
+  if (design.tap_offset.back() != taps) std::abort();
 
   try {
     util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
@@ -59,6 +67,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     const util::Result<sta::TimingResult> result = graph.value().analyze_checked(options);
     if (!result.is_ok()) std::abort();  // flag policy: faults stay in-band
     if (result.value().nets.size() != design.nets.size()) std::abort();
+    if (result.value().taps.size() != taps || result.value().wire_delay.size() != taps) {
+      std::abort();
+    }
   } catch (...) {
     std::abort();  // no exception may cross the corpus phase
   }

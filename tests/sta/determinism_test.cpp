@@ -54,13 +54,13 @@ std::vector<std::uint64_t> bits_of(const TimingResult& r) {
     push(out, nt.driver.arrival);
     push(out, nt.driver.slew);
     push(out, nt.driver.required);
-    for (const PointTiming& t : nt.taps) {
-      push(out, t.arrival);
-      push(out, t.slew);
-      push(out, t.required);
-    }
-    for (const double w : nt.wire_delay) push(out, w);
   }
+  for (const PointTiming& t : r.taps) {
+    push(out, t.arrival);
+    push(out, t.slew);
+    push(out, t.required);
+  }
+  for (const double w : r.wire_delay) push(out, w);
   push(out, r.summary.wns);
   push(out, r.summary.tns);
   for (const EndpointSlack& e : r.summary.endpoints_by_slack) push(out, e.slack);

@@ -4,11 +4,13 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "relmore/sta/design.hpp"
 #include "relmore/timer.hpp"
@@ -72,29 +74,33 @@ TEST(TimingGraph, GoldenThreeStageArrivalsAndSlews) {
   const auto n0 = static_cast<std::size_t>(d.find_net("n0"));
   const auto n1 = static_cast<std::size_t>(d.find_net("n1"));
   const auto n2 = static_cast<std::size_t>(d.find_net("n2"));
+  // Each net here has one tap, at its own offset in the per-tap arrays.
+  const std::size_t t0 = d.tap_offset[n0];
+  const std::size_t t1 = d.tap_offset[n1];
+  const std::size_t t2 = d.tap_offset[n2];
 
   // Stage 1: step launch at clk, wire to u0's pin.
   EXPECT_TRUE(res.nets[n0].driver.timed);
   EXPECT_NEAR(res.nets[n0].driver.arrival, 0.0, kTol);
-  EXPECT_NEAR(res.nets[n0].wire_delay[0], ln2 * 50e-12, kTol);
-  EXPECT_NEAR(res.nets[n0].taps[0].arrival, ln2 * 50e-12, kTol);
-  EXPECT_NEAR(res.nets[n0].taps[0].slew, ln9 * 50e-12, kTol);
+  EXPECT_NEAR(res.wire_delay[t0], ln2 * 50e-12, kTol);
+  EXPECT_NEAR(res.taps[t0].arrival, ln2 * 50e-12, kTol);
+  EXPECT_NEAR(res.taps[t0].slew, ln9 * 50e-12, kTol);
 
   // Stage 2: u0 (31 ps, output slew 0), wire n1.
   EXPECT_NEAR(res.nets[n1].driver.arrival, ln2 * 50e-12 + 31e-12, kTol);
   EXPECT_NEAR(res.nets[n1].driver.slew, 0.0, kTol);
-  EXPECT_NEAR(res.nets[n1].wire_delay[0], ln2 * 15e-12, kTol);
+  EXPECT_NEAR(res.wire_delay[t1], ln2 * 15e-12, kTol);
 
   // Stage 3: u1 (55 ps), wire n2 to the endpoint.
   EXPECT_NEAR(res.nets[n2].driver.arrival, 86e-12 + ln2 * 65e-12, kTol);
-  EXPECT_NEAR(res.nets[n2].wire_delay[0], ln2 * 10e-12, kTol);
+  EXPECT_NEAR(res.wire_delay[t2], ln2 * 10e-12, kTol);
   const double endpoint_arrival = 86e-12 + ln2 * 75e-12;
-  EXPECT_NEAR(res.nets[n2].taps[0].arrival, endpoint_arrival, kTol);
+  EXPECT_NEAR(res.taps[t2].arrival, endpoint_arrival, kTol);
 
   // Required times back-propagate through the same stage delays.
-  EXPECT_NEAR(res.nets[n2].taps[0].required, 200e-12, kTol);
+  EXPECT_NEAR(res.taps[t2].required, 200e-12, kTol);
   EXPECT_NEAR(res.nets[n2].driver.required, 200e-12 - ln2 * 10e-12, kTol);
-  EXPECT_NEAR(res.nets[n1].taps[0].required, 200e-12 - ln2 * 10e-12 - 55e-12, kTol);
+  EXPECT_NEAR(res.taps[t1].required, 200e-12 - ln2 * 10e-12 - 55e-12, kTol);
   EXPECT_TRUE(res.nets[n0].driver.constrained);
 
   // Summary.
@@ -150,6 +156,59 @@ TEST(TimingGraph, WorstPathBacktracksLaunchToEndpoint) {
   EXPECT_NE(text.find("slack"), std::string::npos);
   EXPECT_EQ(text.find("(VIOLATED)"), std::string::npos);  // slack is positive
   EXPECT_FALSE(format_summary(res.summary).empty());
+}
+
+// The slack and path readers check the result they are handed by the four
+// lengths update_checked checks, and bound every port index they read, so
+// an empty, hollow or foreign result is rejected, never read out of bounds.
+TEST(TimingGraph, ReadersRejectResultsOfAnotherShape) {
+  const Design d = parse(kGolden);
+  const TimingResult res = analyze(d);
+  const int out = d.find_port("out");
+
+  // Another design with the same nets and instances and one tap more.
+  std::string text = kGolden;
+  text.replace(text.find("clock 1n\n"), 9, "output out2 n1:s0 required=300p\nclock 1n\n");
+  const Design other_design = parse(text);
+  ASSERT_EQ(other_design.nets.size(), d.nets.size());
+  ASSERT_NE(other_design.tap_offset.back(), d.tap_offset.back());
+  const TimingResult other = analyze(other_design);
+  const TimingResult empty;
+  const TimingResult hollow = [&res] {  // every tap timing dropped
+    TimingResult r = res;
+    r.taps.clear();
+    r.wire_delay.clear();
+    return r;
+  }();
+
+  for (const TimingResult* bad : {&empty, &other, &hollow}) {
+    EXPECT_EQ(endpoint_slack_checked(d, *bad, "out").status().code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(endpoint_slack_at_checked(d, *bad, out, "out").status().code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(worst_paths_checked(d, *bad, 3).status().code(), ErrorCode::kInvalidArgument);
+  }
+
+  // A port index one past the last port: queried directly, or named by an
+  // endpoint row; an input port named by a row; a winning pin past the
+  // instance's pins.
+  const int past = static_cast<int>(d.ports.size());
+  EXPECT_EQ(endpoint_slack_at_checked(d, res, past, "past").status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(endpoint_slack_checked(d, res, "past").status().code(), ErrorCode::kInvalidArgument);
+  for (const int port : {past, d.find_port("clk")}) {
+    TimingResult bad_row = res;
+    bad_row.summary.endpoints_by_slack[0].port = port;
+    EXPECT_EQ(worst_paths_checked(d, bad_row, 3).status().code(), ErrorCode::kInvalidArgument)
+        << port;
+  }
+  TimingResult bad_pin = res;
+  bad_pin.winning_input[0] = 1;  // u0 has one input pin
+  EXPECT_EQ(worst_paths_checked(d, bad_pin, 3).status().code(), ErrorCode::kInvalidArgument);
+
+  // The checked result itself still reads.
+  EXPECT_TRUE(endpoint_slack_at_checked(d, res, out, "out").is_ok());
+  EXPECT_TRUE(worst_paths_checked(d, res, 3).is_ok());
 }
 
 TEST(TimingGraph, UnconstrainedEndpointsAreExcludedFromWnsTns) {
@@ -227,20 +286,23 @@ TEST(TimingGraph, FaultedNetPoisonsOnlyItsOwnCone) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Bitwise equality of two timings of one net: fault flag, every point,
-/// every wire delay.
-void expect_same_net(const NetTiming& got, const NetTiming& want, const std::string& net) {
+/// Bitwise equality of net `ni`'s timings in two results of `design`'s
+/// shape: fault flag, every point, every wire delay.
+void expect_same_net(const Design& design, const TimingResult& got, const TimingResult& want,
+                     std::size_t ni) {
   const auto same = [](const PointTiming& a, const PointTiming& b) {
     return a.timed == b.timed && a.constrained == b.constrained &&
            bits(a.arrival) == bits(b.arrival) && bits(a.slew) == bits(b.slew) &&
            bits(a.required) == bits(b.required);
   };
-  EXPECT_EQ(got.faulted, want.faulted) << net;
-  EXPECT_TRUE(same(got.driver, want.driver)) << net;
+  const std::string& net = design.nets[ni].name;
+  EXPECT_EQ(got.nets[ni].faulted, want.nets[ni].faulted) << net;
+  EXPECT_TRUE(same(got.nets[ni].driver, want.nets[ni].driver)) << net;
   ASSERT_EQ(got.taps.size(), want.taps.size()) << net;
-  for (std::size_t t = 0; t < want.taps.size(); ++t) {
-    EXPECT_TRUE(same(got.taps[t], want.taps[t])) << net << " tap " << t;
-    EXPECT_EQ(bits(got.wire_delay[t]), bits(want.wire_delay[t])) << net << " tap " << t;
+  ASSERT_EQ(got.wire_delay.size(), want.wire_delay.size()) << net;
+  for (std::size_t t = design.tap_offset[ni]; t < design.tap_offset[ni + 1]; ++t) {
+    EXPECT_TRUE(same(got.taps[t], want.taps[t])) << net << " tap slot " << t;
+    EXPECT_EQ(bits(got.wire_delay[t]), bits(want.wire_delay[t])) << net << " tap slot " << t;
   }
 }
 
@@ -274,18 +336,19 @@ TEST(TimingGraph, WireStageWithNoCrossingPoisonsOnlyItsOwnCone) {
   // their endpoints.
   EXPECT_TRUE(res.nets[net("nb")].faulted);
   EXPECT_TRUE(res.nets[net("nb")].driver.timed);  // the launch itself is timed
-  for (const PointTiming& tap : res.nets[net("nb")].taps) EXPECT_FALSE(tap.timed);
   EXPECT_FALSE(res.nets[net("nd")].driver.timed);
-  for (const PointTiming& tap : res.nets[net("nd")].taps) EXPECT_FALSE(tap.timed);
+  for (const char* name : {"nb", "nd"}) {
+    for (std::size_t t = d.tap_offset[net(name)]; t < d.tap_offset[net(name) + 1]; ++t) {
+      EXPECT_FALSE(res.taps[t].timed) << name << " tap slot " << t;
+    }
+  }
   EXPECT_EQ(res.summary.untimed_endpoints, 2u);
   EXPECT_EQ(endpoint_slack_checked(d, res, "ob").status().code(), ErrorCode::kNonFiniteMoment);
   EXPECT_EQ(endpoint_slack_checked(d, res, "pb").status().code(), ErrorCode::kNonFiniteMoment);
 
   // The neighbouring path a -> na -> u0 -> nc -> oa keeps its bits.
-  for (const char* name : {"na", "nc"}) {
-    expect_same_net(res.nets[net(name)], want.nets[net(name)], name);
-  }
-  EXPECT_TRUE(res.nets[net("nc")].taps[0].timed);
+  for (const char* name : {"na", "nc"}) expect_same_net(d, res, want, net(name));
+  EXPECT_TRUE(res.taps[d.tap_offset[net("nc")]].timed);
 
   // An incremental commit on the clean path, with the faulted cone
   // standing, matches a from-scratch analyze of the edited design.
@@ -301,7 +364,7 @@ TEST(TimingGraph, WireStageWithNoCrossingPoisonsOnlyItsOwnCone) {
   const TimingResult& updated = *timer.result();
   ASSERT_EQ(updated.nets.size(), fresh.nets.size());
   for (std::size_t ni = 0; ni < fresh.nets.size(); ++ni) {
-    expect_same_net(updated.nets[ni], fresh.nets[ni], timer.design()->nets[ni].name);
+    expect_same_net(*timer.design(), updated, fresh, ni);
   }
   EXPECT_EQ(bits(updated.summary.wns), bits(fresh.summary.wns));
   EXPECT_EQ(bits(updated.summary.tns), bits(fresh.summary.tns));
@@ -327,6 +390,28 @@ TEST(TimingGraph, BuildRejectsUnfinalizedDesigns) {
   EXPECT_EQ(g.status().net(), "n0");
   EXPECT_EQ(TimingGraph::check_snapshot(d.nets[0]).code(), ErrorCode::kInvalidArgument);
   EXPECT_TRUE(TimingGraph::check_snapshot(d.nets[1]).is_ok());
+}
+
+// Results lay out their per-tap arrays by Design::tap_offset, and the
+// result guards compare only the tap total, so build_checked holds the
+// offsets to the nets' tap counts once per load.
+TEST(TimingGraph, BuildRejectsTapOffsetsThatDoNotMatchTheTaps) {
+  const Design d = parse(kGolden);
+  ASSERT_EQ(d.tap_offset, (std::vector<std::size_t>{0, 1, 2, 3}));  // n0, n1, n2: one tap each
+  ASSERT_TRUE(TimingGraph::build_checked(d).is_ok());
+
+  Design missing = d;
+  missing.tap_offset.clear();
+  util::Result<TimingGraph> g = TimingGraph::build_checked(missing);
+  ASSERT_FALSE(g.is_ok());
+  EXPECT_EQ(g.status().code(), ErrorCode::kInvalidArgument);
+
+  Design off = d;
+  off.tap_offset[2] += 1;  // n1 now claims two taps
+  g = TimingGraph::build_checked(off);
+  ASSERT_FALSE(g.is_ok());
+  EXPECT_EQ(g.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(g.status().net(), "n1");
 }
 
 // update_checked visits nets in (level, index) order, which is only
