@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,6 +34,24 @@ void BM_EedAnalyze(benchmark::State& state) {
   state.counters["sections"] = static_cast<double>(tree.size());
 }
 BENCHMARK(BM_EedAnalyze)->DenseRange(4, 14, 2)->Complexity(benchmark::oN);
+
+// The STA corpus phase's form of the same analysis: both passes over every
+// node into reused scratch, eqs. 29–30 at one requested node (the deepest).
+void BM_EedNodeModels(benchmark::State& state) {
+  const circuit::FlatTree tree(tree_of(static_cast<int>(state.range(0))));
+  const auto deepest = static_cast<circuit::SectionId>(
+      std::max_element(tree.level().begin(), tree.level().end()) - tree.level().begin());
+  const std::vector<circuit::SectionId> nodes = {deepest};
+  std::vector<double> scratch(eed::node_scratch_size(tree.size()));
+  eed::NodeModel out;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eed::analyze_nodes_checked(tree, nodes, &out, scratch));
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(tree.size()));
+  state.counters["sections"] = static_cast<double>(tree.size());
+}
+BENCHMARK(BM_EedNodeModels)->DenseRange(4, 14, 2)->Complexity(benchmark::oN);
 
 void BM_EngineSingleEdit(benchmark::State& state) {
   engine::TimingEngine eng(tree_of(static_cast<int>(state.range(0))));

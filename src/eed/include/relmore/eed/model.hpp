@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "relmore/circuit/flat_tree.hpp"
@@ -143,6 +144,32 @@ void analyze_values(const circuit::FlatTree& topology, const double* resistance,
                                                       const AnalyzeOptions& options = {});
 [[nodiscard]] util::Result<TreeModel> analyze_checked(const circuit::FlatTree& tree,
                                                       const AnalyzeOptions& options = {});
+
+/// Doubles of caller scratch analyze_nodes_checked needs for a tree of
+/// `sections` sections: the subtree capacitance, SR and SL of every node.
+[[nodiscard]] constexpr std::size_t node_scratch_size(std::size_t sections) {
+  return 3 * sections;
+}
+
+/// The analysis read at a few nodes. Runs the full kernel's two passes
+/// over every node of `tree` into `scratch` (at least
+/// node_scratch_size(tree.size()) doubles, uninitialized is fine), applies
+/// the same guard verdict and fault policy over every node, and evaluates
+/// eqs. 29–30 only at `nodes`: out[k] is the model of nodes[k] (any order,
+/// repeats allowed; `out` has nodes.size() slots). The two entries share
+/// one copy of the pass arithmetic and of the guard, so out[k] is
+/// bitwise-equal to analyze(tree, options).at(nodes[k]) — poisoned or
+/// clamped alike under the flag policies — while a successful call
+/// allocates nothing and the per-node sqrt and divides are paid only
+/// where a result is read.
+/// Returns the number of faulted nodes in the whole tree (TreeModel's
+/// `fault_count`). Errors: kEmptyTree; kInvalidArgument for a node
+/// outside the tree (naming it, before any pass runs) or for short
+/// scratch; under kThrow, the first faulted node's kNonFiniteMoment or
+/// kNegativeMoment, as analyze_checked reports it.
+[[nodiscard]] util::Result<std::size_t> analyze_nodes_checked(
+    const circuit::FlatTree& tree, std::span<const circuit::SectionId> nodes, NodeModel* out,
+    std::span<double> scratch, const AnalyzeOptions& options = {});
 
 /// Cost accounting of one whole-tree analysis.
 struct AnalyzeStats {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "relmore/engine/worker_pool.hpp"
+#include "relmore/util/arena.hpp"
 
 namespace relmore::sta {
 
@@ -22,22 +23,6 @@ namespace {
 /// The phase never unwinds across workers: kThrow is resolved at the join.
 FaultPolicy phase_policy(FaultPolicy requested) {
   return requested == FaultPolicy::kThrow ? FaultPolicy::kSkipAndFlag : requested;
-}
-
-/// Extracts the tap-node models of one net from a full TreeModel.
-void fill_from_model(const Net& net, const eed::TreeModel& model, NetModels& out) {
-  out.taps.resize(net.taps.size());
-  for (std::size_t t = 0; t < net.taps.size(); ++t) {
-    out.taps[t] = model.at(net.taps[t].node);
-  }
-  // A fault anywhere in the tree poisons root-path sums; flag the net even
-  // when no tap node carries a flag bit itself.
-  if (!model.fault_free()) {
-    out.faulted = true;
-    out.status = Status(ErrorCode::kNonFiniteMoment,
-                        "net has " + std::to_string(model.fault_count) + " faulted node(s)")
-                     .with_net(net.name);
-  }
 }
 
 /// Sorts a phase exception into the degradation ladder's two bins.
@@ -110,14 +95,32 @@ std::uint64_t options_fingerprint(const AnalyzeOptions& options) {
 
 NetModels analyze_net(const Net& net, const AnalyzeOptions& options) {
   NetModels out;
+  const std::size_t n_taps = net.taps.size();
+  util::Arena& arena = util::thread_arena();
+  const util::ArenaScope scope(arena);
+  circuit::SectionId* nodes = arena.grab<circuit::SectionId>(n_taps);
+  const std::size_t scratch_size = eed::node_scratch_size(net.flat.size());
+  double* scratch = arena.grab<double>(scratch_size);
+  for (std::size_t t = 0; t < n_taps; ++t) nodes[t] = net.taps[t].node;
+  out.taps.resize(n_taps);
   const eed::AnalyzeOptions scalar_opts{phase_policy(options.fault_policy)};
-  Result<eed::TreeModel> model = eed::analyze_checked(net.flat, scalar_opts);
-  if (!model.is_ok()) {
+  const Result<std::size_t> faulted =
+      eed::analyze_nodes_checked(net.flat, {nodes, n_taps}, out.taps.data(),
+                                 {scratch, scratch_size}, scalar_opts);
+  if (!faulted.is_ok()) {
+    out.taps.clear();
     out.faulted = true;
-    out.status = model.status().with_net(net.name);
+    out.status = faulted.status().with_net(net.name);
     return out;
   }
-  fill_from_model(net, model.value(), out);
+  // A fault anywhere in the tree poisons root-path sums; flag the net even
+  // when no tap node is faulted itself.
+  if (faulted.value() > 0) {
+    out.faulted = true;
+    out.status = Status(ErrorCode::kNonFiniteMoment,
+                        "net has " + std::to_string(faulted.value()) + " faulted node(s)")
+                     .with_net(net.name);
+  }
   out.analyzed = true;
   return out;
 }

@@ -5,11 +5,13 @@
 /// parallel phase, with the same bitwise-reproducibility contract as the
 /// per-tree kernels.
 ///
-/// Dispatch: every net the cache does not serve runs the scalar
-/// `eed::analyze_checked` on its FlatTree, one task per net across an
-/// engine::WorkerPool. Each task writes only its own per-net
-/// slot, so the corpus result is a pure function of the design —
-/// independent of thread count and scheduling.
+/// Dispatch: every net the cache does not serve runs analyze_net, one
+/// task per net across an engine::WorkerPool: the scalar kernel's two
+/// moment passes over the whole tree, eqs. 29–30 at the net's tap nodes
+/// only (`eed::analyze_nodes_checked`, scratch from the worker's
+/// util::thread_arena()). Each task writes only its own per-net slot, so
+/// the corpus result is a pure function of the design — independent of
+/// thread count and scheduling.
 ///
 /// Faults: one malformed net must not kill a 10^5-net run. The phase
 /// always executes under a flag policy; what the *caller* asked for is
@@ -79,11 +81,11 @@ struct AnalyzeOptions {
   CorpusCache* cache = nullptr;
 };
 
-/// Moment models of one net, at its tap nodes only (the timing graph
-/// reads nothing else; storing full TreeModels for 10^5 nets would be
-/// most of the corpus' memory for no reader).
+/// Moment models of one net, at its tap nodes only: the timing graph
+/// reads nothing else, so nothing else is computed past the moment sums
+/// or stored.
 struct NetModels {
-  std::vector<eed::NodeModel> taps;  ///< parallel to Net::taps
+  std::vector<eed::NodeModel> taps;  ///< parallel to Net::taps; empty unless analyzed
   bool analyzed = false;  ///< taps hold real results (false: faulted or not run)
   bool faulted = false;
   util::Status status;               ///< why, when faulted
@@ -166,13 +168,19 @@ class CorpusCache {
 /// poisoning slots.
 [[nodiscard]] std::uint64_t options_fingerprint(const AnalyzeOptions& options);
 
-/// One net's tap models: `eed::analyze_checked` on `net.flat` under the
-/// phase fault policy of `options`. Never fails: a rejected tree comes
-/// back `faulted` with its status, a degenerate one `analyzed` and
-/// `faulted`; only `analyzed && !faulted` models belong in a CorpusCache.
-/// The corpus phase computes every net it schedules with this, so a net
-/// restamped here (relmore::Timer after an edit) carries the corpus
-/// phase's bits by construction.
+/// One net's tap models: `eed::analyze_nodes_checked` on `net.flat` at
+/// the tap nodes, under the phase fault policy of `options`, with its
+/// scratch from util::thread_arena(); each tap model is bitwise-equal to
+/// a full `eed::analyze` at that node. A rejected net (empty tree, a tap
+/// node outside the tree) comes back `faulted` with its status naming
+/// the net, a degenerate one `analyzed` and `faulted`; only
+/// `analyzed && !faulted` models belong in a CorpusCache. Throws only
+/// std::bad_alloc, when the scratch grab or the tap vector cannot be
+/// had: a transient the corpus ladder retries and relmore::Timer's
+/// restamp turns into dropping its cached analysis. The corpus phase
+/// computes every net it schedules with this, so a net restamped here
+/// (relmore::Timer after an edit) carries the corpus phase's bits by
+/// construction.
 [[nodiscard]] NetModels analyze_net(const Net& net, const AnalyzeOptions& options = {});
 
 /// Analyzes every net of `design`. Returns a Status only for caller

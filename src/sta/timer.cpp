@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <ostream>
@@ -410,11 +411,19 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   // --- restamp the cache at the new epoch with the corpus phase's own
   // per-net step. A faulted model is NOT stored — the next analyze
   // recomputes the net with full fault handling — and disables the
-  // in-place re-time (its cone could not be served).
+  // in-place re-time (its cone could not be served). So does a failed
+  // workspace grab: the corpus phase retries it, a commit drops its
+  // analysis instead.
   const std::uint64_t fingerprint = sta::options_fingerprint(options);
   for (const int ni : touched) {
     const sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
-    sta::NetModels models = sta::analyze_net(net, options);
+    sta::NetModels models;
+    try {
+      models = sta::analyze_net(net, options);
+    } catch (const std::bad_alloc&) {
+      can_update = false;
+      continue;
+    }
     if (!models.analyzed || models.faulted) {
       can_update = false;
       continue;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <new>
+#include <string>
 
 #include "relmore/eed/response.hpp"
 #include "relmore/util/arena.hpp"
@@ -454,12 +455,24 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
   }
   std::size_t max_taps = 0;
   for (std::size_t ni = 0; ni < n_nets; ++ni) {
-    const std::size_t taps = design.nets[ni].taps.size();
+    const Net& net = design.nets[ni];
+    const std::size_t taps = net.taps.size();
     if (offset[ni + 1] != offset[ni] + taps) {
       return Status(ErrorCode::kInvalidArgument,
                     "TimingGraph: tap offsets do not match the net's tap count "
                     "(re-run read_design)")
-          .with_net(design.nets[ni].name);
+          .with_net(net.name);
+    }
+    // The corpus phase evaluates the net's models at its tap nodes only.
+    for (const Net::Tap& tap : net.taps) {
+      if (tap.node < 0 || static_cast<std::size_t>(tap.node) >= net.flat.size()) {
+        return Status(ErrorCode::kInvalidArgument,
+                      "TimingGraph: tap node " + std::to_string(tap.node) +
+                          " is outside the net's " + std::to_string(net.flat.size()) +
+                          " sections",
+                      tap.node)
+            .with_net(net.name);
+      }
     }
     max_taps = std::max(max_taps, taps);
   }

@@ -2,15 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "relmore/circuit/builders.hpp"
+#include "relmore/circuit/flat_tree.hpp"
+#include "relmore/circuit/random_tree.hpp"
 
 namespace relmore::eed {
 namespace {
 
 using circuit::RlcTree;
 using circuit::SectionId;
+using util::ErrorCode;
+using util::FaultPolicy;
 
 TEST(Model, SingleSectionMatchesPaperEq14And15) {
   // Paper eqs. 14-15: for a single RLC section, zeta = (R/2) sqrt(C/L),
@@ -129,6 +140,192 @@ TEST_P(BalancedSinkSweep, SinksIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Model, BalancedSinkSweep, ::testing::Values(2, 3, 4));
+
+// --- analyze_nodes_checked: the tap-node entry, with eed::analyze as the
+// reference ------------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const NodeModel& got, const NodeModel& want, const std::string& where) {
+  EXPECT_EQ(bits(got.sum_rc), bits(want.sum_rc)) << where;
+  EXPECT_EQ(bits(got.sum_lc), bits(want.sum_lc)) << where;
+  EXPECT_EQ(bits(got.zeta), bits(want.zeta)) << where;
+  EXPECT_EQ(bits(got.omega_n), bits(want.omega_n)) << where;
+}
+
+/// Every root and every leaf, plus a seeded scatter, in no sorted order
+/// and with repeats.
+std::vector<SectionId> requested_nodes(const circuit::FlatTree& flat, std::uint64_t seed) {
+  std::vector<SectionId> nodes = flat.leaves();
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    if (flat.parent()[i] == circuit::kInput) nodes.push_back(static_cast<SectionId>(i));
+  }
+  circuit::Rng rng(seed);
+  const int last = static_cast<int>(flat.size()) - 1;
+  for (int k = 0; k < 8; ++k) nodes.push_back(rng.uniform_int(0, last));
+  nodes.push_back(nodes.front());
+  nodes.push_back(nodes.back());
+  std::reverse(nodes.begin(), nodes.end());
+  std::swap(nodes.front(), nodes[nodes.size() / 2]);
+  return nodes;
+}
+
+/// The node entry's answer at `nodes`, over scratch that starts as
+/// garbage: the entry must write every scratch value before it reads it.
+struct NodeAnswer {
+  util::Status status;
+  std::size_t faulted = 0;
+  std::vector<NodeModel> models;
+};
+
+NodeAnswer analyze_at(const circuit::FlatTree& flat, const std::vector<SectionId>& nodes,
+                      FaultPolicy policy) {
+  NodeAnswer answer;
+  answer.models.resize(nodes.size());
+  std::vector<double> scratch(node_scratch_size(flat.size()),
+                              std::numeric_limits<double>::quiet_NaN());
+  const util::Result<std::size_t> r =
+      analyze_nodes_checked(flat, nodes, answer.models.data(), scratch, AnalyzeOptions{policy});
+  if (r.is_ok()) {
+    answer.faulted = r.value();
+  } else {
+    answer.status = r.status();
+  }
+  return answer;
+}
+
+/// Compares the node entry with analyze_checked on `tree` under `policy`:
+/// the same error (code and node), or the same faulted-node count and the
+/// same bits at every requested node.
+void expect_same_answer(const RlcTree& tree, FaultPolicy policy, std::uint64_t seed,
+                        const std::string& where) {
+  const circuit::FlatTree flat(tree);
+  const std::vector<SectionId> nodes = requested_nodes(flat, seed);
+  const util::Result<TreeModel> full = analyze_checked(flat, AnalyzeOptions{policy});
+  const NodeAnswer got = analyze_at(flat, nodes, policy);
+  if (!full.is_ok()) {
+    EXPECT_EQ(got.status.code(), full.status().code()) << where;
+    EXPECT_EQ(got.status.node(), full.status().node()) << where;
+    return;
+  }
+  ASSERT_TRUE(got.status.is_ok()) << where << ": " << got.status.to_string();
+  EXPECT_EQ(got.faulted, full.value().fault_count) << where;
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    expect_same_bits(got.models[k], full.value().at(nodes[k]),
+                     where + " node " + std::to_string(nodes[k]));
+  }
+}
+
+TEST(AnalyzeNodes, MatchesTheFullAnalysisBitForBit) {
+  // RC, RLC and mixed trees of 1 to 4095 sections, with the RLC
+  // inductances scaled across six decades so the damping at the requested
+  // nodes sweeps through zeta = 1.
+  std::size_t underdamped = 0;
+  std::size_t overdamped = 0;
+  std::uint64_t seed = 0;
+  for (const int sections : {1, 2, 3, 17, 200, 1023, 4095}) {
+    for (const char* kind : {"RC", "RLC", "mixed"}) {
+      for (const double l_scale : {1e-3, 1.0, 1e3}) {
+        if (std::string(kind) == "RC" && l_scale != 1.0) continue;
+        ++seed;
+        circuit::RandomTreeSpec spec;
+        spec.min_sections = sections;
+        spec.max_sections = sections;
+        if (std::string(kind) == "RC") {
+          spec.inductance_lo = 0.0;
+          spec.inductance_hi = 0.0;
+        } else {
+          spec.inductance_lo *= l_scale;
+          spec.inductance_hi *= l_scale;
+        }
+        RlcTree tree = circuit::make_random_tree(spec, seed);
+        ASSERT_EQ(tree.size(), static_cast<std::size_t>(sections));
+        if (std::string(kind) == "mixed") {
+          for (std::size_t i = 0; i < tree.size(); i += 2) {
+            tree.values(static_cast<SectionId>(i)).inductance = 0.0;
+          }
+        }
+        const std::string where = std::to_string(sections) + "-section " + kind + " x" +
+                                  std::to_string(l_scale) + " seed " + std::to_string(seed);
+        expect_same_answer(tree, FaultPolicy::kThrow, seed, where);
+
+        const circuit::FlatTree flat(tree);
+        const TreeModel full = analyze(flat);
+        for (const SectionId node : requested_nodes(flat, seed)) {
+          const double zeta = full.at(node).zeta;
+          if (zeta < 1.0) ++underdamped;
+          if (zeta > 1.0 && std::isfinite(zeta)) ++overdamped;
+        }
+      }
+    }
+  }
+  EXPECT_GT(underdamped, 0u);
+  EXPECT_GT(overdamped, 0u);
+}
+
+TEST(AnalyzeNodes, DegenerateTreesGetTheFullAnalysisVerdict) {
+  // The three degenerate sections of AnalyzeGuards.*: a NaN C, a negative
+  // L and an overflowing R*C, planted mid-tree. kThrow must name the same
+  // node with the same code; the flag policies must count the same
+  // faulted nodes and return the same poisoned or clamped bits.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t seed = 100;
+  for (const int sections : {1, 7, 255}) {
+    ++seed;
+    circuit::RandomTreeSpec spec;
+    spec.min_sections = sections;
+    spec.max_sections = sections;
+    const RlcTree healthy = circuit::make_random_tree(spec, seed);
+    const auto mid = static_cast<SectionId>(healthy.size() / 2);
+    std::vector<std::pair<const char*, RlcTree>> cases(3, {"NaN C", healthy});
+    cases[0].second.values(mid).capacitance = kNaN;
+    cases[1].first = "negative L";
+    cases[1].second.values(mid).inductance = -1e-6;
+    cases[2].first = "overflow";
+    cases[2].second.values(mid) = {1e308, 0.0, 1e308};
+    for (const auto& [label, tree] : cases) {
+      const util::Result<TreeModel> thrown = analyze_checked(tree);
+      ASSERT_FALSE(thrown.is_ok()) << label;  // the fault must register
+      for (const FaultPolicy policy :
+           {FaultPolicy::kThrow, FaultPolicy::kClampAndFlag, FaultPolicy::kSkipAndFlag}) {
+        expect_same_answer(tree, policy, seed,
+                           std::string(label) + " in " + std::to_string(sections) +
+                               " sections, policy " +
+                               std::to_string(static_cast<int>(policy)));
+      }
+    }
+  }
+}
+
+TEST(AnalyzeNodes, RejectsEmptyTreesNodesOutsideTheTreeAndShortScratch) {
+  const circuit::FlatTree empty;
+  NodeModel out;
+  std::vector<double> scratch(16);
+  EXPECT_EQ(analyze_nodes_checked(empty, {}, &out, scratch).status().code(),
+            ErrorCode::kEmptyTree);
+
+  const circuit::FlatTree flat(circuit::make_line(4, {10.0, 1e-9, 0.1e-12}));
+  for (const SectionId outside : {SectionId{4}, SectionId{999}, circuit::kInput}) {
+    const std::vector<SectionId> nodes = {0, outside};
+    std::vector<NodeModel> models(nodes.size());
+    const util::Result<std::size_t> r =
+        analyze_nodes_checked(flat, nodes, models.data(), scratch);
+    ASSERT_FALSE(r.is_ok()) << outside;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << outside;
+    EXPECT_EQ(r.status().node(), outside);
+    EXPECT_NE(r.status().message().find(std::to_string(outside)), std::string::npos)
+        << r.status().message();
+  }
+
+  const std::vector<SectionId> last = {3};
+  std::vector<double> short_scratch(node_scratch_size(flat.size()) - 1);
+  EXPECT_EQ(analyze_nodes_checked(flat, last, &out, short_scratch).status().code(),
+            ErrorCode::kInvalidArgument);
+  const util::Result<std::size_t> ok = analyze_nodes_checked(flat, last, &out, scratch);
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value(), 0u);
+  expect_same_bits(out, analyze(flat).at(3), "line tail");
+}
 
 }  // namespace
 }  // namespace relmore::eed

@@ -330,6 +330,46 @@ TEST(CorpusLadder, TransientPoolFaultIsRetriedAndSurfaced) {
   }
 }
 
+TEST(CorpusLadder, WorkspaceAllocationFailureIsRetried) {
+  InjectorGuard guard;
+  const sta::Design design = small_design();
+  for (const unsigned threads : {1u, 2u}) {
+    sta::AnalyzeOptions options;
+    options.threads = threads;
+    const auto clean = sta::analyze_corpus_checked(design, options);
+    ASSERT_TRUE(clean.is_ok());
+    ASSERT_EQ(clean.value().faulted_nets, 0u);
+
+    // One net's scratch grab fails: a transient, retried on the next round.
+    ASSERT_TRUE(FaultInjector::instance().arm_spec("arena-alloc:every=1:limit=1").is_ok());
+    const auto faulty = sta::analyze_corpus_checked(design, options);
+    EXPECT_EQ(FaultInjector::instance().fire_count(FaultSite::kArenaAlloc), 1u);
+    FaultInjector::instance().disarm_all();
+    ASSERT_TRUE(faulty.is_ok()) << faulty.status().message();
+    const sta::CorpusModels& models = faulty.value();
+    EXPECT_EQ(models.faulted_nets, 0u) << threads;
+    EXPECT_EQ(models.quarantined_nets, 0u) << threads;
+    std::size_t warnings = 0;
+    for (const ru::Diagnostic& d : models.diagnostics.entries()) {
+      if (d.warning && d.code == ErrorCode::kResourceExhausted) ++warnings;
+    }
+    EXPECT_EQ(warnings, 1u) << threads;
+    ASSERT_EQ(models.nets.size(), clean.value().nets.size());
+    for (std::size_t ni = 0; ni < models.nets.size(); ++ni) {
+      const sta::NetModels& a = clean.value().nets[ni];
+      const sta::NetModels& b = models.nets[ni];
+      EXPECT_TRUE(b.analyzed) << ni;
+      ASSERT_EQ(a.taps.size(), b.taps.size()) << ni;
+      for (std::size_t t = 0; t < a.taps.size(); ++t) {
+        EXPECT_EQ(bits(a.taps[t].sum_rc), bits(b.taps[t].sum_rc));
+        EXPECT_EQ(bits(a.taps[t].sum_lc), bits(b.taps[t].sum_lc));
+        EXPECT_EQ(bits(a.taps[t].zeta), bits(b.taps[t].zeta));
+        EXPECT_EQ(bits(a.taps[t].omega_n), bits(b.taps[t].omega_n));
+      }
+    }
+  }
+}
+
 TEST(CorpusLadder, PersistentFaultQuarantinesInsteadOfThrowing) {
   InjectorGuard guard;
   const sta::Design design = small_design();

@@ -9,9 +9,12 @@
 #include "relmore/sta/corpus.hpp"
 #include "relmore/sta/synthetic.hpp"
 #include "relmore/sta/timing_graph.hpp"
+#include "relmore/util/diagnostics.hpp"
 
 namespace relmore::sta {
 namespace {
+
+using util::ErrorCode;
 
 /// The corpus contract under test: the thread count (and its env
 /// override) never changes a single output bit.
@@ -119,6 +122,39 @@ TEST(Determinism, EnvThreadOverrideDoesNotChangeResults) {
   const std::vector<std::uint64_t> via_env = bits_of(run_timing(d, from_env));
   unsetenv("RELMORE_THREADS");
   EXPECT_EQ(via_env, reference);
+}
+
+// A tap node outside its net is that net's own data fault: the net comes
+// back faulted with kInvalidArgument naming it and the node, is not a
+// transient to retry or quarantine, and leaves every other net's bits as a
+// clean run has them.
+TEST(Corpus, TapNodeOutsideItsNetFaultsOnlyThatNet) {
+  Design d = synthetic_design();
+  const std::vector<std::uint64_t> clean = bits_of(run_corpus(d, AnalyzeOptions{}));
+  constexpr std::size_t kBad = 5;
+  ASSERT_FALSE(d.nets[kBad].taps.empty());
+  d.nets[kBad].taps.back().node = 999;
+  ASSERT_LT(d.nets[kBad].flat.size(), 999u);
+  for (const unsigned threads : {1u, 2u}) {
+    AnalyzeOptions o;
+    o.threads = threads;
+    CorpusModels corpus = run_corpus(d, o);
+    EXPECT_EQ(corpus.faulted_nets, 1u) << threads;
+    EXPECT_EQ(corpus.quarantined_nets, 0u) << threads;
+    const NetModels& bad = corpus.nets[kBad];
+    EXPECT_TRUE(bad.faulted);
+    EXPECT_FALSE(bad.analyzed);
+    EXPECT_EQ(bad.status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(bad.status.net(), d.nets[kBad].name);
+    EXPECT_EQ(bad.status.node(), 999);
+    for (const util::Diagnostic& diag : corpus.diagnostics.entries()) {
+      EXPECT_FALSE(diag.warning) << diag.message;  // no ladder round caught anything
+    }
+    // Every other net keeps the clean run's bits: swap the clean verdict
+    // back in for the bad net and compare the whole corpus.
+    corpus.nets[kBad] = run_corpus(synthetic_design(), AnalyzeOptions{}).nets[kBad];
+    EXPECT_EQ(bits_of(corpus), clean) << threads;
+  }
 }
 
 }  // namespace

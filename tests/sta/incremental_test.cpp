@@ -679,6 +679,58 @@ TEST(UpdateChecked, WorkspaceAllocationFailureLeavesTheResultUntouched) {
   expect_bitwise_equal(*timer.result(), oracle(*timer.design()));
 }
 
+// A commit restamps each edited net's cache slot with sta::analyze_net,
+// whose workspace comes from the thread arena too. A grab that fails
+// there takes the same fallback: the commit succeeds, the analysis is
+// dropped, and the edited net is not cached, so the next analyze
+// recomputes it and equals the oracle.
+TEST(TimerEdit, RestampAllocationFailureDropsTheAnalysis) {
+  util::FaultInjector& faults = util::FaultInjector::instance();
+  faults.disarm_all();
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(16, 6)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_net_section_values("n0_1", "s0", {70.0, 0.0, 20e-15}).is_ok());
+  ASSERT_TRUE(faults.arm_spec("arena-alloc:every=1:limit=1").is_ok());
+  util::Result<Timer::EditOutcome> outcome = edit.commit();
+  const std::uint64_t fired = faults.fire_count(util::FaultSite::kArenaAlloc);
+  faults.disarm_all();
+  EXPECT_EQ(fired, 1u);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_FALSE(outcome.value().incremental);
+  EXPECT_EQ(timer.result(), nullptr);
+  util::Result<sta::TimingSummary> summary = timer.analyze();
+  ASSERT_TRUE(summary.is_ok()) << summary.status().to_string();
+  EXPECT_EQ(summary.value().cache_misses, 1u);  // the restamp stored nothing
+  expect_bitwise_equal(*timer.result(), oracle(*timer.design()));
+}
+
+// A constraint edit restamps no net, so its commit's first grab is
+// update_checked's; that failure drops the analysis as well, while every
+// net stays cached.
+TEST(TimerEdit, UpdateAllocationFailureDropsTheAnalysis) {
+  util::FaultInjector& faults = util::FaultInjector::instance();
+  faults.disarm_all();
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(16, 6)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_port_required("out0", 1.1e-9).is_ok());
+  ASSERT_TRUE(faults.arm_spec("arena-alloc:every=1:limit=1").is_ok());
+  util::Result<Timer::EditOutcome> outcome = edit.commit();
+  const std::uint64_t fired = faults.fire_count(util::FaultSite::kArenaAlloc);
+  faults.disarm_all();
+  EXPECT_EQ(fired, 1u);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_FALSE(outcome.value().incremental);
+  EXPECT_EQ(timer.result(), nullptr);
+  util::Result<sta::TimingSummary> summary = timer.analyze();
+  ASSERT_TRUE(summary.is_ok()) << summary.status().to_string();
+  EXPECT_EQ(summary.value().cache_misses, 0u);
+  expect_bitwise_equal(*timer.result(), oracle(*timer.design()));
+}
+
 // Summary rows that are not the result's own (here: none at all) cannot
 // be updated in place; the update derives them again.
 TEST(UpdateChecked, ForeignSummaryRowsAreRebuilt) {

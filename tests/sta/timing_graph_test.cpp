@@ -414,6 +414,23 @@ TEST(TimingGraph, BuildRejectsTapOffsetsThatDoNotMatchTheTaps) {
   EXPECT_EQ(g.status().net(), "n1");
 }
 
+// The corpus phase evaluates each net's models at its tap nodes only, so
+// build_checked holds every tap node to its net's sections.
+TEST(TimingGraph, BuildRejectsTapNodesOutsideTheirNet) {
+  const Design d = parse(kGolden);
+  ASSERT_TRUE(TimingGraph::build_checked(d).is_ok());
+  for (const circuit::SectionId outside : {circuit::SectionId{1}, circuit::SectionId{999},
+                                           circuit::kInput}) {
+    Design bad = d;
+    bad.nets[1].taps[0].node = outside;  // n1 has one section
+    util::Result<TimingGraph> g = TimingGraph::build_checked(bad);
+    ASSERT_FALSE(g.is_ok()) << outside;
+    EXPECT_EQ(g.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(g.status().net(), "n1");
+    EXPECT_EQ(g.status().node(), outside);
+  }
+}
+
 // update_checked visits nets in (level, index) order, which is only
 // topological when levels rise through every instance.
 TEST(TimingGraph, BuildRejectsLevelsThatDoNotRise) {

@@ -70,6 +70,7 @@ REQUIRED_MARKER_FILES = (
     "src/engine/batched.cpp",
     "src/sim/flat_stepper.cpp",
     "src/sim/batch_sim.cpp",
+    "src/eed/model.cpp",  # the two moment passes every scalar entry shares
     "src/eed/response.cpp",  # the STA wire-stage kernel's bracket scan
     "src/util/include/relmore/util/roots.hpp",  # the one Brent loop
 )
