@@ -47,10 +47,13 @@ void split_tokens(std::string_view line, std::vector<std::string_view>& out);
 /// Parses "12.5", "2n", "0.2p", "1meg" etc. into a finite double. Rejects
 /// trailing garbage ("2nq", "1e"), non-finite literals ("nan", "inf"), and
 /// magnitudes outside double range ("1e999", "1e308k") with a structured
-/// status (kParseError / kValueOutOfRange). The suffix is matched in place,
-/// case-insensitively, and strtod runs on a stack copy of tokens up to 63
-/// bytes, so an accepted value allocates nothing; only a reject message,
-/// or a longer token, does.
+/// status (kParseError / kValueOutOfRange). The number is read in the C
+/// locale whatever the process locale is: std::from_chars reads it in
+/// place, and the spellings from_chars does not take (a leading '+', a hex
+/// mantissa, a range error) go to strtod_l under a C locale_t, so every
+/// value has the bits strtod gives it in the C locale. The SI suffix is
+/// matched in place with an ASCII case fold. An accepted value allocates
+/// nothing; only a reject message, or a fallback token over 63 bytes, does.
 [[nodiscard]] util::Result<double> parse_spice_value_checked(std::string_view text);
 
 /// Exception-compatible shim over parse_spice_value_checked: throws
@@ -79,10 +82,14 @@ struct ReadContext {
 /// design-level context: findings name the enclosing net.
 ///
 /// The reader's one core, and its in-memory entry: one pass over `text`,
-/// with tokens and the section-name map as views into it, so the only
-/// strings it allocates are the section names the tree keeps. The istream
-/// overloads read the stream into a string and call it;
-/// sta::read_design_checked hands it one net block at a time.
+/// with tokens as views into it and the section names indexed by a
+/// util::NameIndex that compares through the tree, so the only strings it
+/// allocates are the section names the tree keeps. The tree is reserved
+/// once for the block's line count. A value keeps the code
+/// parse_spice_value_checked gives it, and a negative element is
+/// kNegativeValue, each with its line. The istream overloads read the
+/// stream into a string and call it; sta::read_design_checked hands it one
+/// net block at a time.
 [[nodiscard]] util::Result<RlcTree> read_tree_netlist_checked(std::string_view text,
                                                               const ReadContext& ctx = {});
 

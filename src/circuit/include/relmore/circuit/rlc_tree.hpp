@@ -47,6 +47,11 @@ class RlcTree {
   SectionId add_section(SectionId parent, double resistance, double inductance,
                         double capacitance, std::string name = "");
 
+  /// Sizes the section and child-list tables for `n` sections, so adding
+  /// that many regrows neither; each section's own name and child list
+  /// still allocate as it gets them.
+  void reserve(std::size_t n);
+
   [[nodiscard]] std::size_t size() const { return sections_.size(); }
   [[nodiscard]] bool empty() const { return sections_.empty(); }
   [[nodiscard]] const Section& section(SectionId i) const;

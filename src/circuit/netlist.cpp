@@ -1,8 +1,9 @@
 #include "relmore/circuit/netlist.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <clocale>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -12,10 +13,10 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "relmore/circuit/validate.hpp"
+#include "relmore/util/name_index.hpp"
 
 namespace relmore::circuit {
 
@@ -26,26 +27,35 @@ using util::Status;
 
 namespace {
 
+/// `c` with A-Z folded to a-z and every other byte kept: std::tolower in
+/// the C locale, whatever the process locale is.
+constexpr char ascii_lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c + 32) : c; }
+
 std::string lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), ascii_lower);
   return out;
 }
 
-/// `s` equals the lowercase ASCII `lower_ascii` under std::tolower, byte by
-/// byte: what comparing lower(s) with it decides, without the copy.
+/// `s` equals the lowercase ASCII `lower_ascii` once folded, byte by byte:
+/// what comparing lower(s) with it decides, without the copy.
 bool iequals(std::string_view s, std::string_view lower_ascii) {
   if (s.size() != lower_ascii.size()) return false;
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(s[i])) != lower_ascii[i]) return false;
+    if (ascii_lower(s[i]) != lower_ascii[i]) return false;
   }
   return true;
 }
 
+/// A failure on line `line_no`: `code`, with the line in the message and
+/// in Status::line.
+Status line_fail(ErrorCode code, int line_no, const std::string& msg) {
+  return Status(code, "netlist line " + std::to_string(line_no) + ": " + msg, /*node=*/-1,
+                line_no);
+}
+
 Status parse_fail(int line_no, const std::string& msg) {
-  return Status(ErrorCode::kParseError, "netlist line " + std::to_string(line_no) + ": " + msg,
-                /*node=*/-1, line_no);
+  return line_fail(ErrorCode::kParseError, line_no, msg);
 }
 
 /// Post-parse validation shared by both readers: the parsers enforce their
@@ -83,6 +93,41 @@ bool is_unit(std::string_view rest) {
                      [&](std::string_view unit) { return iequals(rest, unit); });
 }
 
+/// The number at the front of `text` as strtod reads it in the C locale,
+/// into `*base`, and the count of bytes it took into `*taken`. This is the
+/// reader's grammar; std::from_chars follows it except for the spellings
+/// that come here (see parse_spice_value_checked).
+Status strtod_c_locale(std::string_view text, double* base, std::size_t* taken) {
+  // Made once ("C" always exists); strtod_l reads it instead of the
+  // process locale that setlocale changes.
+  static const locale_t c_locale = newlocale(LC_ALL_MASK, "C", locale_t{});
+  // strtod_l wants a NUL-terminated string: value-sized tokens are copied
+  // to the stack, only longer ones to the heap.
+  char stack_copy[64];
+  std::string heap_copy;
+  const char* begin = stack_copy;
+  if (text.size() < sizeof stack_copy) {
+    std::memcpy(stack_copy, text.data(), text.size());
+    stack_copy[text.size()] = '\0';
+  } else {
+    heap_copy.assign(text);
+    begin = heap_copy.c_str();
+  }
+  errno = 0;
+  char* end = nullptr;
+  *base = strtod_l(begin, &end, c_locale);
+  if (end == begin) {
+    return Status(ErrorCode::kParseError,
+                  "parse_spice_value: malformed number '" + std::string(text) + "'");
+  }
+  if (errno == ERANGE && (*base == HUGE_VAL || *base == -HUGE_VAL)) {
+    return Status(ErrorCode::kValueOutOfRange, "parse_spice_value: magnitude of '" +
+                                                   std::string(text) + "' exceeds double range");
+  }
+  *taken = static_cast<std::size_t>(end - begin);
+  return Status::ok();
+}
+
 }  // namespace
 
 void split_tokens(std::string_view line, std::vector<std::string_view>& out) {
@@ -96,36 +141,25 @@ Result<double> parse_spice_value_checked(std::string_view text) {
   if (text.empty()) {
     return Status(ErrorCode::kParseError, "parse_spice_value: empty value");
   }
-  // strtod wants a NUL-terminated string: value-sized tokens are copied to
-  // the stack, only longer ones to the heap.
-  char stack_copy[64];
-  std::string heap_copy;
-  const char* begin = stack_copy;
-  if (text.size() < sizeof stack_copy) {
-    std::memcpy(stack_copy, text.data(), text.size());
-    stack_copy[text.size()] = '\0';
-  } else {
-    heap_copy.assign(text);
-    begin = heap_copy.c_str();
+  // std::from_chars reads the C locale's decimal grammar and rounds
+  // correctly, as strtod does. What it does not take goes to strtod_l: a
+  // leading '+' or blank, no number at all, a range error, and a hex
+  // mantissa, which from_chars stops at the 'x' of its "0x".
+  double base = 0.0;
+  const char* const first = text.data();
+  const auto [stop, ec] = std::from_chars(first, first + text.size(), base);
+  std::size_t taken = static_cast<std::size_t>(stop - first);
+  if (ec != std::errc{} || (taken < text.size() && (*stop == 'x' || *stop == 'X'))) {
+    if (Status s = strtod_c_locale(text, &base, &taken); !s.is_ok()) return s;
   }
-  errno = 0;
-  char* end = nullptr;
-  const double base = std::strtod(begin, &end);
-  if (end == begin) {
-    return Status(ErrorCode::kParseError,
-                  "parse_spice_value: malformed number '" + std::string(text) + "'");
-  }
-  if (errno == ERANGE && (base == HUGE_VAL || base == -HUGE_VAL)) {
-    return Status(ErrorCode::kValueOutOfRange, "parse_spice_value: magnitude of '" +
-                                                   std::string(text) + "' exceeds double range");
-  }
-  // Rejects strtod's "nan"/"inf"(/"infinity") spellings: a netlist value
-  // must be a finite literal. (ERANGE underflow to a subnormal is fine.)
+  // Rejects the "nan"/"inf"(/"infinity") spellings both parsers take: a
+  // netlist value must be a finite literal. (Underflow to a subnormal or
+  // zero is fine.)
   if (!std::isfinite(base)) {
     return Status(ErrorCode::kParseError,
                   "parse_spice_value: non-finite value '" + std::string(text) + "'");
   }
-  const std::string_view suffix = text.substr(static_cast<std::size_t>(end - begin));
+  const std::string_view suffix = text.substr(taken);
   double scale = 1.0;
   bool matched = false;
   // Longest-prefix match on the suffix; remaining letters must be unit text.
@@ -198,11 +232,21 @@ Result<RlcTree> with_context(const ReadContext& ctx,
 }
 
 Result<RlcTree> read_tree_netlist_impl(std::string_view text, const ReadContext& ctx) {
+  // A line holds at most one section, and a section line takes at least
+  // kMinSectionLine bytes with its newline, so both bound the table sizes
+  // (the second keeps a text of blank lines from reserving per line).
+  constexpr std::size_t kMinSectionLine = 24;  // "section a - R=0 L=0 C=0\n"
+  std::size_t lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  if (!text.empty() && text.back() != '\n') ++lines;
+  const std::size_t max_sections = std::min(lines, (text.size() + 1) / kMinSectionLine);
   RlcTree tree;
-  // Keys view into `text`, which outlives the parse. A line holds at most
-  // one section, so the line count bounds the table.
-  std::unordered_map<std::string_view, SectionId> by_name;
-  by_name.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
+  tree.reserve(max_sections);
+  // Section name -> id, comparing through the names the tree keeps.
+  util::NameIndex by_name;
+  by_name.reserve(max_sections);
+  const auto name_of = [&tree](int id) -> const std::string& {
+    return tree.sections()[static_cast<std::size_t>(id)].name;
+  };
   int line_no = ctx.line_offset;
   // Lines split where std::getline would: at each '\n', with no empty
   // line after a final one.
@@ -228,18 +272,18 @@ Result<RlcTree> read_tree_netlist_impl(std::string_view text, const ReadContext&
     }
     const std::string_view name = toks[1];
     const std::string_view parent_name = toks[2];
-    if (by_name.count(name) != 0) {
+    if (by_name.find(name, name_of) >= 0) {
       return parse_fail(line_no, "duplicate section name '" + std::string(name) + "'");
     }
     SectionId parent = kInput;
     if (parent_name != "-") {
-      const auto it = by_name.find(parent_name);
-      if (it == by_name.end()) {
+      parent = by_name.find(parent_name, name_of);
+      if (parent < 0) {
         return parse_fail(line_no, "unknown parent '" + std::string(parent_name) + "'");
       }
-      parent = it->second;
     }
     SectionValues v;
+    std::string_view negative;  // the first key=value token below zero
     for (std::size_t t = 3; t < 6; ++t) {
       const auto eq = toks[t].find('=');
       if (eq == std::string_view::npos) {
@@ -247,7 +291,8 @@ Result<RlcTree> read_tree_netlist_impl(std::string_view text, const ReadContext&
       }
       const std::string_view key = toks[t].substr(0, eq);
       const Result<double> val = parse_spice_value_checked(toks[t].substr(eq + 1));
-      if (!val.is_ok()) return parse_fail(line_no, val.status().message());
+      if (!val.is_ok()) return line_fail(val.status().code(), line_no, val.status().message());
+      if (val.value() < 0.0 && negative.empty()) negative = toks[t];
       if (iequals(key, "r")) {
         v.resistance = val.value();
       } else if (iequals(key, "l")) {
@@ -258,11 +303,11 @@ Result<RlcTree> read_tree_netlist_impl(std::string_view text, const ReadContext&
         return parse_fail(line_no, "unknown key '" + lower(key) + "'");
       }
     }
-    try {
-      by_name.emplace(name, tree.add_section(parent, v, std::string(name)));
-    } catch (const std::invalid_argument& e) {
-      return parse_fail(line_no, e.what());
+    if (!negative.empty()) {
+      return line_fail(ErrorCode::kNegativeValue, line_no,
+                       "negative element value '" + std::string(negative) + "'");
     }
+    by_name.insert(name, tree.add_section(parent, v, std::string(name)), name_of);
   }
   if (Status s = validate_parsed(tree, ctx); !s.is_ok()) return s;
   return tree;
@@ -343,7 +388,7 @@ Result<RlcTree> read_spice_impl(std::istream& is, const ReadContext& ctx) {
     ++line_no;
     split_tokens(line, toks);
     if (toks.empty()) continue;
-    const char kind = static_cast<char>(std::tolower(static_cast<unsigned char>(toks[0][0])));
+    const char kind = ascii_lower(toks[0][0]);
     if (toks[0][0] == '*' || toks[0][0] == '.') continue;
     if (kind == 'v') {
       if (toks.size() < 3) return parse_fail(line_no, "malformed V card");
@@ -357,10 +402,13 @@ Result<RlcTree> read_spice_impl(std::istream& is, const ReadContext& ctx) {
     const std::string n1(toks[1]);
     const std::string n2(toks[2]);
     const Result<double> parsed = parse_spice_value_checked(toks[3]);
-    if (!parsed.is_ok()) return parse_fail(line_no, parsed.status().message());
+    if (!parsed.is_ok()) {
+      return line_fail(parsed.status().code(), line_no, parsed.status().message());
+    }
     const double value = parsed.value();
     if (value < 0.0) {
-      return parse_fail(line_no, "negative element value " + std::string(toks[3]));
+      return line_fail(ErrorCode::kNegativeValue, line_no,
+                       "negative element value " + std::string(toks[3]));
     }
     if (kind == 'c') {
       const std::string node = n1 == "0" ? n2 : n1;

@@ -29,6 +29,11 @@ SectionId RlcTree::add_section(SectionId parent, double resistance, double induc
                      std::move(name));
 }
 
+void RlcTree::reserve(std::size_t n) {
+  sections_.reserve(n);
+  children_.reserve(n);
+}
+
 void RlcTree::check_id(SectionId i) const {
   if (i < 0 || static_cast<std::size_t>(i) >= sections_.size()) {
     throw std::out_of_range("RlcTree: section id out of range");

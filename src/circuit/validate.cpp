@@ -1,8 +1,8 @@
 #include "relmore/circuit/validate.hpp"
 
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "relmore/util/name_index.hpp"
 
 namespace relmore::circuit {
 
@@ -83,16 +83,18 @@ DiagnosticsReport validate_impl(const Access& a, const ValidateLimits& limits) {
 
   // Duplicate non-empty names (readers key parents by name).
   {
-    std::unordered_map<std::string, std::size_t> first;
+    util::NameIndex first;
     first.reserve(n);
+    const auto name_of = [&a](int i) -> const std::string& {
+      return a.name(static_cast<std::size_t>(i));
+    };
     for (std::size_t i = 0; i < n; ++i) {
       const std::string& name = a.name(i);
       if (name.empty()) continue;
-      const auto [it, inserted] = first.emplace(name, i);
-      if (!inserted) {
+      const int at = first.insert(name, static_cast<int>(i), name_of);
+      if (at != static_cast<int>(i)) {
         Diagnostic d = make(ErrorCode::kDuplicateName,
-                            "name '" + name + "' already used by section " +
-                                std::to_string(it->second),
+                            "name '" + name + "' already used by section " + std::to_string(at),
                             static_cast<int>(i));
         d.path = a.path(i, structure_ok);
         report.add(std::move(d));

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <istream>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 
 #include "relmore/circuit/netlist.hpp"
 #include "relmore/util/fault_injector.hpp"
+#include "relmore/util/name_index.hpp"
 
 namespace relmore::sta {
 
@@ -80,68 +79,13 @@ class Findings {
   DiagnosticsReport* mirror_;
 };
 
-/// Net name -> index, filled as `net` blocks are accepted. The first net
-/// of a name keeps it, which is the answer Design::find_net's scan gives.
-/// Open addressing over one array of (hash, index) slots; names are
-/// compared through the design itself. A map with a heap node per net
-/// freed one block per net between the design's own blocks when the read
-/// returned, and the corpus phase of every later analysis, allocating
-/// into those holes, ran 9-38% slower.
-class NetIndex {
- public:
-  explicit NetIndex(const std::vector<Net>& nets) : nets_(nets) {}
-
-  /// Index of the first net named `name`, or -1.
-  [[nodiscard]] int find(std::string_view name) const {
-    if (slots_.empty()) return -1;
-    const std::uint32_t h = hash(name);
-    for (std::size_t i = h & mask();; i = (i + 1) & mask()) {
-      const Slot& slot = slots_[i];
-      if (slot.index < 0) return -1;
-      if (slot.hash == h && nets_[static_cast<std::size_t>(slot.index)].name == name) {
-        return slot.index;
-      }
-    }
-  }
-
-  /// Indexes the last net, unless an earlier net holds its name.
-  void add_last() {
-    const std::string& name = nets_.back().name;
-    if (find(name) >= 0) return;
-    if (2 * (count_ + 1) > slots_.size()) grow();
-    place(hash(name), static_cast<int>(nets_.size() - 1));
-    ++count_;
-  }
-
- private:
-  struct Slot {
-    std::uint32_t hash = 0;
-    int index = -1;  ///< -1: empty
+/// Net `i`'s name, as the net index (a util::NameIndex over the design's
+/// nets) reads it.
+auto net_name_of(const Design& design) {
+  return [&design](int i) -> const std::string& {
+    return design.nets[static_cast<std::size_t>(i)].name;
   };
-
-  static std::uint32_t hash(std::string_view name) {
-    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
-  }
-  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
-
-  void place(std::uint32_t h, int index) {
-    std::size_t i = h & mask();
-    while (slots_[i].index >= 0) i = (i + 1) & mask();
-    slots_[i] = Slot{h, index};
-  }
-
-  void grow() {
-    const std::vector<Slot> old = std::move(slots_);
-    slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
-    for (const Slot& slot : old) {
-      if (slot.index >= 0) place(slot.hash, slot.index);
-    }
-  }
-
-  const std::vector<Net>& nets_;
-  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
-  std::size_t count_ = 0;
-};
+}
 
 /// Parses "key=value" into (key, value-text); returns false when `tok` has
 /// no '=' sign.
@@ -204,17 +148,27 @@ namespace {
 /// Resolves raw references, folds pin caps, snapshots FlatTrees, sums the
 /// per-net tap offsets, and levelizes. Mutates `design` in place; findings
 /// carry every failure.
-void finalize_design(Design& design, const NetIndex& net_index,
+void finalize_design(Design& design, const util::NameIndex& net_index,
                      const std::vector<RawInst>& raw_insts, const std::vector<RawPort>& raw_ports,
                      Findings& findings) {
+  const auto name_of_net = net_name_of(design);
   // --- resolve instances -------------------------------------------------
   // Instance and port names must be unique: find_port / path reports
   // resolve by name, and a silent duplicate would make every later query
   // answer for whichever one happened to come first.
-  std::unordered_set<std::string> inst_names;
-  std::unordered_set<std::string> port_names;
-  for (const RawInst& ri : raw_insts) {
-    if (!inst_names.insert(ri.name).second) {
+  util::NameIndex inst_names;
+  util::NameIndex port_names;
+  inst_names.reserve(raw_insts.size());
+  port_names.reserve(raw_ports.size());
+  const auto inst_name = [&](int i) -> const std::string& {
+    return raw_insts[static_cast<std::size_t>(i)].name;
+  };
+  const auto port_name = [&](int i) -> const std::string& {
+    return raw_ports[static_cast<std::size_t>(i)].name;
+  };
+  for (std::size_t ii = 0; ii < raw_insts.size(); ++ii) {
+    const RawInst& ri = raw_insts[ii];
+    if (inst_names.insert(ri.name, static_cast<int>(ii), inst_name) != static_cast<int>(ii)) {
       findings.error(ErrorCode::kDuplicateName, "duplicate instance '" + ri.name + "'", ri.line,
                      ri.name);
       continue;
@@ -227,7 +181,7 @@ void finalize_design(Design& design, const NetIndex& net_index,
                      ri.name);
       continue;
     }
-    inst.out_net = net_index.find(ri.out_net);
+    inst.out_net = net_index.find(ri.out_net, name_of_net);
     if (inst.out_net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown output net '" + ri.out_net + "'",
                      ri.line, ri.name);
@@ -236,7 +190,7 @@ void finalize_design(Design& design, const NetIndex& net_index,
     bool pins_ok = true;
     for (const RawPin& pin : ri.inputs) {
       Instance::Pin p;
-      p.net = net_index.find(pin.net);
+      p.net = net_index.find(pin.net, name_of_net);
       if (p.net < 0) {
         findings.error(ErrorCode::kInvalidArgument, "unknown input net '" + pin.net + "'",
                        ri.line, ri.name);
@@ -279,8 +233,9 @@ void finalize_design(Design& design, const NetIndex& net_index,
   }
 
   // --- resolve ports -----------------------------------------------------
-  for (const RawPort& rp : raw_ports) {
-    if (!port_names.insert(rp.name).second) {
+  for (std::size_t pi = 0; pi < raw_ports.size(); ++pi) {
+    const RawPort& rp = raw_ports[pi];
+    if (port_names.insert(rp.name, static_cast<int>(pi), port_name) != static_cast<int>(pi)) {
       findings.error(ErrorCode::kDuplicateName, "duplicate port '" + rp.name + "'", rp.line,
                      rp.name);
       continue;
@@ -292,7 +247,7 @@ void finalize_design(Design& design, const NetIndex& net_index,
     port.slew = rp.slew;
     port.required = rp.required;
     port.has_required = rp.has_required;
-    port.net = net_index.find(rp.net);
+    port.net = net_index.find(rp.net, name_of_net);
     if (port.net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown net '" + rp.net + "'", rp.line,
                      rp.name);
@@ -417,7 +372,13 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
   Findings findings(report);
   Design design;
   design.library = std::move(base);
-  NetIndex net_index(design.nets);
+  // Net name -> index, filled as `net` blocks are accepted; the first net
+  // of a name keeps it, which is the answer Design::find_net's scan gives.
+  // A map with a heap node per net freed one block per net between the
+  // design's own blocks when the read returned, and the corpus phase of
+  // every later analysis, allocating into those holes, ran 9-38% slower.
+  util::NameIndex net_index;
+  const auto name_of_net = net_name_of(design);
   std::vector<RawInst> raw_insts;
   std::vector<RawPort> raw_ports;
 
@@ -498,7 +459,7 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         continue;
       }
       std::string net_name(tok[1]);
-      if (net_index.find(net_name) >= 0) {
+      if (net_index.find(net_name, name_of_net) >= 0) {
         findings.error(ErrorCode::kDuplicateName, "duplicate net '" + net_name + "'", line_no,
                        net_name);
       }
@@ -541,7 +502,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       net.name = std::move(net_name);
       net.tree = std::move(tree).value();
       design.nets.push_back(std::move(net));
-      net_index.add_last();
+      net_index.insert(design.nets.back().name, static_cast<int>(design.nets.size() - 1),
+                       name_of_net);
     } else if (kw == "input" || kw == "output") {
       RawPort port;
       port.is_input = kw == "input";

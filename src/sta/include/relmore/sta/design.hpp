@@ -18,10 +18,12 @@
 ///     inst <name> <cell> <outnet> <innet>:<node> [<innet>:<node> ...]
 ///     clock <period-seconds>
 ///
-/// Values accept SPICE SI suffixes. `cell` lines extend/override the base
-/// library. Every `inst` input pin taps a named node of its input net; the
-/// pin capacitance is folded into that node's shunt C before the net's
-/// FlatTree snapshot is taken, so the wire model sees the real load.
+/// Values accept SPICE SI suffixes and are read in the C locale, whatever
+/// the process locale is (circuit::parse_spice_value_checked). `cell`
+/// lines extend/override the base library. Every `inst` input pin taps a
+/// named node of its input net; the pin capacitance is folded into that
+/// node's shunt C before the net's FlatTree snapshot is taken, so the wire
+/// model sees the real load.
 ///
 /// `read_design_checked` validates everything it resolves (unknown
 /// cells/nets/nodes, double-driven or undriven nets, combinational

@@ -130,24 +130,38 @@ TEST(TreeNetlistFaults, ReportsLineContext) {
   EXPECT_EQ(res.status().line(), 2);
 }
 
+/// A deck the readers reject, the code they report and its line.
+struct BadDeck {
+  const char* text;
+  ru::ErrorCode code;
+  int line;
+};
+
 TEST(TreeNetlistFaults, RejectsBadValuesWithLine) {
-  const char* decks[] = {
-      "section a - R=2nq L=0 C=1p\n",     // trailing garbage
-      "section a - R=1e L=0 C=1p\n",      // dangling exponent
-      "section a - R=nan L=0 C=1p\n",     // non-finite literal
-      "section a - R=1e999 L=0 C=1p\n",   // out of double range
-      "section a - R=-5 L=0 C=1p\n",      // negative element
-      "section a - R=1 L=0\n",            // missing field
-      "section a b R=1 L=0 C=1p\n",       // unknown parent
-      "section a - R=1 L=0 C=1p\nsection a - R=1 L=0 C=1p\n",  // duplicate
+  // A value keeps the code parse_spice_value_checked gives it, and a
+  // negative element is kNegativeValue, as circuit::validate names it.
+  const BadDeck decks[] = {
+      {"section a - R=2nq L=0 C=1p\n", ru::ErrorCode::kParseError, 1},        // trailing garbage
+      {"section a - R=1e L=0 C=1p\n", ru::ErrorCode::kParseError, 1},         // dangling exponent
+      {"section a - R=nan L=0 C=1p\n", ru::ErrorCode::kParseError, 1},        // non-finite literal
+      {"section a - R=1e999 L=0 C=1p\n", ru::ErrorCode::kValueOutOfRange, 1}, // out of range
+      {"section a - R=1 L=9e307k C=1p\n", ru::ErrorCode::kValueOutOfRange, 1},  // scaled out
+      {"section a - R=-5 L=0 C=1p\n", ru::ErrorCode::kNegativeValue, 1},      // negative element
+      {"section a - R=1 L=0 C=1p\nsection b a R=1 L=-1n C=1p\n", ru::ErrorCode::kNegativeValue,
+       2},
+      {"section a - R=1 L=0\n", ru::ErrorCode::kParseError, 1},               // missing field
+      {"section a b R=1 L=0 C=1p\n", ru::ErrorCode::kParseError, 1},          // unknown parent
+      {"section a - R=1 L=0 C=1p\nsection a - R=1 L=0 C=1p\n", ru::ErrorCode::kParseError,
+       2},  // duplicate
   };
-  for (const char* deck : decks) {
-    std::istringstream is(deck);
+  for (const BadDeck& deck : decks) {
+    std::istringstream is(deck.text);
     const ru::Result<rc::RlcTree> res = rc::read_tree_netlist_checked(is);
-    ASSERT_FALSE(res.is_ok()) << deck;
-    EXPECT_GE(res.status().line(), 1) << deck;
-    std::istringstream is2(deck);
-    EXPECT_THROW((void)rc::read_tree_netlist(is2), std::invalid_argument) << deck;
+    ASSERT_FALSE(res.is_ok()) << deck.text;
+    EXPECT_EQ(res.status().code(), deck.code) << deck.text << res.status().message();
+    EXPECT_EQ(res.status().line(), deck.line) << deck.text;
+    std::istringstream is2(deck.text);
+    EXPECT_THROW((void)rc::read_tree_netlist(is2), std::invalid_argument) << deck.text;
   }
 }
 
@@ -170,21 +184,24 @@ TEST(SpiceFaults, RoundTripStillWorks) {
 }
 
 TEST(SpiceFaults, RejectsMalformedCards) {
-  const char* decks[] = {
-      "R1 in n1\n",                             // missing value
-      "X1 in n1 5\n",                           // unsupported element
-      "R1 in in 5\nC1 in 0 1p\n",               // self-short
-      "R1 in n1 -5\nC1 n1 0 1p\n",              // negative value
-      "R1 in n1 2nq\nC1 n1 0 1p\n",             // trailing garbage value
-      "R1 in n1 1e999\nC1 n1 0 1p\n",           // out of range
-      "C1 n1 n2 1p\nR1 in n1 5\n",              // floating capacitor
+  const BadDeck decks[] = {
+      {"R1 in n1\n", ru::ErrorCode::kParseError, 1},                         // missing value
+      {"X1 in n1 5\n", ru::ErrorCode::kParseError, 1},                       // unsupported element
+      {"R1 in in 5\nC1 in 0 1p\n", ru::ErrorCode::kParseError, 1},           // self-short
+      {"R1 in n1 -5\nC1 n1 0 1p\n", ru::ErrorCode::kNegativeValue, 1},       // negative value
+      {"R1 in n1 5\nC1 n1 0 -1p\n", ru::ErrorCode::kNegativeValue, 2},       // negative C
+      {"R1 in n1 2nq\nC1 n1 0 1p\n", ru::ErrorCode::kParseError, 1},         // trailing garbage
+      {"R1 in n1 1e999\nC1 n1 0 1p\n", ru::ErrorCode::kValueOutOfRange, 1},  // out of range
+      {"C1 n1 n2 1p\nR1 in n1 5\n", ru::ErrorCode::kParseError, 1},          // floating capacitor
   };
-  for (const char* deck : decks) {
-    std::istringstream is(deck);
+  for (const BadDeck& deck : decks) {
+    std::istringstream is(deck.text);
     const ru::Result<rc::RlcTree> res = rc::read_spice_checked(is);
-    ASSERT_FALSE(res.is_ok()) << deck;
-    std::istringstream is2(deck);
-    EXPECT_THROW((void)rc::read_spice(is2), std::invalid_argument) << deck;
+    ASSERT_FALSE(res.is_ok()) << deck.text;
+    EXPECT_EQ(res.status().code(), deck.code) << deck.text << res.status().message();
+    EXPECT_EQ(res.status().line(), deck.line) << deck.text;
+    std::istringstream is2(deck.text);
+    EXPECT_THROW((void)rc::read_spice(is2), std::invalid_argument) << deck.text;
   }
 }
 

@@ -25,6 +25,15 @@ The repo promises three things no general-purpose tool checks for us:
       and the kernel files are *required* to carry at least one region, so
       deleting the markers is itself a violation.
 
+  R4  The text readers read the same in every locale. A design file is
+      read in the C locale whatever the process locale is, so the reader
+      files (a built-in list, plus any file that says
+      `// relmore-lint: locale-free`) call none of the C library's
+      locale-reading conversions and classifiers: the strtod family,
+      `atof`, `std::stod`/`stof`/`stold`, `sscanf`, and the one-argument
+      `<cctype>` `tolower`/`toupper`/`is*`. `strtod_l` under a C
+      `locale_t` and `std::from_chars` stay legal.
+
 Suppression policy (see docs/static-analysis.md): a finding is silenced
 only by an on-line annotation naming the rule, e.g.
 
@@ -32,7 +41,7 @@ only by an on-line annotation naming the rule, e.g.
 
 Usage:
     relmore_lint.py [--repo-root DIR] [--compile-commands FILE]
-                    [--rules R1,R2,R3] [paths...]
+                    [--rules R1,R2,R3,R4] [paths...]
 
 With no paths, lints every TU listed in compile_commands.json that lives
 under src/, bench/, or examples/ (plus all headers under src/); without a
@@ -74,6 +83,23 @@ REQUIRED_MARKER_FILES = (
     "src/eed/response.cpp",  # the STA wire-stage kernel's bracket scan
     "src/util/include/relmore/util/roots.hpp",  # the one Brent loop
 )
+
+# Reader files that must not read the process locale (R4).
+LOCALE_FREE_FILES = (
+    "src/circuit/netlist.cpp",
+    "src/sta/design.cpp",
+)
+
+# C library names that read LC_NUMERIC or LC_CTYPE (R4): any use is a
+# finding. `strtod_l` and `std::from_chars` are different identifiers.
+R4_BANNED = {"strtod", "strtof", "strtold", "atof", "stod", "stof", "stold", "sscanf"}
+# The <cctype> classifiers and case maps: banned with one argument (or as
+# a bare function name, e.g. passed to std::transform); the two-argument
+# <locale> overloads name their locale and stay legal.
+R4_BANNED_ONE_ARG = {
+    "tolower", "toupper", "isalnum", "isalpha", "isblank", "iscntrl", "isdigit",
+    "isgraph", "islower", "isprint", "ispunct", "isspace", "isupper", "isxdigit",
+}
 
 # Functions whose return value is a Status/Result by *convention*, indexed
 # even when the declaration is not visible to the signature scan.
@@ -539,6 +565,58 @@ def check_r3(sf: SourceFile) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R4: locale-free readers
+# --------------------------------------------------------------------------
+
+
+def is_locale_free_file(sf: SourceFile) -> bool:
+    return sf.rel in LOCALE_FREE_FILES or sf.has_directive("locale-free")
+
+
+def has_one_argument(text: str, open_idx: int) -> bool:
+    """True when the call whose `(` is at open_idx has no top-level comma."""
+    end = match_paren(text, open_idx)
+    if end < 0:
+        return True
+    depth = 0
+    for c in text[open_idx + 1 : end - 1]:
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            return False
+    return True
+
+
+def check_r4(sf: SourceFile) -> list[Finding]:
+    if not is_locale_free_file(sf):
+        return []
+    findings: list[Finding] = []
+    s = sf.stripped
+    for m in IDENT_RE.finditer(s):
+        name = m.group(0)
+        if name not in R4_BANNED and name not in R4_BANNED_ONE_ARG:
+            continue
+        before, j = prev_significant(s, m.start())
+        if before == "." or (before == ">" and j > 0 and s[j - 1] == "-"):
+            continue  # a member (e.g. a ctype facet's), not the C library's
+        nxt, open_at = next_significant(s, m.end())
+        if name in R4_BANNED_ONE_ARG and nxt == "(" and not has_one_argument(s, open_at):
+            continue
+        line = line_of(s, m.start())
+        if sf.allows(line, "R4"):
+            continue
+        findings.append(Finding(
+            sf.path, line, "R4",
+            f"'{name}' reads the process locale in a locale-free reader; parse "
+            "with std::from_chars (or strtod_l under a C locale_t) and fold "
+            "ASCII by hand",
+        ))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -578,7 +656,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--compile-commands", default=None,
                     help="compile_commands.json to enumerate TUs (default: "
                          "<repo-root>/build/compile_commands.json when present)")
-    ap.add_argument("--rules", default="R1,R2,R3",
+    ap.add_argument("--rules", default="R1,R2,R3,R4",
                     help="comma-separated subset of rules to run")
     args = ap.parse_args(argv)
 
@@ -589,7 +667,7 @@ def main(argv: list[str]) -> int:
         cc = default_cc if os.path.isfile(default_cc) else None
 
     rules = {r.strip().upper() for r in args.rules.split(",") if r.strip()}
-    bad_rules = rules - {"R1", "R2", "R3"}
+    bad_rules = rules - {"R1", "R2", "R3", "R4"}
     if bad_rules:
         print(f"relmore-lint: unknown rules {sorted(bad_rules)}", file=sys.stderr)
         return 2
@@ -625,6 +703,8 @@ def main(argv: list[str]) -> int:
             findings.extend(check_r2(sf))
         if "R3" in rules:
             findings.extend(check_r3(sf))
+        if "R4" in rules:
+            findings.extend(check_r4(sf))
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)
