@@ -273,7 +273,8 @@ Result<RlcTree> read_tree_netlist_impl(std::string_view text, const ReadContext&
     const std::string_view name = toks[1];
     const std::string_view parent_name = toks[2];
     if (by_name.find(name, name_of) >= 0) {
-      return parse_fail(line_no, "duplicate section name '" + std::string(name) + "'");
+      return line_fail(ErrorCode::kDuplicateName, line_no,
+                       "duplicate section name '" + std::string(name) + "'");
     }
     SectionId parent = kInput;
     if (parent_name != "-") {

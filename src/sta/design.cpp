@@ -53,10 +53,15 @@ class Findings {
   explicit Findings(DiagnosticsReport* mirror) : mirror_(mirror) {}
 
   void error(ErrorCode code, std::string message, int line, std::string net = "") {
-    add(code, std::move(message), line, std::move(net), false);
+    add(code, std::move(message), line, std::move(net), false, mirror_);
   }
   void warn(ErrorCode code, std::string message, int line, std::string net = "") {
-    add(code, std::move(message), line, std::move(net), true);
+    add(code, std::move(message), line, std::move(net), true, mirror_);
+  }
+  /// An error a nested reader has already put in the caller's report
+  /// (through its ReadContext): kept for the returned Status only.
+  void error_reported(ErrorCode code, std::string message, int line, std::string net) {
+    add(code, std::move(message), line, std::move(net), false, nullptr);
   }
 
   [[nodiscard]] bool ok() const { return local_.is_ok(); }
@@ -64,14 +69,15 @@ class Findings {
   [[nodiscard]] DiagnosticsReport* mirror() const { return mirror_; }
 
  private:
-  void add(ErrorCode code, std::string message, int line, std::string net, bool warning) {
+  void add(ErrorCode code, std::string message, int line, std::string net, bool warning,
+           DiagnosticsReport* mirror) {
     Diagnostic d;
     d.code = code;
     d.message = std::move(message);
     d.line = line;
     d.net = std::move(net);
     d.warning = warning;
-    if (mirror_ != nullptr) mirror_->add(d);
+    if (mirror != nullptr) mirror->add(d);
     local_.add(std::move(d));
   }
 
@@ -79,12 +85,22 @@ class Findings {
   DiagnosticsReport* mirror_;
 };
 
-/// Net `i`'s name, as the net index (a util::NameIndex over the design's
-/// nets) reads it.
-auto net_name_of(const Design& design) {
-  return [&design](int i) -> const std::string& {
-    return design.nets[static_cast<std::size_t>(i)].name;
-  };
+/// Item `i`'s name, as a util::NameIndex over `items` reads it.
+template <typename T>
+auto name_of(const std::vector<T>& items) {
+  return [&items](int i) -> const std::string& { return items[static_cast<std::size_t>(i)].name; };
+}
+
+/// The position `table` holds for `name` among `items`, or -1. A position
+/// past the end of `items` (a vector cut after the read) has no name.
+template <typename T>
+int find_named(const util::NameIndex& table, const std::vector<T>& items,
+               const std::string& name) {
+  const int i = table.find(name, [&items](int p) -> std::string_view {
+    const auto at = static_cast<std::size_t>(p);
+    return at < items.size() ? std::string_view(items[at].name) : std::string_view();
+  });
+  return i >= 0 && static_cast<std::size_t>(i) < items.size() ? i : -1;
 }
 
 /// Parses "key=value" into (key, value-text); returns false when `tok` has
@@ -121,18 +137,16 @@ bool parse_value(std::string_view text, std::string_view what, int line, const s
 
 }  // namespace
 
-int Design::find_net(const std::string& net_name) const {
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    if (nets[i].name == net_name) return static_cast<int>(i);
-  }
-  return -1;
+int Design::find_net(const std::string& name) const {
+  return find_named(net_index, nets, name);
 }
 
-int Design::find_port(const std::string& port_name) const {
-  for (std::size_t i = 0; i < ports.size(); ++i) {
-    if (ports[i].name == port_name) return static_cast<int>(i);
-  }
-  return -1;
+int Design::find_instance(const std::string& name) const {
+  return find_named(inst_names, instances, name);
+}
+
+int Design::find_port(const std::string& name) const {
+  return find_named(port_names, ports, name);
 }
 
 std::size_t Design::endpoint_count() const {
@@ -148,27 +162,20 @@ namespace {
 /// Resolves raw references, folds pin caps, snapshots FlatTrees, sums the
 /// per-net tap offsets, and levelizes. Mutates `design` in place; findings
 /// carry every failure.
-void finalize_design(Design& design, const util::NameIndex& net_index,
-                     const std::vector<RawInst>& raw_insts, const std::vector<RawPort>& raw_ports,
-                     Findings& findings) {
-  const auto name_of_net = net_name_of(design);
+void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
+                     const std::vector<RawPort>& raw_ports, Findings& findings) {
   // --- resolve instances -------------------------------------------------
   // Instance and port names must be unique: find_port / path reports
   // resolve by name, and a silent duplicate would make every later query
-  // answer for whichever one happened to come first.
-  util::NameIndex inst_names;
-  util::NameIndex port_names;
-  inst_names.reserve(raw_insts.size());
-  port_names.reserve(raw_ports.size());
-  const auto inst_name = [&](int i) -> const std::string& {
-    return raw_insts[static_cast<std::size_t>(i)].name;
-  };
-  const auto port_name = [&](int i) -> const std::string& {
-    return raw_ports[static_cast<std::size_t>(i)].name;
-  };
+  // answer for whichever one happened to come first. The tables index the
+  // raw lines; a design that passes every check below holds raw item i at
+  // index i, so they then index the design's own vectors.
+  design.inst_names.reserve(raw_insts.size());
+  design.port_names.reserve(raw_ports.size());
   for (std::size_t ii = 0; ii < raw_insts.size(); ++ii) {
     const RawInst& ri = raw_insts[ii];
-    if (inst_names.insert(ri.name, static_cast<int>(ii), inst_name) != static_cast<int>(ii)) {
+    if (design.inst_names.insert(ri.name, static_cast<int>(ii), name_of(raw_insts)) !=
+        static_cast<int>(ii)) {
       findings.error(ErrorCode::kDuplicateName, "duplicate instance '" + ri.name + "'", ri.line,
                      ri.name);
       continue;
@@ -181,7 +188,7 @@ void finalize_design(Design& design, const util::NameIndex& net_index,
                      ri.name);
       continue;
     }
-    inst.out_net = net_index.find(ri.out_net, name_of_net);
+    inst.out_net = design.find_net(ri.out_net);
     if (inst.out_net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown output net '" + ri.out_net + "'",
                      ri.line, ri.name);
@@ -190,7 +197,7 @@ void finalize_design(Design& design, const util::NameIndex& net_index,
     bool pins_ok = true;
     for (const RawPin& pin : ri.inputs) {
       Instance::Pin p;
-      p.net = net_index.find(pin.net, name_of_net);
+      p.net = design.find_net(pin.net);
       if (p.net < 0) {
         findings.error(ErrorCode::kInvalidArgument, "unknown input net '" + pin.net + "'",
                        ri.line, ri.name);
@@ -235,7 +242,8 @@ void finalize_design(Design& design, const util::NameIndex& net_index,
   // --- resolve ports -----------------------------------------------------
   for (std::size_t pi = 0; pi < raw_ports.size(); ++pi) {
     const RawPort& rp = raw_ports[pi];
-    if (port_names.insert(rp.name, static_cast<int>(pi), port_name) != static_cast<int>(pi)) {
+    if (design.port_names.insert(rp.name, static_cast<int>(pi), name_of(raw_ports)) !=
+        static_cast<int>(pi)) {
       findings.error(ErrorCode::kDuplicateName, "duplicate port '" + rp.name + "'", rp.line,
                      rp.name);
       continue;
@@ -247,7 +255,7 @@ void finalize_design(Design& design, const util::NameIndex& net_index,
     port.slew = rp.slew;
     port.required = rp.required;
     port.has_required = rp.has_required;
-    port.net = net_index.find(rp.net, name_of_net);
+    port.net = design.find_net(rp.net);
     if (port.net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown net '" + rp.net + "'", rp.line,
                      rp.name);
@@ -372,13 +380,11 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
   Findings findings(report);
   Design design;
   design.library = std::move(base);
-  // Net name -> index, filled as `net` blocks are accepted; the first net
-  // of a name keeps it, which is the answer Design::find_net's scan gives.
-  // A map with a heap node per net freed one block per net between the
-  // design's own blocks when the read returned, and the corpus phase of
-  // every later analysis, allocating into those holes, ran 9-38% slower.
-  util::NameIndex net_index;
-  const auto name_of_net = net_name_of(design);
+  // Design::net_index is filled as `net` blocks are accepted; the first
+  // net of a name keeps it. A map with a heap node per net freed one block
+  // per net between the design's own blocks when the read returned, and
+  // the corpus phase of every later analysis, allocating into those holes,
+  // ran 9-38% slower.
   std::vector<RawInst> raw_insts;
   std::vector<RawPort> raw_ports;
 
@@ -459,7 +465,7 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         continue;
       }
       std::string net_name(tok[1]);
-      if (net_index.find(net_name, name_of_net) >= 0) {
+      if (design.find_net(net_name) >= 0) {
         findings.error(ErrorCode::kDuplicateName, "duplicate net '" + net_name + "'", line_no,
                        net_name);
       }
@@ -489,7 +495,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       Result<circuit::RlcTree> tree = circuit::read_tree_netlist_checked(block, ctx);
       if (!tree.is_ok()) {
         const Status& s = tree.status();
-        findings.error(s.code(), s.message(), s.line() >= 0 ? s.line() : block_start, net_name);
+        findings.error_reported(s.code(), s.message(), s.line() >= 0 ? s.line() : block_start,
+                                net_name);
         continue;
       }
       total_sections += tree.value().size();
@@ -502,8 +509,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       net.name = std::move(net_name);
       net.tree = std::move(tree).value();
       design.nets.push_back(std::move(net));
-      net_index.insert(design.nets.back().name, static_cast<int>(design.nets.size() - 1),
-                       name_of_net);
+      design.net_index.insert(design.nets.back().name, static_cast<int>(design.nets.size() - 1),
+                              name_of(design.nets));
     } else if (kw == "input" || kw == "output") {
       RawPort port;
       port.is_input = kw == "input";
@@ -599,13 +606,9 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
     }
   }
 
-  if (findings.ok()) finalize_design(design, net_index, raw_insts, raw_ports, findings);
+  if (findings.ok()) finalize_design(design, raw_insts, raw_ports, findings);
   if (!findings.ok()) return findings.status();
   return design;
-}
-
-Design read_design(std::istream& is, CellLibrary base) {
-  return read_design_checked(is, std::move(base)).value();
 }
 
 }  // namespace relmore::sta

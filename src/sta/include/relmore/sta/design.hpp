@@ -43,6 +43,7 @@
 #include "relmore/circuit/rlc_tree.hpp"
 #include "relmore/sta/liberty.hpp"
 #include "relmore/util/diagnostics.hpp"
+#include "relmore/util/name_index.hpp"
 
 namespace relmore::sta {
 
@@ -123,8 +124,22 @@ struct Design {
   /// is the design's tap total. Size nets.size() + 1.
   std::vector<std::size_t> tap_offset;
 
-  [[nodiscard]] int find_net(const std::string& net_name) const;
-  [[nodiscard]] int find_port(const std::string& port_name) const;
+  /// Name -> index tables over `nets`, `instances` and `ports`, written by
+  /// read_design_checked. Each is one util::NameIndex that compares names
+  /// through the vector it indexes, so it holds no copy of a name. A read
+  /// is accepted only with unique names and with the i-th item read at
+  /// index i, so a position a table gives is that item's index. Lookups
+  /// see the names as read: a design assembled by hand has empty tables
+  /// and finds nothing, and an item renamed after the read is not found.
+  util::NameIndex net_index;
+  util::NameIndex inst_names;
+  util::NameIndex port_names;
+
+  /// Index of the net, instance or port named `name`, or -1: one hash
+  /// probe through the tables above.
+  [[nodiscard]] int find_net(const std::string& name) const;
+  [[nodiscard]] int find_instance(const std::string& name) const;
+  [[nodiscard]] int find_port(const std::string& name) const;
   [[nodiscard]] std::size_t endpoint_count() const;
 };
 
@@ -135,9 +150,5 @@ struct Design {
 [[nodiscard]] util::Result<Design> read_design_checked(std::istream& is,
                                                        CellLibrary base = generic_library(),
                                                        util::DiagnosticsReport* report = nullptr);
-
-/// Exception-compatible shim over read_design_checked: throws
-/// util::FaultError on any rejected corpus.
-[[nodiscard]] Design read_design(std::istream& is, CellLibrary base = generic_library());
 
 }  // namespace relmore::sta

@@ -47,10 +47,6 @@ class TimingTable {
                                                                 std::vector<double> loads,
                                                                 std::vector<double> values);
 
-  /// Exception-compatible shim over create_checked (throws util::FaultError).
-  [[nodiscard]] static TimingTable create(std::vector<double> slews, std::vector<double> loads,
-                                          std::vector<double> values);
-
   /// Bilinear interpolation, clamped to the axis ranges (Liberty
   /// semantics: queries beyond the characterized window use the edge
   /// cells' gradients frozen at the boundary value).

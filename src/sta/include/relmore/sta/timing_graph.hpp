@@ -152,11 +152,6 @@ class TimingGraph {
   /// levels rising along every instance edge) and builds the graph.
   [[nodiscard]] static util::Result<TimingGraph> build_checked(const Design& design);
 
-  /// build_checked's per-net check: kInvalidArgument naming the net when
-  /// its FlatTree snapshot does not match its tree. A caller that
-  /// re-snapshots some nets of a built graph's design re-checks just those.
-  [[nodiscard]] static util::Status check_snapshot(const Net& net);
-
   /// Runs corpus moment analysis + levelized propagation. Execution knobs
   /// in `options` never change results (bitwise).
   [[nodiscard]] util::Result<TimingResult> analyze_checked(
@@ -204,22 +199,13 @@ class TimingGraph {
   std::size_t max_taps_;  ///< largest per-net tap count: the update's forward scratch
 };
 
-/// Slack of the endpoint (output port) named `port` (the first port of
-/// that name). kInvalidArgument for unknown or non-endpoint ports and for
-/// a result whose shape is not this design's; kNonFiniteMoment when the
-/// endpoint sits in a faulted fanout cone.
+/// Slack of the endpoint (output port) named `port`, resolved by
+/// Design::find_port. kInvalidArgument for unknown or non-endpoint ports
+/// and for a result whose shape is not this design's; kNonFiniteMoment
+/// when the endpoint sits in a faulted fanout cone.
 [[nodiscard]] util::Result<double> endpoint_slack_checked(const Design& design,
                                                           const TimingResult& result,
                                                           const std::string& port);
-
-/// endpoint_slack_checked for a port the caller has already resolved:
-/// `port_index` indexes Design::ports (-1: no port has that name; any
-/// index outside the ports is rejected) and `port` is the queried name
-/// the messages quote.
-[[nodiscard]] util::Result<double> endpoint_slack_at_checked(const Design& design,
-                                                             const TimingResult& result,
-                                                             int port_index,
-                                                             const std::string& port);
 
 /// The `k` worst (smallest-slack) constrained endpoints' critical paths,
 /// backtracked through winning arcs. Fewer than `k` when the design has

@@ -16,9 +16,9 @@
 /// the façade is Result-only by design. The Timer owns its Design behind
 /// a stable pointer, so moving the Timer never invalidates the analysis
 /// state. Next to the design it keeps, built once per load, the
-/// sta::TimingGraph every analyze() and commit runs on and a name index of
-/// its nets, instances and ports, so recording an edit or asking a slack
-/// resolves names by binary search instead of a scan.
+/// sta::TimingGraph every analyze() and commit runs on. Recording an edit
+/// or asking a slack resolves names through the design's own name tables
+/// (Design::find_net, find_instance, find_port): one hash probe each.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,6 +53,8 @@ class Timer {
                                   util::DiagnosticsReport* report = nullptr);
 
   /// Adopts an already-built design (e.g. sta::make_synthetic_design_checked).
+  /// Edits and slack queries find names through the design's own tables,
+  /// which sta::read_design_checked writes.
   [[nodiscard]] util::Status load(sta::Design design);
 
   /// Times the loaded design; caches and returns the summary. `options`
@@ -118,8 +120,7 @@ class Timer {
   [[nodiscard]] const sta::CorpusCache& cache() const { return cache_; }
 
  private:
-  /// The design, its timing graph and its name index, one heap object
-  /// (timer.cpp).
+  /// The design and its timing graph, one heap object (timer.cpp).
   struct Loaded;
 
   [[nodiscard]] util::Status ensure_analyzed();

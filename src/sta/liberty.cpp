@@ -111,11 +111,6 @@ Result<TimingTable> TimingTable::create_checked(std::vector<double> slews,
   return t;
 }
 
-TimingTable TimingTable::create(std::vector<double> slews, std::vector<double> loads,
-                                std::vector<double> values) {
-  return create_checked(std::move(slews), std::move(loads), std::move(values)).value();
-}
-
 double TimingTable::lookup(double input_slew, double load) const {
   if (values_.empty()) return 0.0;
   const std::uint32_t hint = hint_.load(std::memory_order_relaxed);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <new>
-#include <numeric>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -19,30 +18,6 @@ using util::Result;
 using util::Status;
 
 namespace {
-
-/// Positions of `items` sorted by name; the sort is stable, so the first
-/// of equal names leads. 4 bytes an entry, no name copied.
-template <typename T>
-std::vector<int> positions_by_name(const std::vector<T>& items) {
-  std::vector<int> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return items[static_cast<std::size_t>(a)].name < items[static_cast<std::size_t>(b)].name;
-  });
-  return order;
-}
-
-/// Position of the first item named `name`, or -1: the answer of a
-/// front-to-back scan, by binary search over `order`.
-template <typename T>
-int find_by_name(const std::vector<T>& items, const std::vector<int>& order,
-                 const std::string& name) {
-  const auto it = std::lower_bound(order.begin(), order.end(), name,
-                                   [&](int i, const std::string& key) {
-                                     return items[static_cast<std::size_t>(i)].name < key;
-                                   });
-  return it != order.end() && items[static_cast<std::size_t>(*it)].name == name ? *it : -1;
-}
 
 /// One section value a commit will write. The ops stage their values
 /// first — one entry per (net, section), holding the latest — so every op
@@ -70,30 +45,14 @@ Status check_folded(const circuit::SectionValues& v, circuit::SectionId section)
 }  // namespace
 
 /// Edits change values, cells and required times, never a name, a level or
-/// the number of nets, instances or ports, so the graph and the index built
-/// here stay valid until the next load replaces the whole object.
+/// the number of nets, instances or ports, so the graph built here and the
+/// design's name tables stay valid until the next load replaces the whole
+/// object.
 struct Timer::Loaded {
-  explicit Loaded(sta::Design d)
-      : design(std::move(d)),
-        nets(positions_by_name(design.nets)),
-        instances(positions_by_name(design.instances)),
-        ports(positions_by_name(design.ports)) {}
-
-  [[nodiscard]] int find_net(const std::string& name) const {
-    return find_by_name(design.nets, nets, name);
-  }
-  [[nodiscard]] int find_instance(const std::string& name) const {
-    return find_by_name(design.instances, instances, name);
-  }
-  [[nodiscard]] int find_port(const std::string& name) const {
-    return find_by_name(design.ports, ports, name);
-  }
+  explicit Loaded(sta::Design d) : design(std::move(d)) {}
 
   sta::Design design;
   std::optional<sta::TimingGraph> graph;  ///< over `design`, set by Timer::load
-  std::vector<int> nets;
-  std::vector<int> instances;
-  std::vector<int> ports;
 };
 
 Timer::Timer() = default;
@@ -153,8 +112,7 @@ Result<double> Timer::slack(const std::string& endpoint) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
   if (Status s = ensure_analyzed(); !s.is_ok()) return s;
-  return sta::endpoint_slack_at_checked(loaded_->design, *result_, loaded_->find_port(endpoint),
-                                        endpoint);
+  return sta::endpoint_slack_checked(loaded_->design, *result_, endpoint);
 }
 
 Result<std::vector<sta::PathReport>> Timer::report_worst_paths(std::size_t k) {
@@ -189,7 +147,7 @@ Status Timer::Edit::set_net_section_values(const std::string& net, const std::st
                                            const circuit::SectionValues& wire) {
   if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int ni = loaded_->find_net(net);
+  const int ni = loaded_->design.find_net(net);
   if (ni < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown net").with_net(net);
   }
@@ -218,7 +176,7 @@ Status Timer::Edit::set_net_section_values(const std::string& net, const std::st
 Status Timer::Edit::set_cell(const std::string& instance, const std::string& cell) {
   if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int inst = loaded_->find_instance(instance);
+  const int inst = loaded_->design.find_instance(instance);
   if (inst < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown instance").with_net(instance);
   }
@@ -238,7 +196,7 @@ Status Timer::Edit::set_cell(const std::string& instance, const std::string& cel
 Status Timer::Edit::set_port_required(const std::string& port, double required) {
   if (loaded_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int pi = loaded_->find_port(port);
+  const int pi = loaded_->design.find_port(port);
   if (pi < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown port").with_net(port);
   }
@@ -388,14 +346,11 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   for (const StagedValue& s : staged) {
     design.nets[static_cast<std::size_t>(s.net)].tree.values(s.section) = s.v;
   }
-  bool can_update = true;
   for (const int ni : touched) {
     sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
     net.flat = circuit::FlatTree(net.tree);
     net.epoch = design.epoch;
     net.total_cap = net.tree.total_capacitance();
-    // The graph was checked at load; only these snapshots are new.
-    if (!sta::TimingGraph::check_snapshot(net).is_ok()) can_update = false;
   }
   for (const Edit::Op& op : edit.ops_) {
     if (op.kind == Edit::OpKind::kPort) {
@@ -415,6 +370,7 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   // workspace grab: the corpus phase retries it, a commit drops its
   // analysis instead.
   const std::uint64_t fingerprint = sta::options_fingerprint(options);
+  bool can_update = true;
   for (const int ni : touched) {
     const sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
     sta::NetModels models;

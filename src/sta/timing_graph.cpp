@@ -424,15 +424,6 @@ class ConeWorklist {
 
 }  // namespace
 
-Status TimingGraph::check_snapshot(const Net& net) {
-  if (net.flat.size() != net.tree.size()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "TimingGraph: net snapshot is stale (re-run read_design)")
-        .with_net(net.name);
-  }
-  return Status::ok();
-}
-
 Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
   const std::size_t n_nets = design.nets.size();
   if (n_nets == 0) {
@@ -443,7 +434,11 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
                   "TimingGraph: design is not finalized (topological order incomplete)");
   }
   for (const Net& net : design.nets) {
-    if (Status s = check_snapshot(net); !s.is_ok()) return s;
+    if (net.flat.size() != net.tree.size()) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "TimingGraph: net snapshot is stale (re-run read_design_checked)")
+          .with_net(net.name);
+    }
   }
   // Every result lays out its per-tap arrays by the tap offsets, and its
   // guards compare only their total, so the offsets must be exactly the
@@ -451,7 +446,7 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
   const std::vector<std::size_t>& offset = design.tap_offset;
   if (offset.size() != n_nets + 1 || offset[0] != 0) {
     return Status(ErrorCode::kInvalidArgument,
-                  "TimingGraph: design has no tap offsets (re-run read_design)");
+                  "TimingGraph: design has no tap offsets (re-run read_design_checked)");
   }
   std::size_t max_taps = 0;
   for (std::size_t ni = 0; ni < n_nets; ++ni) {
@@ -460,7 +455,7 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
     if (offset[ni + 1] != offset[ni] + taps) {
       return Status(ErrorCode::kInvalidArgument,
                     "TimingGraph: tap offsets do not match the net's tap count "
-                    "(re-run read_design)")
+                    "(re-run read_design_checked)")
           .with_net(net.name);
     }
     // The corpus phase evaluates the net's models at its tap nodes only.
@@ -484,7 +479,7 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
       if (design.nets[static_cast<std::size_t>(pin.net)].level >= out_level) {
         return Status(ErrorCode::kInvalidArgument,
                       "TimingGraph: net levels do not rise through the instance "
-                      "(re-run read_design)")
+                      "(re-run read_design_checked)")
             .with_net(inst.name);
       }
     }
@@ -729,18 +724,12 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
 
 Result<double> endpoint_slack_checked(const Design& design, const TimingResult& result,
                                       const std::string& port) {
-  return endpoint_slack_at_checked(design, result, design.find_port(port), port);
-}
-
-Result<double> endpoint_slack_at_checked(const Design& design, const TimingResult& result,
-                                         int port_index, const std::string& port) {
   if (!shaped_for(design, result)) {
     return Status(ErrorCode::kInvalidArgument,
                   "endpoint_slack: result does not belong to this design");
   }
-  if (port_index < 0 || static_cast<std::size_t>(port_index) >= design.ports.size()) {
-    return Status(ErrorCode::kInvalidArgument, "unknown port '" + port + "'");
-  }
+  const int port_index = design.find_port(port);
+  if (port_index < 0) return Status(ErrorCode::kInvalidArgument, "unknown port '" + port + "'");
   const auto pi = static_cast<std::size_t>(port_index);
   const DesignPort& p = design.ports[pi];
   if (p.is_input) {

@@ -7,6 +7,8 @@
 //  - an accepted design is finalized: the topological order covers every
 //    net, every net has a driver and a current FlatTree snapshot, and the
 //    tap offsets are the prefix sums of the nets' tap counts;
+//  - an accepted design's name tables resolve every net, instance and
+//    port name to that item's own index;
 //  - an accepted design times end to end without an exception — the whole
 //    TimingGraph flow under kSkipAndFlag (per-net faults must be isolated,
 //    never thrown across the corpus phase) — into a result whose per-tap
@@ -58,6 +60,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     taps += net.taps.size();
   }
   if (design.tap_offset.back() != taps) std::abort();
+  for (std::size_t i = 0; i < design.nets.size(); ++i) {
+    if (design.find_net(design.nets[i].name) != static_cast<int>(i)) std::abort();
+  }
+  for (std::size_t i = 0; i < design.instances.size(); ++i) {
+    if (design.find_instance(design.instances[i].name) != static_cast<int>(i)) std::abort();
+  }
+  for (std::size_t i = 0; i < design.ports.size(); ++i) {
+    if (design.find_port(design.ports[i].name) != static_cast<int>(i)) std::abort();
+  }
 
   try {
     util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);

@@ -139,7 +139,8 @@ struct BadDeck {
 
 TEST(TreeNetlistFaults, RejectsBadValuesWithLine) {
   // A value keeps the code parse_spice_value_checked gives it, and a
-  // negative element is kNegativeValue, as circuit::validate names it.
+  // negative element is kNegativeValue and a duplicate section
+  // kDuplicateName, as circuit::validate names them.
   const BadDeck decks[] = {
       {"section a - R=2nq L=0 C=1p\n", ru::ErrorCode::kParseError, 1},        // trailing garbage
       {"section a - R=1e L=0 C=1p\n", ru::ErrorCode::kParseError, 1},         // dangling exponent
@@ -151,7 +152,7 @@ TEST(TreeNetlistFaults, RejectsBadValuesWithLine) {
        2},
       {"section a - R=1 L=0\n", ru::ErrorCode::kParseError, 1},               // missing field
       {"section a b R=1 L=0 C=1p\n", ru::ErrorCode::kParseError, 1},          // unknown parent
-      {"section a - R=1 L=0 C=1p\nsection a - R=1 L=0 C=1p\n", ru::ErrorCode::kParseError,
+      {"section a - R=1 L=0 C=1p\nsection a - R=1 L=0 C=1p\n", ru::ErrorCode::kDuplicateName,
        2},  // duplicate
   };
   for (const BadDeck& deck : decks) {

@@ -14,7 +14,6 @@ namespace {
 
 using util::DiagnosticsReport;
 using util::ErrorCode;
-using util::FaultError;
 
 /// The golden 3-stage corpus the timing tests hand-compute against:
 /// clk -> n0 -> u0(g1) -> n1 -> u1(g2) -> n2 -> out.
@@ -284,9 +283,63 @@ TEST(ReadDesign, ReportCollectsEveryFinding) {
   EXPECT_GE(report.error_count(), 2u);
 }
 
-TEST(ReadDesign, ShimThrowsFaultError) {
-  std::istringstream is("garbage directive\n");
-  EXPECT_THROW((void)read_design(is), FaultError);
+// The tree reader puts a bad net block's failure in the caller's report
+// itself, a syntax error and a validation finding alike, so the design
+// reader must not record it there a second time.
+TEST(ReadDesign, BadNetBlockIsReportedOnce) {
+  const std::string bad_value = "net bad\nsection s0 - R=bogus L=0 C=1f\nend\n";
+  const std::string empty_block = "net bad\nend\n";
+  for (const std::string& block : {bad_value, empty_block}) {
+    DiagnosticsReport report;
+    util::Result<Design> r = parse(block + "input i bad\noutput o bad:s0\n", &report);
+    ASSERT_FALSE(r.is_ok()) << block;
+    EXPECT_EQ(report.error_count(), 1u) << report.to_string();
+    EXPECT_EQ(report.entries().front().net, "bad") << block;
+    EXPECT_EQ(report.entries().front().code, r.status().code()) << block;
+  }
+}
+
+// Every name of a loaded design resolves to its own index through the
+// design's name tables, in a copy too (the tables hold positions, not
+// pointers); a name the design does not have resolves to -1.
+TEST(ReadDesign, NameTablesResolveEveryNameToItsIndex) {
+  SyntheticSpec spec;
+  spec.nets = 40;
+  spec.seed = 5;
+  util::Result<Design> r = make_synthetic_design_checked(spec);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  const Design read = std::move(r).value();
+  const Design copy = read;
+  for (const Design* d : {&read, &copy}) {
+    ASSERT_FALSE(d->instances.empty());
+    for (std::size_t i = 0; i < d->nets.size(); ++i) {
+      EXPECT_EQ(d->find_net(d->nets[i].name), static_cast<int>(i)) << d->nets[i].name;
+    }
+    for (std::size_t i = 0; i < d->instances.size(); ++i) {
+      EXPECT_EQ(d->find_instance(d->instances[i].name), static_cast<int>(i))
+          << d->instances[i].name;
+    }
+    for (std::size_t i = 0; i < d->ports.size(); ++i) {
+      EXPECT_EQ(d->find_port(d->ports[i].name), static_cast<int>(i)) << d->ports[i].name;
+    }
+    for (const std::string& unknown : {std::string(), std::string("nope"), std::string("n0_")}) {
+      EXPECT_EQ(d->find_net(unknown), -1) << unknown;
+      EXPECT_EQ(d->find_instance(unknown), -1) << unknown;
+      EXPECT_EQ(d->find_port(unknown), -1) << unknown;
+    }
+    // Each table answers for its own kind only.
+    EXPECT_EQ(d->find_port(d->nets[0].name), -1);
+    EXPECT_EQ(d->find_net(d->instances[0].name), -1);
+    EXPECT_EQ(d->find_instance(d->ports[0].name), -1);
+  }
+
+  // Lookups see the names as read: a design assembled by hand finds
+  // nothing, and a port cut off the vector is no longer found.
+  EXPECT_EQ(Design{}.find_net(read.nets[0].name), -1);
+  Design cut = read;
+  cut.ports.pop_back();
+  EXPECT_EQ(cut.find_port(read.ports.back().name), -1);
+  EXPECT_EQ(cut.find_port(read.ports.front().name), 0);
 }
 
 TEST(SyntheticDesign, LoadsAndFinalizes) {

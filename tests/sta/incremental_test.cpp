@@ -363,9 +363,9 @@ TEST(TimerEdit, OverflowingFoldFailsAndChangesNothing) {
   expect_bitwise_equal(*timer.result(), oracle(design));
 }
 
-// Timer::slack resolves through the load's name index; its answers,
-// codes and messages are endpoint_slack_checked's for every name.
-TEST(TimerEdit, SlackByIndexAnswersLikeTheScan) {
+// Timer::slack times the design on demand, then answers, for every name,
+// with endpoint_slack_checked's value, code and message.
+TEST(TimerEdit, SlackAnswersLikeEndpointSlackChecked) {
   Timer timer;
   ASSERT_TRUE(timer.load(synthetic(24, 8)).is_ok());
   ASSERT_TRUE(timer.analyze().is_ok());

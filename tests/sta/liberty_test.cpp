@@ -25,7 +25,7 @@ TEST(TimingTable, BilinearInterpolationIsExactForBilinearData) {
   for (const double si : s) {
     for (const double li : l) v.push_back(2.0 + 3.0 * si + 5.0 * li + 7.0 * si * li);
   }
-  const TimingTable t = TimingTable::create(s, l, v);
+  const TimingTable t = TimingTable::create_checked(s, l, v).value();
   for (const double qs : {0.0, 0.5, 1.0, 2.5, 4.0}) {
     for (const double ql : {0.0, 1.0, 2.0, 2.9, 3.0}) {
       EXPECT_NEAR(t.lookup(qs, ql), 2.0 + 3.0 * qs + 5.0 * ql + 7.0 * qs * ql, 1e-12)
@@ -35,7 +35,8 @@ TEST(TimingTable, BilinearInterpolationIsExactForBilinearData) {
 }
 
 TEST(TimingTable, ClampsOutsideTheGrid) {
-  const TimingTable t = TimingTable::create({0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0, 2.0, 3.0});
+  const TimingTable t =
+      TimingTable::create_checked({0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0, 2.0, 3.0}).value();
   EXPECT_DOUBLE_EQ(t.lookup(-5.0, -5.0), t.lookup(0.0, 0.0));
   EXPECT_DOUBLE_EQ(t.lookup(9.0, 9.0), t.lookup(1.0, 1.0));
 }
