@@ -9,7 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -129,6 +131,38 @@ void BM_SimulatorReference(benchmark::State& state) {
   state.counters["sections"] = static_cast<double>(tree.size());
 }
 BENCHMARK(BM_SimulatorReference)->DenseRange(4, 10, 2);
+
+// The STA wire stage alone, per tap: eed::ramp_stage_checked over 256
+// fixed seeded draws of one damping class — 0: RC (closed forms), 1:
+// overdamped with zeta in [2, 60] (Newton), 2: underdamped with zeta in
+// [0.1, 0.9] (bracket scan + Brent) — each at a rise of 0.1-10x its delay.
+void BM_RampStage(benchmark::State& state) {
+  struct Draw {
+    eed::NodeModel node;
+    double rise;
+  };
+  static constexpr const char* kClass[] = {"rc", "overdamped", "underdamped"};
+  const auto cls = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(42 + cls);
+  const auto log_uniform = [&rng](double lo, double hi) {
+    return std::exp(std::uniform_real_distribution<double>(std::log(lo), std::log(hi))(rng));
+  };
+  std::vector<Draw> draws(256);
+  for (Draw& d : draws) {
+    const double sr = log_uniform(1e-13, 1e-10);
+    const double zeta = cls == 0 ? 0.0 : cls == 1 ? log_uniform(2.0, 60.0) : log_uniform(0.1, 0.9);
+    const double root = sr / (2.0 * zeta);
+    d.node = eed::node_model(sr, cls == 0 ? 0.0 : root * root);
+    d.rise = eed::delay_50(d.node) * log_uniform(0.1, 10.0);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Draw& d = draws[i++ & 255];
+    benchmark::DoNotOptimize(eed::ramp_stage_checked(d.node, d.rise));
+  }
+  state.SetLabel(kClass[cls]);
+}
+BENCHMARK(BM_RampStage)->DenseRange(0, 2, 1);
 
 /// Console reporter that additionally collects per-run rows for the
 /// `--json <path>` machine-readable output (see json_out.hpp). Aggregate

@@ -3,8 +3,10 @@
 /// \file response.hpp
 /// Time-domain responses of the second-order node model to the inputs the
 /// paper analyses: ideal step (eq. 31), saturating exponential (eqs. 43–48),
-/// and arbitrary sources (via the model's ODE, paper Section IV's "multiply
-/// by the Laplace transform of the input" procedure done numerically).
+/// linear ramp, and arbitrary sources (via the model's ODE, paper Section
+/// IV's "multiply by the Laplace transform of the input" procedure done
+/// numerically) — and the STA's exact wire-stage kernel, the first
+/// crossings of the ramp response (ramp_crossing, ramp_stage_checked).
 
 #include <vector>
 
@@ -24,8 +26,11 @@ namespace relmore::eed {
 
 /// Closed-form response to a finite linear ramp (0 → v_supply over
 /// `rise_seconds`, then flat) — the other canonical driver waveform the
-/// paper's Section IV procedure covers. Derived by integrating the step
-/// response: v(t) = V/T·[S(t) − S(t−T)] with S = ∫ step.
+/// paper's Section IV procedure covers: v(t) = V/T·[S(t) − S(t−T)] with
+/// S = ∫ step. Evaluated in scaled time u = omega_n·t in real arithmetic
+/// (exact near zeta = 1 and for a short rise); RC nodes, and nodes whose
+/// fast pole is below rounding (zeta >= 2^27), use the single pole
+/// tau = SR.
 [[nodiscard]] double ramp_input_response(const NodeModel& node, double t, double v_supply,
                            double rise_seconds);
 
@@ -36,23 +41,36 @@ struct RampStage {
   double output_rise = 0.0;  ///< 10-90% rise of the output [s]
 };
 
-/// Times a wire stage: the node driven by a 0 -> 1 ramp of `rise_seconds`
-/// (0 = ideal step, timed with the closed forms delay_50() and
-/// rise_time(), paper eqs. 35-36). The delay runs from the input's 50%
-/// point (rise/2) to the output's first 50% crossing; the output rise
-/// from its first 10% crossing to its first 90% crossing.
-///
-/// The crossings are those of ramp_input_response() found bit for bit as
-/// three util::find_root_forward() searches would find them (first step
-/// 0.05 x max(rise, delay_50), growth 1.6, 400 expansions, Brent with
-/// util::RootOptions defaults), with about half the response evaluations:
-/// the node's poles and residues are computed once, one bracket scan
-/// serves all three levels, and each level's Brent solve starts from its
-/// bracket's end values. Never throws; allocates only a failure's message.
+/// First time [s] the node's response to a 0 -> 1 ramp of `rise_seconds`
+/// (0 = ideal step) reaches `level` (in (0, 1)), converged to the last
+/// bits; NaN when it never does (a negative or non-finite rise, a
+/// non-finite model) or the level is outside (0, 1). The one exact
+/// wire-stage kernel, chosen by the node's damping:
+///  - RC (omega_n = inf, or zeta >= 2^27): closed forms in x = t/SR from
+///    T/SR — ln(expm1(b)/b) − log1p(−level) after the ramp, a Halley
+///    solve of x + expm1(−x) = level·b (Lambert W0) during it;
+///  - overdamped (1.25 <= zeta < 2^27): Newton on the two-pole response
+///    in u = omega_n·t from (zeta, omega_n·T), seeded by the dominant
+///    pole's closed form, stopped at |du| <= 8 eps·u or when the step
+///    stops shrinking at rounding level;
+///  - underdamped and near-critical (zeta < 1.25), and any level whose
+///    Newton is capped or goes non-finite: a forward bracket scan and
+///    Brent stopped relative to the root (util::RootOptions::x_tol = 0).
+/// Scaling SR by 2^k and SL by 4^k (C and L by 2^k) and the rise by 2^k
+/// scales the crossing by exactly 2^k. Never throws, never allocates.
+[[nodiscard]] double ramp_crossing(const NodeModel& node, double rise_seconds, double level);
+
+/// Times a wire stage: the delay runs from the input's 50% point (rise/2)
+/// to the output's first 50% crossing, the output rise from its first 10%
+/// to its first 90% crossing, each crossing as ramp_crossing() finds it
+/// (one kernel call serves the three levels). At zero rise these are the
+/// exact step crossings, delay_50_exact() and rise_time_exact() — on RC
+/// nodes Wyatt's ln2·SR and ln9·SR — the limit of a vanishing rise.
+/// Never throws; allocates only a failure's message.
 ///
 /// Fails with kNegativeValue on a negative rise, and with
-/// kInvalidArgument when the response never crosses a level within the
-/// scan (a non-finite rise or response).
+/// kInvalidArgument when the response never crosses a level (a
+/// non-finite rise or model).
 [[nodiscard]] util::Result<RampStage> ramp_stage_checked(const NodeModel& node,
                                                          double rise_seconds);
 

@@ -16,7 +16,9 @@ namespace relmore::eed {
 
 /// Scaled unit-step response g(zeta, t') of 1/(1 + 2 zeta s' + s'^2)
 /// (paper eq. 31 after scaling). Valid for all damping conditions;
-/// continuous across zeta = 1.
+/// continuous across zeta = 1. Overdamped, the slow decay rate is formed
+/// as 1/(zeta + sqrt(zeta^2 - 1)), not zeta - sqrt(zeta^2 - 1), which
+/// rounds to 0 from zeta ~ 1e8.
 double scaled_step_response(double zeta, double t_scaled);
 
 /// d/dt' of the scaled step response (used for peak localization).
@@ -29,7 +31,11 @@ double scaled_delay_exact(double zeta);
 /// Exact scaled 10%→90% rise time.
 double scaled_rise_exact(double zeta);
 
-/// Exact scaled first crossing of an arbitrary fraction in (0, 1).
+/// Exact scaled first crossing of an arbitrary fraction in (0, 1):
+/// ramp_crossing() (response.hpp) at zero rise on the node with
+/// omega_n = 1, converged to the last bits. Throws std::invalid_argument
+/// on a fraction outside (0, 1) or a negative zeta, and
+/// std::runtime_error when the no-throw kernel finds no crossing.
 double scaled_crossing_exact(double zeta, double fraction);
 
 /// Coefficients of the fitted form  a·e^(−zeta^p/b) + c·zeta + d.
@@ -61,10 +67,13 @@ FitCoefficients rise_fit_refit();
 double scaled_delay_fitted(double zeta);
 double scaled_rise_fitted(double zeta);
 
-/// Physical-time metrics of a node (paper eqs. 35–38). The *_fitted
-/// variants use the closed-form fits; the *_exact variants solve eq. 31.
-/// For pure-RC nodes (omega_n = inf) all four reduce to the Wyatt
-/// single-pole expressions ln2·SR and ln9·SR.
+/// Physical-time metrics of a node (paper eqs. 35–38). delay_50 and
+/// rise_time use the closed-form fits (eqs. 33–36, kept for the figures);
+/// the *_exact variants are the exact step crossings of eq. 31 from the
+/// wire-stage kernel (ramp_crossing() at zero rise), and throw
+/// std::runtime_error when it finds none. For pure-RC nodes
+/// (omega_n = inf) all four are the Wyatt single-pole expressions ln2·SR
+/// and ln9·SR.
 double delay_50(const NodeModel& node);
 double delay_50_exact(const NodeModel& node);
 double rise_time(const NodeModel& node);

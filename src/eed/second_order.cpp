@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "relmore/util/roots.hpp"
+#include "relmore/eed/response.hpp"
 
 namespace relmore::eed {
 
@@ -13,6 +13,14 @@ namespace {
 constexpr double kLn2 = 0.6931471805599453;
 constexpr double kLn9 = 2.1972245773362196;
 constexpr double kCriticalTol = 1e-7;
+
+/// The exact step crossing of `fraction` by `node`, or a throw when the
+/// no-throw kernel finds none (a non-finite model).
+double step_crossing(const NodeModel& node, double fraction) {
+  const double t = ramp_crossing(node, 0.0, fraction);
+  if (std::isnan(t)) throw std::runtime_error("step crossing: the response never crosses");
+  return t;
+}
 
 }  // namespace
 
@@ -32,13 +40,14 @@ double scaled_step_response(double zeta, double t_scaled) {
   }
   // Overdamped, written in the cancellation-free cosh/sinh form:
   // v = 1 - e^{-zt}[cosh(d t) + z sinh(d t)/d],  d = sqrt(z^2 - 1).
-  const double d = std::sqrt(zeta * zeta - 1.0);
+  const double d = std::sqrt((zeta - 1.0) * (zeta + 1.0));
   // Avoid overflow for large arguments: combine exponents analytically.
   const double x = d * t;
   if (x > 30.0) {
     // cosh/sinh ~ e^x/2; v = 1 - 0.5 (1 + z/d) e^{(d - z) t} (minus a
-    // negligible e^{-(d+z)t} term).
-    return 1.0 - 0.5 * (1.0 + zeta / d) * std::exp((d - zeta) * t);
+    // negligible e^{-(d+z)t} term), with d - z = -1/(z + d): the
+    // difference itself rounds to 0 from z ~ 1e8.
+    return 1.0 - 0.5 * (1.0 + zeta / d) * std::exp(-t / (zeta + d));
   }
   return 1.0 - std::exp(-zeta * t) * (std::cosh(x) + zeta * std::sinh(x) / d);
 }
@@ -52,9 +61,9 @@ double scaled_step_derivative(double zeta, double t_scaled) {
     const double wd = std::sqrt(1.0 - zeta * zeta);
     return std::exp(-zeta * t) * std::sin(wd * t) / wd;
   }
-  const double d = std::sqrt(zeta * zeta - 1.0);
+  const double d = std::sqrt((zeta - 1.0) * (zeta + 1.0));
   const double x = d * t;
-  if (x > 30.0) return 0.5 / d * std::exp((d - zeta) * t);
+  if (x > 30.0) return 0.5 / d * std::exp(-t / (zeta + d));
   return std::exp(-zeta * t) * std::sinh(x) / d;
 }
 
@@ -62,13 +71,14 @@ double scaled_crossing_exact(double zeta, double fraction) {
   if (fraction <= 0.0 || fraction >= 1.0) {
     throw std::invalid_argument("scaled_crossing_exact: fraction must be in (0, 1)");
   }
-  const auto f = [&](double t) { return scaled_step_response(zeta, t) - fraction; };
-  // The response rises monotonically to its first extremum (>= 1 when
-  // underdamped, -> 1 when overdamped), so the first crossing exists and a
-  // forward bracket search finds it.
-  const auto root = util::find_root_forward(f, 0.0, 0.25, 1.6, 400);
-  if (!root) throw std::runtime_error("scaled_crossing_exact: bracket search failed");
-  return *root;
+  if (zeta < 0.0) throw std::invalid_argument("scaled_crossing_exact: zeta must be >= 0");
+  // The node with omega_n = 1 (SL = 1, SR = 2 zeta) has time = scaled time.
+  NodeModel unit;
+  unit.sum_rc = 2.0 * zeta;
+  unit.sum_lc = 1.0;
+  unit.zeta = zeta;
+  unit.omega_n = 1.0;
+  return step_crossing(unit, fraction);
 }
 
 double scaled_delay_exact(double zeta) { return scaled_crossing_exact(zeta, 0.5); }
@@ -117,7 +127,7 @@ double delay_50(const NodeModel& node) {
 
 double delay_50_exact(const NodeModel& node) {
   if (is_rc_limit(node)) return kLn2 * node.sum_rc;
-  return scaled_delay_exact(node.zeta) / node.omega_n;
+  return step_crossing(node, 0.5);
 }
 
 double rise_time(const NodeModel& node) {
@@ -127,7 +137,7 @@ double rise_time(const NodeModel& node) {
 
 double rise_time_exact(const NodeModel& node) {
   if (is_rc_limit(node)) return kLn9 * node.sum_rc;
-  return scaled_rise_exact(node.zeta) / node.omega_n;
+  return step_crossing(node, 0.9) - step_crossing(node, 0.1);
 }
 
 double overshoot_pct(const NodeModel& node, int n) {

@@ -4,7 +4,8 @@
 /// Liberty-subset cell characterization: NLDM-style 2-D lookup tables
 /// (delay and output slew indexed by input slew x output load) and a named
 /// cell library. This is the *gate* half of a timing stage; the *wire*
-/// half is the EED closed form on the net's RLC tree (eed::ramp_stage_checked).
+/// half is the EED model of the net's RLC tree, its ramp crossings solved
+/// exactly (eed::ramp_stage_checked).
 ///
 /// Tables interpolate bilinearly and clamp at the axis ends, the standard
 /// Liberty semantics. `linear_cell` builds tables from the classic linear

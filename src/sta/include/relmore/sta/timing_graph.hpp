@@ -6,11 +6,14 @@
 /// slack, and worst-path extraction with a report_timing-style formatter.
 ///
 /// Semantics (the STA conventions, documented in docs/sta.md):
-///  - wire stage: each tap of a net sees the EED closed form of its tree
-///    node driven by the driver's 10-90% slew (eed::ramp_stage_checked —
-///    ideal step when the slew is 0); tap arrival = driver arrival + stage
-///    delay, tap slew = the stage's 10-90% output rise. A tap the kernel
-///    cannot time (no crossing) is left untimed and faults its net.
+///  - wire stage: each tap of a net sees the EED model of its tree node
+///    driven by a ramp of the driver's 10-90% slew (eed::ramp_stage_checked,
+///    crossings exact to the last bits — the exact step crossings when the
+///    slew is 0); tap arrival = driver arrival + stage delay, tap slew =
+///    the stage's 10-90% output rise. The kernel solves in scaled time, so
+///    scaling every C, L and time by 2^k scales every arrival, slew and
+///    slack by exactly 2^k. A tap the kernel cannot time (no crossing) is
+///    left untimed and faults its net.
 ///  - cell stage: instance output arrival = max over input pins of
 ///    (pin arrival + delay table(pin slew, output net load)); the winning
 ///    pin also supplies the output slew lookup. Loads are the driven

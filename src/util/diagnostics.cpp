@@ -67,7 +67,11 @@ std::string Status::to_string() const {
 Status DiagnosticsReport::to_status() const {
   for (const Diagnostic& d : entries_) {
     if (!d.warning) {
-      return Status(d.code, d.to_string(), d.node, d.line).with_net(d.net);
+      // The Status carries the code, node, line and net itself; its
+      // message is the finding's own, so a Status built from a nested
+      // reader's Status does not repeat the "error [code]" prefix.
+      std::string message = d.path.empty() ? d.message : d.message + " (" + d.path + ")";
+      return Status(d.code, std::move(message), d.node, d.line).with_net(d.net);
     }
   }
   return Status::ok();

@@ -190,7 +190,10 @@ class DiagnosticsReport {
   /// True when no *errors* were found (warnings allowed).
   [[nodiscard]] bool is_ok() const { return errors_ == 0; }
 
-  /// First error as a Status (ok() when the report is clean).
+  /// First error as a Status (ok() when the report is clean): its code,
+  /// node, line and net, and its own message with " (<path>)" appended
+  /// when it names one — not the rendered to_string() line, so a Status
+  /// built from a nested reader's Status carries the finding once.
   [[nodiscard]] Status to_status() const;
   /// All entries, one line each.
   [[nodiscard]] std::string to_string() const;

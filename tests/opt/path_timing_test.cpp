@@ -27,8 +27,8 @@ TEST(PathTiming, StepStageMatchesClosedForms) {
   const PathStage st = make_stage(1.0);
   const auto model = eed::analyze(st.tree);
   const StageTiming t = time_stage(model.at(st.sink), 0.0);
-  EXPECT_DOUBLE_EQ(t.delay, eed::delay_50(model.at(st.sink)));
-  EXPECT_DOUBLE_EQ(t.output_rise, eed::rise_time(model.at(st.sink)));
+  EXPECT_EQ(t.delay, eed::delay_50_exact(model.at(st.sink)));
+  EXPECT_EQ(t.output_rise, eed::rise_time_exact(model.at(st.sink)));
 }
 
 TEST(PathTiming, SlowInputAddsNearZeroStageDelayLag) {

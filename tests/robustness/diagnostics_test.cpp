@@ -8,8 +8,11 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "relmore/sta/design.hpp"
 
 namespace ru = relmore::util;
 
@@ -109,4 +112,35 @@ TEST(ValidElementValue, AcceptsFiniteNonNegativeOnly) {
   EXPECT_FALSE(ru::valid_element_value(std::numeric_limits<double>::infinity()));
   EXPECT_FALSE(ru::valid_element_value(-std::numeric_limits<double>::infinity()));
   EXPECT_FALSE(ru::valid_element_value(std::nan("")));
+}
+
+TEST(Diagnostics, ToStatusCarriesTheFindingOnce) {
+  // The Status holds the finding's own message (plus its node path); the
+  // code, node, line and net travel in their own fields.
+  ru::DiagnosticsReport report;
+  ru::Diagnostic err;
+  err.code = ru::ErrorCode::kNonFiniteValue;
+  err.message = "resistance = nan";
+  err.node = 4;
+  err.path = "s0/s4";
+  err.line = 9;
+  err.net = "n1";
+  report.add(err);
+  const ru::Status s = report.to_status();
+  EXPECT_EQ(s.message(), "resistance = nan (s0/s4)");
+  EXPECT_EQ(s.node(), 4);
+  EXPECT_EQ(s.line(), 9);
+  EXPECT_EQ(s.net(), "n1");
+
+  // A nested reader's Status re-recorded by the design reader: one prefix,
+  // in Status::to_string, not two in the message.
+  std::istringstream is("net bad\nend\ninput i bad\noutput o bad:s0\n");
+  const relmore::util::Result<relmore::sta::Design> d = relmore::sta::read_design_checked(is);
+  ASSERT_FALSE(d.is_ok());
+  EXPECT_EQ(d.status().code(), ru::ErrorCode::kEmptyTree);
+  EXPECT_EQ(d.status().message(), "tree has no sections");
+  EXPECT_EQ(d.status().net(), "bad");
+  const std::string text = d.status().to_string();
+  EXPECT_EQ(text.find("error ["), std::string::npos) << text;
+  EXPECT_EQ(text.find("empty-tree"), text.rfind("empty-tree")) << text;
 }
