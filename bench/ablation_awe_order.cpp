@@ -51,7 +51,8 @@ int main() {
         const double horizon = analysis::suggest_horizon(tm.at(sink));
         const sim::Waveform ref =
             analysis::reference_waveform(tree, sink, sim::StepSource{1.0}, horizon, 801);
-        const sim::Waveform awe_w = usable.step_waveform(ref.times(), 1.0);
+        const sim::Waveform awe_w =
+            sim::sample(ref.times(), [&](double t) { return usable.step_response(t); });
         const double e = ref.max_abs_difference(awe_w);
         err_sum += e;
         err_worst = std::max(err_worst, e);
@@ -74,7 +75,8 @@ int main() {
         const double horizon = analysis::suggest_horizon(tm.at(sink));
         const sim::Waveform ref =
             analysis::reference_waveform(tree, sink, sim::StepSource{1.0}, horizon, 801);
-        const sim::Waveform w = eed::step_waveform(tm.at(sink), ref.times(), 1.0);
+        const sim::Waveform w = sim::sample(
+            ref.times(), [&](double t) { return eed::step_response(tm.at(sink), t); });
         const double e = ref.max_abs_difference(w);
         err_sum += e;
         err_worst = std::max(err_worst, e);

@@ -33,7 +33,7 @@ Row score(const std::string& label, circuit::RlcTree tree, circuit::SectionId no
   const double horizon = analysis::suggest_horizon(model.at(node));
   const sim::Waveform ref =
       analysis::reference_waveform(tree, node, sim::StepSource{1.0}, horizon, 2001);
-  const sim::Waveform tpw = tp.step_waveform(ref.times(), 1.0);
+  const sim::Waveform tpw = sim::sample(ref.times(), [&](double t) { return tp.step_response(t); });
   const double t50_tp = tpw.first_rise_crossing(0.5);
   const double tp_err = 100.0 * std::abs(t50_tp - c.ref_delay_50) / c.ref_delay_50;
 

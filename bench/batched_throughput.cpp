@@ -8,7 +8,7 @@
 ///   scalar SoA      — S × eed::analyze_values      (layout only; fixed
 ///                     topology, reused result — the sweep-loop form)
 ///   batched W=…     — one BatchedAnalyzer sweep    (layout + lane blocks)
-///   batched auto    — lane width and tile from engine::KernelTuner
+///   batched auto    — lane width and tile from util::KernelTuner
 ///   batched +pool   — lane-groups fanned across the WorkerPool
 ///
 /// Throughput metric: section·samples per second; the table reports
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     {
       engine::BatchedAnalyzer batch(flat, 8);
       batch.resize(kSamples);
-      engine::WorkerPool pool;
+      util::WorkerPool pool;
       const Measured m = time_pass(n, kSamples, min_seconds, [&] {
         pool.parallel_chunks(kSamples, [&](std::size_t begin, std::size_t end) {
           for (std::size_t s = begin; s < end; ++s) {

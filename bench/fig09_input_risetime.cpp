@@ -28,7 +28,8 @@ int main() {
   for (const double tau : {1e-13, 2.5e-10, 5e-10, 1e-9, 2e-9, 4e-9}) {
     const sim::Waveform ref =
         analysis::reference_waveform(tree, out, sim::ExpSource{1.0, tau}, horizon, 1601);
-    const sim::Waveform closed = eed::exp_input_waveform(nm, grid, 1.0, tau);
+    const sim::Waveform closed =
+        sim::sample(grid, [&](double t) { return eed::exp_input_response(nm, t, 1.0, tau); });
     const double max_err = ref.max_abs_difference(closed);
     const double t50_ref = sim::measure_rising(ref, 1.0).delay_50;
     const double t50_closed = closed.first_rise_crossing(0.5);

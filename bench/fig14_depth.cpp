@@ -43,7 +43,8 @@ int main() {
     const double horizon = analysis::suggest_horizon(nm);
     const sim::Waveform ref =
         analysis::reference_waveform(tree, sink, sim::StepSource{1.0}, horizon, 3001);
-    const sim::Waveform eed_w = eed::step_waveform(nm, ref.times(), 1.0);
+    const sim::Waveform eed_w =
+        sim::sample(ref.times(), [&](double t) { return eed::step_response(nm, t); });
 
     table.add_row_numeric({static_cast<double>(levels), static_cast<double>(tree.size()),
                            c.zeta, c.ref_delay_50 / 1e-12, c.eed_delay_50 / 1e-12,

@@ -24,7 +24,8 @@ int main() {
 
   const sim::Waveform ref =
       analysis::reference_waveform(tree, sink, sim::StepSource{1.0}, horizon, 4001);
-  const sim::Waveform eed_w = eed::step_waveform(nm, ref.times(), 1.0);
+  const sim::Waveform eed_w =
+      sim::sample(ref.times(), [&](double t) { return eed::step_response(nm, t); });
 
   const auto m_ref = sim::measure_rising(ref, 1.0);
 

@@ -21,7 +21,7 @@
 /// is actually deployed) up to n = 16383 because the batched win is a
 /// cache story: W lanes multiply the per-step working set by W, so the
 /// AoSoA sweep pays off while a lane-group stays cache-resident, and the
-/// tile-blocked downward sweep (engine::KernelTuner) is what keeps it
+/// tile-blocked downward sweep (util::KernelTuner) is what keeps it
 /// from collapsing once W x the scalar working set spills past L2. Step
 /// counts scale inversely with n to keep each grid point's cost flat.
 ///
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     {
       sim::BatchSimulator batch(flat, 8);
       batch.resize(kRuns);
-      engine::WorkerPool pool;
+      util::WorkerPool pool;
       const Measured m = time_pass(units, min_seconds, [&] {
         for (std::size_t s = 0; s < kRuns; ++s) {
           batch.set_run(s, rv[s].data(), lv[s].data(), cv[s].data());

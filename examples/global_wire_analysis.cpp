@@ -21,6 +21,7 @@
 #include "relmore/eed/frequency.hpp"
 #include "relmore/moments/pole_residue.hpp"
 #include "relmore/sim/measure.hpp"
+#include "relmore/sim/waveform.hpp"
 #include "relmore/util/table.hpp"
 #include "relmore/util/units.hpp"
 
@@ -74,7 +75,8 @@ int main() {
                                            [static_cast<std::size_t>(sink)]);
   const double horizon = analysis::suggest_horizon(nm);
   const auto ref = analysis::reference_waveform(tree, sink, sim::StepSource{1.0}, horizon);
-  const double awe_t50 = awe.step_waveform(ref.times(), 1.0).first_rise_crossing(0.5);
+  const double awe_t50 = sim::sample(ref.times(), [&](double t) { return awe.step_response(t); })
+                            .first_rise_crossing(0.5);
 
   util::Table models({"model", "t50 [ps]", "err vs sim %"});
   models.add_row({"simulator (reference)", util::Table::fmt(cmp.ref_delay_50 / 1.0_ps, 4), "-"});

@@ -89,7 +89,8 @@ StepComparison compare_step_response_impl(const RlcTree& tree, SectionId node, d
   out.eed_rise = eed::rise_time(nm);
   out.eed_overshoot_pct = nm.underdamped() ? eed::overshoot_pct(nm, 1) : 0.0;
 
-  const sim::Waveform eed_wave = eed::step_waveform(nm, ref.times(), v_supply);
+  const sim::Waveform eed_wave =
+      sim::sample(ref.times(), [&](double t) { return eed::step_response(nm, t, v_supply); });
   out.waveform_max_err = ref.max_abs_difference(eed_wave) / v_supply;
 
   auto pct = [](double est, double ref_v) {

@@ -38,7 +38,7 @@ struct DelayDistribution {
 /// Execution-plan knobs for the Monte-Carlo sampler. Samples share one
 /// topology, so they run through the batched same-topology kernel
 /// (engine::BatchedAnalyzer) with lane-groups fanned across an
-/// engine::WorkerPool. Per-sample RNG seeding and per-lane
+/// util::WorkerPool. Per-sample RNG seeding and per-lane
 /// scalar-identical arithmetic make the sampled distribution *bitwise*
 /// independent of both knobs — they change only the schedule.
 struct MonteCarloPlan {

@@ -9,7 +9,7 @@
 #include "relmore/eed/eed.hpp"
 #include "relmore/eed/sensitivity.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/worker_pool.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::analysis {
 
@@ -79,7 +79,7 @@ DelayDistribution monte_carlo_delay_impl(const RlcTree& tree, SectionId node,
   const circuit::FlatTree flat(tree);
   const std::size_t n = flat.size();
   engine::BatchedAnalyzer batch(flat, plan.lane_width);
-  engine::WorkerPool pool(plan.threads);
+  util::WorkerPool pool(plan.threads);
   const engine::BatchedModels models = batch.analyze_stream(
       samples,
       [&](std::size_t s, double* r, double* l, double* c) {

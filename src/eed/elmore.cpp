@@ -2,16 +2,7 @@
 
 #include <cmath>
 
-#include "relmore/eed/model.hpp"
-
 namespace relmore::eed {
-
-std::vector<double> elmore_time_constants(const circuit::RlcTree& tree) {
-  const TreeModel model = analyze(tree);
-  std::vector<double> tau(model.nodes.size());
-  for (std::size_t i = 0; i < tau.size(); ++i) tau[i] = model.nodes[i].sum_rc;
-  return tau;
-}
 
 double elmore_delay_50(double tau) { return tau; }
 

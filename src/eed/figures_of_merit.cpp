@@ -23,12 +23,6 @@ InductanceFiguresOfMerit assess_line(double total_r, double total_l, double tota
   return out;
 }
 
-InductanceFiguresOfMerit assess_wire(const circuit::WireSpec& wire, double rise_seconds) {
-  if (wire.length_m <= 0.0) throw std::invalid_argument("assess_wire: non-positive length");
-  return assess_line(wire.r_per_m * wire.length_m, wire.l_per_m * wire.length_m,
-                     wire.c_per_m * wire.length_m, rise_seconds);
-}
-
 InductanceFiguresOfMerit assess_tree(const circuit::RlcTree& tree, double rise_seconds) {
   if (tree.empty()) throw std::invalid_argument("assess_tree: empty tree");
   // Most remote sink = largest Elmore constant; use its path totals plus

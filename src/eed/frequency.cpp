@@ -20,34 +20,6 @@ std::complex<double> transfer_function(const NodeModel& node, double omega) {
   return 1.0 / std::complex<double>(1.0 - x * x, 2.0 * node.zeta * x);
 }
 
-double magnitude_db(const NodeModel& node, double omega) {
-  return 20.0 * std::log10(std::abs(transfer_function(node, omega)));
-}
-
-double phase_deg(const NodeModel& node, double omega) {
-  const std::complex<double> h = transfer_function(node, omega);
-  double deg = std::arg(h) * 180.0 / M_PI;
-  // A stable low-pass accumulates up to -180 degrees; atan2 wraps the
-  // second-order branch into (0, 180] — unwrap to the causal branch.
-  if (deg > 0.0) deg -= 360.0;
-  return deg;
-}
-
-std::vector<BodePoint> bode_sweep(const NodeModel& node, double omega_lo, double omega_hi,
-                                  int points) {
-  if (points < 2 || omega_lo <= 0.0 || omega_hi <= omega_lo) {
-    throw std::invalid_argument("bode_sweep: bad sweep parameters");
-  }
-  std::vector<BodePoint> out(static_cast<std::size_t>(points));
-  const double ratio = std::log(omega_hi / omega_lo);
-  for (int i = 0; i < points; ++i) {
-    const double w =
-        omega_lo * std::exp(ratio * static_cast<double>(i) / static_cast<double>(points - 1));
-    out[static_cast<std::size_t>(i)] = {w, magnitude_db(node, w), phase_deg(node, w)};
-  }
-  return out;
-}
-
 bool has_resonant_peak(const NodeModel& node) {
   return !is_rc_limit(node) && node.zeta < M_SQRT1_2;
 }

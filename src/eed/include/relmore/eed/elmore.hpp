@@ -6,15 +6,10 @@
 /// moment as a single-pole time constant, delay = ln2 * tau). For RLC
 /// trees both ignore inductance entirely — that gap is the paper's
 /// motivation, and these are the baselines every figure bench prints.
-
-#include <vector>
-
-#include "relmore/circuit/rlc_tree.hpp"
+/// Each node's Elmore time constant tau_i = sum_k C_k R_ki is its
+/// NodeModel::sum_rc (eed::analyze).
 
 namespace relmore::eed {
-
-/// Elmore time constants tau_i = sum_k C_k R_ki for every node, O(n).
-[[nodiscard]] std::vector<double> elmore_time_constants(const circuit::RlcTree& tree);
 
 /// Elmore's original 50% delay estimate: the time constant itself.
 [[nodiscard]] double elmore_delay_50(double tau);

@@ -16,7 +16,6 @@
 /// RC Elmore path or the RLC model of this library.
 
 #include "relmore/circuit/rlc_tree.hpp"
-#include "relmore/circuit/segmentation.hpp"
 
 namespace relmore::eed {
 
@@ -31,9 +30,6 @@ struct InductanceFiguresOfMerit {
 /// L or C is non-positive (no inductance question to ask).
 [[nodiscard]] InductanceFiguresOfMerit assess_line(double total_r, double total_l, double total_c,
                                      double rise_seconds);
-
-/// Convenience for a physical wire spec.
-[[nodiscard]] InductanceFiguresOfMerit assess_wire(const circuit::WireSpec& wire, double rise_seconds);
 
 /// Tree-level screen: evaluates the root-to-node path totals of the most
 /// remote sink; a cheap routing decision between RC-Elmore and EED.

@@ -2,7 +2,7 @@
 
 /// \file frequency.hpp
 /// Frequency-domain view of the second-order node model: the transfer
-/// function H(jw), Bode sweeps, and the closed-form resonance/bandwidth
+/// function H(jw) and the closed-form resonance/bandwidth
 /// quantities that follow from (zeta, omega_n). Inductive interconnect is
 /// a resonant low-pass — the resonant peak is the frequency-domain twin of
 /// the time-domain overshoot the paper characterizes, and the exact
@@ -10,7 +10,6 @@
 /// reference these closed forms are tested against.
 
 #include <complex>
-#include <vector>
 
 #include "relmore/eed/model.hpp"
 
@@ -20,22 +19,6 @@ namespace relmore::eed {
 /// 1 / (1 + 2 zeta (s/wn) + (s/wn)^2). For pure-RC nodes, the Wyatt
 /// single-pole 1/(1 + j w tau).
 [[nodiscard]] std::complex<double> transfer_function(const NodeModel& node, double omega);
-
-/// 20 log10 |H(jw)|.
-[[nodiscard]] double magnitude_db(const NodeModel& node, double omega);
-/// Phase of H(jw) in degrees, in (-180, 0].
-[[nodiscard]] double phase_deg(const NodeModel& node, double omega);
-
-/// One Bode sample.
-struct BodePoint {
-  double omega = 0.0;
-  double mag_db = 0.0;
-  double phase_deg = 0.0;
-};
-
-/// Log-spaced Bode sweep over [omega_lo, omega_hi].
-[[nodiscard]] std::vector<BodePoint> bode_sweep(const NodeModel& node, double omega_lo, double omega_hi,
-                                  int points);
 
 /// True when the magnitude response has a resonant peak (zeta < 1/sqrt(2)).
 [[nodiscard]] bool has_resonant_peak(const NodeModel& node);

@@ -2,17 +2,12 @@
 
 /// \file response.hpp
 /// Time-domain responses of the second-order node model to the inputs the
-/// paper analyses: ideal step (eq. 31), saturating exponential (eqs. 43–48),
-/// linear ramp, and arbitrary sources (via the model's ODE, paper Section
-/// IV's "multiply by the Laplace transform of the input" procedure done
-/// numerically) — and the STA's exact wire-stage kernel, the first
+/// paper analyses: ideal step (eq. 31), saturating exponential (eqs. 43–48)
+/// and linear ramp — and the STA's exact wire-stage kernel, the first
 /// crossings of the ramp response (ramp_crossing, ramp_stage_checked).
-
-#include <vector>
+/// sim::sample turns any of them into a Waveform.
 
 #include "relmore/eed/model.hpp"
-#include "relmore/sim/source.hpp"
-#include "relmore/sim/waveform.hpp"
 #include "relmore/util/diagnostics.hpp"
 
 namespace relmore::eed {
@@ -21,7 +16,9 @@ namespace relmore::eed {
 [[nodiscard]] double step_response(const NodeModel& node, double t, double v_supply = 1.0);
 
 /// Closed-form response to the exponential input V(1 − e^{−t/tau})
-/// (paper eqs. 43–48), valid for all damping conditions.
+/// (paper eqs. 43–48), valid for all damping conditions, and as accurate
+/// where 1/tau meets a pole as anywhere else. Throws
+/// std::invalid_argument when tau <= 0.
 [[nodiscard]] double exp_input_response(const NodeModel& node, double t, double v_supply, double tau);
 
 /// Closed-form response to a finite linear ramp (0 → v_supply over
@@ -73,23 +70,5 @@ struct RampStage {
 /// non-finite rise or model).
 [[nodiscard]] util::Result<RampStage> ramp_stage_checked(const NodeModel& node,
                                                          double rise_seconds);
-
-/// Samples step_response over `times`.
-[[nodiscard]] sim::Waveform step_waveform(const NodeModel& node, const std::vector<double>& times,
-                            double v_supply = 1.0);
-
-/// Samples exp_input_response over `times`.
-[[nodiscard]] sim::Waveform exp_input_waveform(const NodeModel& node, const std::vector<double>& times,
-                                 double v_supply, double tau);
-
-/// Samples ramp_input_response over `times`.
-[[nodiscard]] sim::Waveform ramp_input_waveform(const NodeModel& node, const std::vector<double>& times,
-                                  double v_supply, double rise_seconds);
-
-/// Response of the second-order model to an arbitrary source, integrated
-/// with adaptive RK45 on  v'' + 2 zeta omega_n v' + omega_n^2 v =
-/// omega_n^2 u(t). Sampled at `times` (must be increasing from >= 0).
-[[nodiscard]] sim::Waveform arbitrary_input_waveform(const NodeModel& node, const sim::Source& source,
-                                       const std::vector<double>& times);
 
 }  // namespace relmore::eed

@@ -3,20 +3,17 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <complex>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "relmore/eed/second_order.hpp"
-#include "relmore/util/integrate.hpp"
 #include "relmore/util/roots.hpp"
 
 namespace relmore::eed {
 
 namespace {
-
-using Complex = std::complex<double>;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kEps = std::numeric_limits<double>::epsilon();
@@ -33,17 +30,27 @@ constexpr double kSinglePoleZeta = 0x1p27;
 /// ζ − sqrt(ζ² − 1), which rounds to 0 from ζ ~ 1e8.
 double fast_pole(double zeta) { return zeta + std::sqrt((zeta - 1.0) * (zeta + 1.0)); }
 
-/// Poles of the node's second-order transfer function, separated if they
-/// coincide (simple-pole partial fractions then remain valid to rounding).
-std::pair<Complex, Complex> node_poles(const NodeModel& node) {
-  double zeta = node.zeta;
-  if (std::abs(zeta - 1.0) < 1e-7) zeta = 1.0 + 1e-7;  // split the double pole
-  if (zeta > 1.0) {
-    const double fast = fast_pole(zeta);
-    return {Complex(-node.omega_n / fast, 0.0), Complex(-node.omega_n * fast, 0.0)};
-  }
-  const double wd = std::sqrt((1.0 - zeta) * (1.0 + zeta));
-  return {node.omega_n * Complex(-zeta, wd), node.omega_n * Complex(-zeta, -wd)};
+/// First divided difference of e^{s·t} over the exponents x and y,
+/// (e^{x·t} − e^{y·t})/(x − y), formed from the larger exponent y as
+/// e^{y·t}·expm1((x − y)·t)/(x − y): no difference of near-equal terms
+/// as x → y, where the limit is t·e^{y·t}.
+double exp_divided_difference(double x, double y, double t) {
+  if (x > y) std::swap(x, y);
+  const double gap = x - y;
+  return std::exp(y * t) * (gap == 0.0 ? t : std::expm1(gap * t) / gap);
+}
+
+/// Second divided difference of e^{s·t} over three real exponents: the
+/// difference of two first differences over the widest gap, so no
+/// narrower gap divides a difference. Where all three meet it is
+/// t²/2·e^{x·t}.
+double exp_divided_difference(double x, double y, double z, double t) {
+  if (x > y) std::swap(x, y);
+  if (y > z) std::swap(y, z);
+  if (x > y) std::swap(x, y);
+  const double width = z - x;
+  if (width == 0.0) return 0.5 * t * t * std::exp(x * t);
+  return (exp_divided_difference(z, y, t) - exp_divided_difference(y, x, t)) / width;
 }
 
 }  // namespace
@@ -59,55 +66,37 @@ double step_response(const NodeModel& node, double t, double v_supply) {
 double exp_input_response(const NodeModel& node, double t, double v_supply, double tau) {
   if (tau <= 0.0) throw std::invalid_argument("exp_input_response: tau must be positive");
   if (t <= 0.0) return 0.0;
+  // The input is a step less the decay e^{−at}, a = 1/τ, so the response
+  // is the step response less g = L⁻¹[H(s)/(s + a)], the decay filtered
+  // by H (paper eqs. 44–48): a divided difference of e^{st} over H's
+  // poles and −a, which stays exact where −a meets a pole.
   if (is_rc_limit(node)) {
-    // Single-pole system 1/(1 + sT) driven by V(1 - e^{-t/tau}).
-    const double T = node.sum_rc;
-    if (std::abs(T - tau) < 1e-12 * std::max(T, tau)) {
-      return v_supply * (1.0 - std::exp(-t / T) * (1.0 + t / T));
-    }
+    // H = 1/(1 + sT): v = 1 − e^{−at} − a·e[−1/T, −a], symmetric in T and τ.
+    const double a = 1.0 / tau;
     return v_supply *
-           (1.0 - (T * std::exp(-t / T) - tau * std::exp(-t / tau)) / (T - tau));
+           (-std::expm1(-a * t) - a * exp_divided_difference(-1.0 / node.sum_rc, -a, t));
   }
-  // Partial fractions of  H(s) V (1/s - 1/(s + a)),  a = 1/tau,
-  // H(s) = wn^2 / ((s - p1)(s - p2))  (paper eqs. 44-48).
-  auto [p1, p2] = node_poles(node);
-  double a = 1.0 / tau;
-  // Keep -a away from the poles (pole/zero collision => resonant term);
-  // the 1e-7 nudge moves the waveform by up to ~1e-8. Each pole is
-  // compared on its own scale: an overdamped node's slow pole is far
-  // below omega_n.
-  if (std::abs(p1 + a) < 1e-9 * std::abs(p1) || std::abs(p2 + a) < 1e-9 * std::abs(p2)) {
-    a *= 1.0 + 1e-7;
+  // In scaled time u = ω_n·t, H = 1/(s² + 2ζs + 1).
+  const double u = node.omega_n * t;
+  const double a = 1.0 / (node.omega_n * tau);
+  const double zeta = node.zeta;
+  double filtered = 0.0;
+  if (zeta >= 1.0) {
+    // Real poles −1/f and −f: g = e[−1/f, −f, −a].
+    const double fast = fast_pole(zeta);
+    filtered = exp_divided_difference(-1.0 / fast, -fast, -a, u);
+  } else {
+    // Poles −ζ ± iδ: g = Im(e[−ζ + iδ, −a])/δ, with sin(δu)/δ written
+    // as u·sin(δu)/(δu) so that nothing divides by δ as ζ → 1.
+    const double delta = std::sqrt((1.0 - zeta) * (1.0 + zeta));
+    const double c = a - zeta;  // −ζ + iδ + a = c + iδ
+    const double y = delta * u;
+    const double decay = std::exp(-zeta * u);
+    const double sinc = y == 0.0 ? 1.0 : std::sin(y) / y;
+    filtered = (c * decay * u * sinc - decay * std::cos(y) + std::exp(-a * u)) /
+               (c * c + delta * delta);
   }
-
-  const double wn2 = node.omega_n * node.omega_n;
-  const Complex r1 = wn2 / (p1 * (p1 - p2));           // H/s residue at p1
-  const Complex r2 = wn2 / (p2 * (p2 - p1));           // H/s residue at p2
-  const Complex q0 = wn2 / ((-a - p1) * (-a - p2));    // H/(s+a) residue at -a
-  const Complex q1 = wn2 / ((p1 + a) * (p1 - p2));     // H/(s+a) residue at p1
-  const Complex q2 = wn2 / ((p2 + a) * (p2 - p1));     // H/(s+a) residue at p2
-
-  const Complex e1 = std::exp(p1 * t);
-  const Complex e2 = std::exp(p2 * t);
-  const double ea = std::exp(-a * t);
-  const Complex v = 1.0 + (r1 - q1) * e1 + (r2 - q2) * e2 - q0 * ea;
-  return v_supply * v.real();
-}
-
-sim::Waveform step_waveform(const NodeModel& node, const std::vector<double>& times,
-                            double v_supply) {
-  std::vector<double> v(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) v[i] = step_response(node, times[i], v_supply);
-  return sim::Waveform(times, v);
-}
-
-sim::Waveform exp_input_waveform(const NodeModel& node, const std::vector<double>& times,
-                                 double v_supply, double tau) {
-  std::vector<double> v(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    v[i] = exp_input_response(node, times[i], v_supply, tau);
-  }
-  return sim::Waveform(times, v);
+  return v_supply * (step_response(node, t) - filtered);
 }
 
 namespace {
@@ -522,56 +511,6 @@ util::Result<RampStage> ramp_stage_checked(const NodeModel& node, double rise_se
     }
   }
   return RampStage{t[1] - 0.5 * rise_seconds, t[2] - t[0]};
-}
-
-sim::Waveform ramp_input_waveform(const NodeModel& node, const std::vector<double>& times,
-                                  double v_supply, double rise_seconds) {
-  std::vector<double> v(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    v[i] = ramp_input_response(node, times[i], v_supply, rise_seconds);
-  }
-  return sim::Waveform(times, v);
-}
-
-sim::Waveform arbitrary_input_waveform(const NodeModel& node, const sim::Source& source,
-                                       const std::vector<double>& times) {
-  if (times.empty()) throw std::invalid_argument("arbitrary_input_waveform: no sample times");
-  if (is_rc_limit(node)) {
-    // First-order ODE: T v' + v = u.
-    const double T = node.sum_rc;
-    const util::OdeRhs rhs = [&](double t, const std::vector<double>& y,
-                                 std::vector<double>& dy) {
-      dy[0] = (sim::source_value(source, t) - y[0]) / T;
-    };
-    std::vector<double> out(times.size());
-    std::vector<double> y{0.0};
-    double t_prev = 0.0;
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      y = util::integrate_ode(rhs, t_prev, std::move(y), times[i]);
-      out[i] = y[0];
-      t_prev = times[i];
-    }
-    return sim::Waveform(times, out);
-  }
-  const double z2w = 2.0 * node.zeta * node.omega_n;
-  const double wn2 = node.omega_n * node.omega_n;
-  const util::OdeRhs rhs = [&](double t, const std::vector<double>& y,
-                               std::vector<double>& dy) {
-    dy[0] = y[1];
-    dy[1] = wn2 * (sim::source_value(source, t) - y[0]) - z2w * y[1];
-  };
-  std::vector<double> out(times.size());
-  std::vector<double> y{0.0, 0.0};
-  double t_prev = 0.0;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] < t_prev) {
-      throw std::invalid_argument("arbitrary_input_waveform: times must be non-decreasing");
-    }
-    y = util::integrate_ode(rhs, t_prev, std::move(y), times[i]);
-    out[i] = y[0];
-    t_prev = times[i];
-  }
-  return sim::Waveform(times, out);
 }
 
 }  // namespace relmore::eed

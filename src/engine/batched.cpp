@@ -8,10 +8,10 @@
 
 #include "relmore/circuit/validate.hpp"
 #include "relmore/eed/second_order.hpp"
-#include "relmore/engine/tuner.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/arena.hpp"
 #include "relmore/util/fault_injector.hpp"
+#include "relmore/util/tuner.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::engine {
 
@@ -403,7 +403,7 @@ BatchedAnalyzer::BatchedAnalyzer(circuit::FlatTree topology, std::size_t lane_wi
     throw util::FaultError(report.to_status());
   }
   if (lane_width == 0) {
-    lane_width = KernelTuner::instance().analysis_plan(topo_.size(), 0).lane_width;
+    lane_width = util::KernelTuner::instance().analysis_plan(topo_.size(), 0).lane_width;
   }
   if (lane_width != 1 && lane_width != 2 && lane_width != 4 && lane_width != 8) {
     throw std::invalid_argument("BatchedAnalyzer: lane width must be 1, 2, 4, or 8");
@@ -527,7 +527,7 @@ BatchedAnalyzer::SweepPlan BatchedAnalyzer::make_plan(const BatchedModels& out,
   SweepPlan plan;
   plan.tile_rows = tile_rows_ != 0
                        ? tile_rows_
-                       : KernelTuner::instance().analysis_plan(n, samples).tile_rows;
+                       : util::KernelTuner::instance().analysis_plan(n, samples).tile_rows;
   if (!all_nodes && !out.ids_.empty()) {
     // The path walk wins when the requested root paths touch fewer rows
     // than the full sweep would; level() is exactly each path's length.
@@ -732,7 +732,7 @@ void BatchedAnalyzer::finalize_faults(BatchedModels& out, const char* entry) con
 }
 
 BatchedModels BatchedAnalyzer::analyze_impl(const std::vector<SectionId>& ids, bool all_nodes,
-                                            WorkerPool* pool) const {
+                                            util::WorkerPool* pool) const {
   if (samples_ == 0) throw std::invalid_argument("BatchedAnalyzer: no samples (call resize)");
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
@@ -774,7 +774,7 @@ BatchedModels BatchedAnalyzer::analyze_impl(const std::vector<SectionId>& ids, b
 
 BatchedModels BatchedAnalyzer::analyze_stream(std::size_t samples, const SampleFill& fill,
                                               const std::vector<SectionId>& ids,
-                                              WorkerPool* pool) const {
+                                              util::WorkerPool* pool) const {
   if (samples == 0) throw std::invalid_argument("BatchedAnalyzer: no samples");
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
@@ -855,12 +855,12 @@ BatchedModels BatchedAnalyzer::analyze_stream(std::size_t samples, const SampleF
   return out;
 }
 
-BatchedModels BatchedAnalyzer::analyze(WorkerPool* pool) const {
+BatchedModels BatchedAnalyzer::analyze(util::WorkerPool* pool) const {
   return analyze_impl({}, /*all_nodes=*/true, pool);
 }
 
 BatchedModels BatchedAnalyzer::analyze_nodes(const std::vector<SectionId>& ids,
-                                             WorkerPool* pool) const {
+                                             util::WorkerPool* pool) const {
   return analyze_impl(ids, /*all_nodes=*/false, pool);
 }
 

@@ -34,7 +34,7 @@
 /// rows while cache-hot; sparse shallow `analyze_nodes` queries take a
 /// root-path walk instead of the full downward sweep. Lane width (when
 /// constructed with 0) and tile size (when left at 0 = auto) come from
-/// `engine::KernelTuner`, overridable process-wide via `RELMORE_TUNE=WxT`.
+/// `util::KernelTuner`, overridable process-wide via `RELMORE_TUNE=WxT`.
 /// Tiling and tuning reorder only the *touch* order, never the reduction
 /// order — results stay bitwise-equal across every (W, tile) choice.
 ///
@@ -72,9 +72,11 @@
 #include "relmore/util/deadline.hpp"
 #include "relmore/util/diagnostics.hpp"
 
-namespace relmore::engine {
-
+namespace relmore::util {
 class WorkerPool;
+}
+
+namespace relmore::engine {
 
 /// Widest supported lane width: 8 doubles (one AVX-512 vector, two AVX2
 /// vectors). Callers passing lane_width 0 get the KernelTuner's pick for
@@ -147,7 +149,7 @@ class BatchedModels {
 /// in one or more kernel sweeps.
 class BatchedAnalyzer {
  public:
-  /// `lane_width` must be 1, 2, 4, or 8; 0 lets `engine::KernelTuner`
+  /// `lane_width` must be 1, 2, 4, or 8; 0 lets `util::KernelTuner`
   /// pick for this tree size (respecting RELMORE_TUNE).
   /// Throws std::invalid_argument on other widths or an empty topology, and
   /// util::FaultError when `circuit::validate` rejects the topology.
@@ -185,7 +187,7 @@ class BatchedAnalyzer {
   [[nodiscard]] std::size_t lane_groups() const { return groups_; }
 
   /// Tile size (sections) for the downward sweep. 0 (the default) lets
-  /// `engine::KernelTuner` pick per analysis call; any explicit value —
+  /// `util::KernelTuner` pick per analysis call; any explicit value —
   /// including degenerate ones (1, or >= sections() for an untiled
   /// sweep) — is used as-is. Tiling never changes results, only the
   /// order in which the sweep touches memory.
@@ -212,12 +214,12 @@ class BatchedAnalyzer {
   /// Output storage is S x n; prefer `analyze_nodes` for large trees when
   /// only a few nodes are queried. `pool` (optional) distributes
   /// lane-groups across its workers.
-  [[nodiscard]] BatchedModels analyze(WorkerPool* pool = nullptr) const;
+  [[nodiscard]] BatchedModels analyze(util::WorkerPool* pool = nullptr) const;
 
   /// Runs the kernel but stores only the requested nodes (S x ids.size()
   /// outputs; the sweep itself is still O(n) per lane-group).
   [[nodiscard]] BatchedModels analyze_nodes(const std::vector<circuit::SectionId>& ids,
-                                            WorkerPool* pool = nullptr) const;
+                                            util::WorkerPool* pool = nullptr) const;
 
   /// Writes sample `s`'s values into three caller-provided arrays of
   /// length sections(). Must be safe to call concurrently for distinct
@@ -243,7 +245,7 @@ class BatchedAnalyzer {
   /// sample).
   [[nodiscard]] BatchedModels analyze_stream(std::size_t samples, const SampleFill& fill,
                                              const std::vector<circuit::SectionId>& ids,
-                                             WorkerPool* pool = nullptr) const;
+                                             util::WorkerPool* pool = nullptr) const;
 
  private:
   /// Per-call sweep schedule (tile size, path-walk choice, drain order);
@@ -251,7 +253,7 @@ class BatchedAnalyzer {
   struct SweepPlan;
 
   [[nodiscard]] BatchedModels analyze_impl(const std::vector<circuit::SectionId>& ids,
-                                           bool all_nodes, WorkerPool* pool) const;
+                                           bool all_nodes, util::WorkerPool* pool) const;
   [[nodiscard]] BatchedModels make_output(const std::vector<circuit::SectionId>& ids,
                                           bool all_nodes, std::size_t samples,
                                           std::size_t groups) const;

@@ -4,9 +4,9 @@
 /// Epoch-stamped snapshot sharing between one writer and many readers —
 /// the concurrency primitive the timing-as-a-service daemon inherits.
 ///
-/// The corpus-scale flows (sta::analyze_corpus_checked today, the analysis
-/// daemon on the ROADMAP) want one thread editing a tree through a
-/// `TimingEngine` while other threads analyze a *consistent* view of it.
+/// A timing daemon (on the ROADMAP) wants one thread editing a tree
+/// through a `TimingEngine` while other threads analyze a *consistent*
+/// view of it; the concurrency tests exercise exactly that today.
 /// `circuit::FlatTree` is already immutable after construction, so the
 /// only coordination problem is handing a fresh snapshot from the writer
 /// to the readers without tearing or leaking. `SharedSnapshot` is that

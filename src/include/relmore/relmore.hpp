@@ -21,7 +21,6 @@
 #include "relmore/eed/sensitivity.hpp"       // IWYU pragma: export
 #include "relmore/engine/batched.hpp"        // IWYU pragma: export
 #include "relmore/engine/timing_engine.hpp"  // IWYU pragma: export
-#include "relmore/engine/worker_pool.hpp"    // IWYU pragma: export
 #include "relmore/moments/pole_residue.hpp"  // IWYU pragma: export
 #include "relmore/moments/tree_moments.hpp"  // IWYU pragma: export
 #include "relmore/opt/buffer_insertion.hpp"  // IWYU pragma: export
@@ -43,3 +42,4 @@
 #include "relmore/util/diagnostics.hpp"      // IWYU pragma: export
 #include "relmore/util/table.hpp"            // IWYU pragma: export
 #include "relmore/util/units.hpp"            // IWYU pragma: export
+#include "relmore/util/worker_pool.hpp"      // IWYU pragma: export

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "relmore/circuit/rlc_tree.hpp"
-#include "relmore/sim/waveform.hpp"
 
 namespace relmore::moments {
 
@@ -40,9 +39,6 @@ struct PoleResidueModel {
 
   /// Response to a finite linear ramp 0 → V over `rise` seconds.
   [[nodiscard]] double ramp_input_response(double t, double v_supply, double rise) const;
-
-  [[nodiscard]] sim::Waveform step_waveform(const std::vector<double>& times,
-                                            double v_supply = 1.0) const;
 };
 
 /// Builds the order-q AWE model from moments m_0..m_{2q−1} of one node

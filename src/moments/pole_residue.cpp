@@ -68,13 +68,6 @@ double PoleResidueModel::ramp_input_response(double t, double v_supply, double r
   return v_supply / rise * (s_now - s_shift);
 }
 
-sim::Waveform PoleResidueModel::step_waveform(const std::vector<double>& times,
-                                              double v_supply) const {
-  std::vector<double> v(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) v[i] = step_response(times[i], v_supply);
-  return sim::Waveform(times, v);
-}
-
 PoleResidueModel awe_model(const std::vector<double>& node_moments, int q) {
   if (q < 1) throw std::invalid_argument("awe_model: q must be >= 1");
   const std::size_t need = 2 * static_cast<std::size_t>(q);

@@ -9,9 +9,9 @@
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/eed/eed.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/flat_stepper.hpp"
 #include "relmore/sim/tree_transient.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::opt {
 
@@ -156,7 +156,7 @@ std::vector<double> model_delay_table(const BufferInsertionProblem& p, DelayMode
   // load capacitance differ. One 4-lane batched kernel call per span
   // count therefore replaces four scalar tree builds + analyses; the pool
   // fans the span counts (independent topologies) across cores.
-  engine::WorkerPool pool;
+  util::WorkerPool pool;
   pool.parallel_for(static_cast<std::size_t>(p.slots) + 1, [&](std::size_t span_idx) {
     SectionId sink = circuit::kInput;
     const std::size_t key0 = span_idx * 4;  // stage_key with drv = ends = 0
@@ -185,7 +185,7 @@ std::vector<double> model_delay_table(const BufferInsertionProblem& p, DelayMode
 std::vector<double> sim_delay_table(const BufferInsertionProblem& p) {
   const std::vector<Stage> stages = distinct_stages(p);
   std::vector<double> table(stages.size());
-  engine::WorkerPool pool;
+  util::WorkerPool pool;
   pool.parallel_for(stages.size(),
                     [&](std::size_t i) { table[i] = stage_delay_simulated(p, stages[i]); });
   return table;

@@ -18,7 +18,7 @@
 
 #include "relmore/circuit/rlc_tree.hpp"
 
-namespace relmore::engine {
+namespace relmore::util {
 class WorkerPool;
 }
 
@@ -64,7 +64,7 @@ struct WireSizingProblem {
 [[nodiscard]] std::vector<double> sized_line_delays(const WireSizingProblem& problem,
                                       const std::vector<std::vector<double>>& candidates,
                                       DelayModel model,
-                                      engine::WorkerPool* pool = nullptr);
+                                      util::WorkerPool* pool = nullptr);
 
 /// Result of a sizing run.
 struct WireSizingResult {

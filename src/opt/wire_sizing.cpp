@@ -71,7 +71,7 @@ double sized_line_delay(const WireSizingProblem& problem, const std::vector<doub
 
 std::vector<double> sized_line_delays(const WireSizingProblem& problem,
                                       const std::vector<std::vector<double>>& candidates,
-                                      DelayModel model, engine::WorkerPool* pool) {
+                                      DelayModel model, util::WorkerPool* pool) {
   check_problem(problem);
   if (candidates.empty()) return {};
   const auto n = static_cast<std::size_t>(problem.segments);

@@ -7,10 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "relmore/engine/batched.hpp"
-#include "relmore/engine/tuner.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/arena.hpp"
+#include "relmore/util/tuner.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::sim {
 
@@ -508,7 +507,7 @@ BatchSimulator::BatchSimulator(FlatTree topology, std::size_t lane_width)
     : topo_(std::move(topology)) {
   if (topo_.empty()) throw std::invalid_argument("BatchSimulator: empty topology");
   if (lane_width == 0) {
-    lane_width = engine::KernelTuner::instance().sim_plan(topo_.size(), 0).lane_width;
+    lane_width = util::KernelTuner::instance().sim_plan(topo_.size(), 0).lane_width;
   }
   if (lane_width != 1 && lane_width != 2 && lane_width != 4 && lane_width != 8) {
     throw std::invalid_argument("BatchSimulator: lane width must be 1, 2, 4, or 8");
@@ -521,7 +520,7 @@ void BatchSimulator::set_tile_rows(std::size_t tile_rows) { tile_rows_ = tile_ro
 std::size_t BatchSimulator::resolved_tile_rows() const {
   return tile_rows_ != 0
              ? tile_rows_
-             : engine::KernelTuner::instance().sim_plan(topo_.size(), runs_).tile_rows;
+             : util::KernelTuner::instance().sim_plan(topo_.size(), runs_).tile_rows;
 }
 
 std::size_t BatchSimulator::value_slot(std::size_t s, std::size_t section) const {
@@ -584,7 +583,7 @@ void BatchSimulator::set_run_section(std::size_t s, SectionId id,
 }
 
 BatchTransientResult BatchSimulator::simulate(const TransientOptions& opts,
-                                              engine::WorkerPool* pool) const {
+                                              util::WorkerPool* pool) const {
   if (runs_ == 0) throw std::invalid_argument("BatchSimulator: no runs (call resize)");
   validate_options(opts, "BatchSimulator::simulate");
   const std::size_t n = topo_.size();
@@ -697,7 +696,7 @@ BatchTransientResult BatchSimulator::simulate(const TransientOptions& opts,
 
 std::vector<double> BatchSimulator::first_crossings(const TransientOptions& opts,
                                                     SectionId probe, double threshold,
-                                                    engine::WorkerPool* pool) const {
+                                                    util::WorkerPool* pool) const {
   if (runs_ == 0) throw std::invalid_argument("BatchSimulator: no runs (call resize)");
   validate_options(opts, "BatchSimulator::first_crossings");
   const std::size_t n = topo_.size();

@@ -33,7 +33,7 @@
 /// first_crossings path keeps only a one-sample ring per lane.
 ///
 /// Working-set control: each timestep's downward sweep is tiled into
-/// blocks of sections sized by `engine::KernelTuner` (overridable with
+/// blocks of sections sized by `util::KernelTuner` (overridable with
 /// `RELMORE_TUNE=WxT` or `set_tile_rows`) so the per-step state stays
 /// inside L2 at large n, and probe recording drains through the tile
 /// sink while rows are still cache-hot. Tiling changes only the *touch*
@@ -49,7 +49,7 @@
 #include "relmore/sim/tree_transient.hpp"
 #include "relmore/sim/waveform.hpp"
 
-namespace relmore::engine {
+namespace relmore::util {
 class WorkerPool;
 }
 
@@ -94,7 +94,7 @@ class BatchTransientResult {
 /// the simulator contract is caller-prepared trees.
 class BatchSimulator {
  public:
-  /// `lane_width` must be 1, 2, 4, or 8; 0 lets engine::KernelTuner pick
+  /// `lane_width` must be 1, 2, 4, or 8; 0 lets util::KernelTuner pick
   /// (auto-calibrated, overridable via RELMORE_TUNE). Throws
   /// std::invalid_argument on other widths or an empty topology.
   explicit BatchSimulator(circuit::FlatTree topology, std::size_t lane_width = 0);
@@ -121,7 +121,7 @@ class BatchSimulator {
 
   /// Overrides the downward-sweep tile size (rows per tile) for
   /// subsequent simulate/first_crossings calls. 0 restores auto
-  /// calibration via engine::KernelTuner. Explicit values — including
+  /// calibration via util::KernelTuner. Explicit values — including
   /// degenerate ones (1, or >= sections(), which behaves untiled) — are
   /// used as-is; every setting is bitwise-equivalent.
   void set_tile_rows(std::size_t tile_rows);
@@ -134,7 +134,7 @@ class BatchSimulator {
   /// results are bitwise independent of the pool and lane width. Throws
   /// std::invalid_argument on bad options or zero runs.
   [[nodiscard]] BatchTransientResult simulate(const TransientOptions& opts,
-                                              engine::WorkerPool* pool = nullptr) const;
+                                              util::WorkerPool* pool = nullptr) const;
 
   /// Streaming batched measurement: the first upward crossing of
   /// `threshold` at `probe` for every run — one double per run, no
@@ -143,7 +143,7 @@ class BatchSimulator {
   /// (negative = no crossing within t_stop). `opts.probes` is ignored.
   [[nodiscard]] std::vector<double> first_crossings(const TransientOptions& opts,
                                                     circuit::SectionId probe, double threshold,
-                                                    engine::WorkerPool* pool = nullptr) const;
+                                                    util::WorkerPool* pool = nullptr) const;
 
  private:
   [[nodiscard]] std::size_t value_slot(std::size_t s, std::size_t section) const;

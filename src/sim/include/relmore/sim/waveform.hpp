@@ -5,6 +5,7 @@
 /// transient engines, the closed-form models, and the measurement code.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace relmore::sim {
@@ -46,5 +47,15 @@ class Waveform {
 
 /// Uniform time grid [0, t_stop] with `samples` points (samples >= 2).
 std::vector<double> uniform_grid(double t_stop, std::size_t samples);
+
+/// Samples `response(t)` at every time of `times` — how a closed form
+/// (eed::step_response and friends, a pole/residue model) becomes a
+/// Waveform to measure or to compare with a simulation.
+template <class Response>
+[[nodiscard]] Waveform sample(const std::vector<double>& times, Response&& response) {
+  std::vector<double> v(times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) v[i] = response(times[i]);
+  return Waveform(times, std::move(v));
+}
 
 }  // namespace relmore::sim

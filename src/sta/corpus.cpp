@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/arena.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::sta {
 
@@ -129,10 +129,10 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
   if (design.nets.empty()) {
     return Status(ErrorCode::kEmptyTree, "analyze_corpus: design has no nets");
   }
-  if (options.threads > engine::WorkerPool::kMaxThreads) {
+  if (options.threads > util::WorkerPool::kMaxThreads) {
     return Status(ErrorCode::kInvalidArgument,
                   "analyze_corpus: threads must be at most " +
-                      std::to_string(engine::WorkerPool::kMaxThreads));
+                      std::to_string(util::WorkerPool::kMaxThreads));
   }
   const std::size_t attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
   const util::RunControl rc{options.deadline, options.cancel};
@@ -183,7 +183,7 @@ Result<CorpusModels> analyze_corpus_checked(const Design& design, const AnalyzeO
     pending.push_back(ni);
   }
 
-  engine::WorkerPool pool(options.threads);
+  util::WorkerPool pool(options.threads);
 
   // --- ladder: rounds of one-net tasks, retrying transients ---------------
   // A round leaves a net's slot either decided (analyzed and/or faulted)

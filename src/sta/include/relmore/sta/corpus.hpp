@@ -6,7 +6,7 @@
 /// per-tree kernels.
 ///
 /// Dispatch: every net the cache does not serve runs analyze_net, one
-/// task per net across an engine::WorkerPool: the scalar kernel's two
+/// task per net across a util::WorkerPool: the scalar kernel's two
 /// moment passes over the whole tree, eqs. 29–30 at the net's tap nodes
 /// only (`eed::analyze_nodes_checked`, scratch from the worker's
 /// util::thread_arena()). Each task writes only its own per-net slot, so
@@ -54,8 +54,8 @@ class CorpusCache;
 /// (threads/retries/deadline) never changes a single output bit of any
 /// net that completes.
 struct AnalyzeOptions {
-  /// engine::WorkerPool workers including the caller, at most
-  /// engine::WorkerPool::kMaxThreads (larger: kInvalidArgument). 0 =
+  /// util::WorkerPool workers including the caller, at most
+  /// util::WorkerPool::kMaxThreads (larger: kInvalidArgument). 0 =
   /// RELMORE_THREADS, else the hardware default. The only execution knob.
   unsigned threads = 0;
   /// Unused: every net takes the scalar path. Declared only because
@@ -184,7 +184,7 @@ class CorpusCache {
 [[nodiscard]] NetModels analyze_net(const Net& net, const AnalyzeOptions& options = {});
 
 /// Analyzes every net of `design`. Returns a Status only for caller
-/// errors (empty design; threads above engine::WorkerPool::kMaxThreads
+/// errors (empty design; threads above util::WorkerPool::kMaxThreads
 /// -> kInvalidArgument), under FaultPolicy::kThrow when a net faulted or
 /// the run was stopped; under the flag policies per-net failures are
 /// isolated in the result and a stop comes back as stop_status.

@@ -45,8 +45,8 @@ namespace relmore::util {
 enum class FaultSite : std::uint8_t {
   kArenaAlloc = 0,  ///< util::Arena slab grab throws std::bad_alloc
   kSnapshotNan,     ///< batched snapshot fill poisons one section value
-  kPoolDelay,       ///< engine::WorkerPool worker sleeps before a task
-  kPoolAbort,       ///< engine::WorkerPool task throws FaultError
+  kPoolDelay,       ///< util::WorkerPool worker sleeps before a task
+  kPoolAbort,       ///< util::WorkerPool task throws FaultError
   kParseTruncate,   ///< sta::read_design_checked stops mid-deck
 };
 inline constexpr std::size_t kFaultSiteCount = 5;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file roots.hpp
-/// Scalar root finding: bracketed bisection and Brent's method.
+/// Scalar root finding: Brent's method on a bracket.
 
 #include <algorithm>
 #include <cmath>
@@ -27,9 +27,9 @@ struct RootOptions {
 
 /// Brent's method on the bracket [a, b] whose end values the caller has
 /// already evaluated: `fa` = f(a), `fb` = f(b). The one Brent loop —
-/// brent() and find_root_forward() evaluate their ends and forward here —
-/// taking any callable, so a caller that scans for the bracket pays no
-/// second evaluation of its ends and no std::function dispatch.
+/// brent() evaluates its ends and forwards here — taking any callable, so
+/// a caller that scans for the bracket pays no second evaluation of its
+/// ends and no std::function dispatch.
 ///
 /// Returns std::nullopt when `fa` and `fb` share a sign; the root when
 /// the iteration converges, or the last iterate when it hits the cap.
@@ -120,18 +120,5 @@ template <typename F>
 /// iteration cap.
 [[nodiscard]] std::optional<double> brent(const std::function<double(double)>& f, double a, double b,
                             const RootOptions& opts = {});
-
-/// Plain bisection; slower than brent() but immune to pathological functions.
-[[nodiscard]] std::optional<double> bisect(const std::function<double(double)>& f, double a, double b,
-                             const RootOptions& opts = {});
-
-/// Expands [a, b] geometrically to the right until f changes sign, then
-/// finds the root with brent_bracketed() on the end values the scan
-/// already holds. Useful for "first crossing after t=a" searches where the
-/// right edge is unknown. `growth` scales the step each attempt; gives up
-/// after `max_expand` expansions.
-[[nodiscard]] std::optional<double> find_root_forward(const std::function<double(double)>& f, double a,
-                                        double initial_step, double growth = 1.6,
-                                        int max_expand = 200, const RootOptions& opts = {});
 
 }  // namespace relmore::util

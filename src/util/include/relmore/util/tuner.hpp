@@ -15,9 +15,8 @@
 ///
 /// `KernelTuner` probes cache geometry once per process (cached behind
 /// `std::call_once`) and hands out a `KernelPlan` per (sections, lanes)
-/// bucket. `engine::BatchedAnalyzer`, `sim::BatchSimulator`, and
-/// `sta::analyze_corpus_checked` consult it whenever the caller passes
-/// width 0 ("auto").
+/// bucket. `engine::BatchedAnalyzer` and `sim::BatchSimulator` consult it
+/// whenever the caller passes width 0 ("auto").
 ///
 /// The `RELMORE_TUNE=WxT` environment variable overrides calibration for
 /// the whole process (e.g. `RELMORE_TUNE=4x2048`; `T=0` forces untiled).
@@ -31,7 +30,7 @@
 #include <cstddef>
 #include <optional>
 
-namespace relmore::engine {
+namespace relmore::util {
 
 /// A kernel schedule: lane width and sweep tile size.
 struct KernelPlan {
@@ -81,4 +80,4 @@ class KernelTuner {
   std::size_t l2_bytes_ = 0;
 };
 
-}  // namespace relmore::engine
+}  // namespace relmore::util

@@ -1,21 +1,20 @@
 #pragma once
 
 /// \file worker_pool.hpp
-/// Small persistent thread pool that fans *independent* trees across
-/// cores: Monte-Carlo variation samples, buffer-insertion stage
-/// candidates, per-corner re-analyses. One whole-tree analysis is O(n)
-/// with two multiplications per section (paper Appendix), so single
-/// analyses never need threads — the win is in the embarrassingly
-/// parallel batches the optimization and statistical workloads generate.
-///
-/// A TimingEngine is not thread-safe (its prefix caches mutate on query);
-/// the intended pattern is one engine per worker, which `parallel_chunks`
-/// makes natural: each chunk builds its own engine and loops its range.
+/// Small persistent thread pool that fans *independent* work across
+/// cores: the STA corpus phase's nets, Monte-Carlo variation samples,
+/// buffer-insertion stage candidates, batched lane-groups. One whole-tree
+/// analysis is O(n) with two multiplications per section (paper
+/// Appendix), so single analyses never need threads — the win is in the
+/// embarrassingly parallel batches the corpus, optimization and
+/// statistical workloads generate. Work that keeps mutable state per
+/// worker takes `parallel_chunks`: each chunk builds its own state and
+/// loops its range.
 
 #include <cstddef>
 #include <functional>
 
-namespace relmore::engine {
+namespace relmore::util {
 
 /// Fixed-size worker pool. Destruction joins the workers; the calling
 /// thread always participates in the work, so `WorkerPool(1)` (or any
@@ -45,7 +44,7 @@ class WorkerPool {
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Runs fn(begin, end) on contiguous chunks covering [0, count), at
-  /// most one chunk per worker — the one-engine-per-worker pattern.
+  /// most one chunk per worker — the one-state-per-worker pattern.
   void parallel_chunks(std::size_t count,
                        const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -55,4 +54,4 @@ class WorkerPool {
   unsigned threads_ = 1;
 };
 
-}  // namespace relmore::engine
+}  // namespace relmore::util

@@ -1,4 +1,4 @@
-#include "relmore/engine/tuner.hpp"
+#include "relmore/util/tuner.hpp"
 
 #include <cerrno>
 #include <cstdio>
@@ -9,7 +9,7 @@
 #include <unistd.h>
 #endif
 
-namespace relmore::engine {
+namespace relmore::util {
 
 namespace {
 
@@ -124,4 +124,4 @@ KernelPlan KernelTuner::sim_plan(std::size_t sections,
   return plan;
 }
 
-}  // namespace relmore::engine
+}  // namespace relmore::util

@@ -1,4 +1,4 @@
-#include "relmore/engine/worker_pool.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -15,7 +15,7 @@
 
 #include "relmore/util/fault_injector.hpp"
 
-namespace relmore::engine {
+namespace relmore::util {
 
 /// Shared state of the pool. Jobs are strictly serial (parallel_for does
 /// not return until the job is fully retired), so a single generation
@@ -190,4 +190,4 @@ void WorkerPool::parallel_chunks(
   });
 }
 
-}  // namespace relmore::engine
+}  // namespace relmore::util

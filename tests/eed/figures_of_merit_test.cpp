@@ -7,9 +7,16 @@
 #include <cmath>
 
 #include "relmore/circuit/builders.hpp"
+#include "relmore/circuit/segmentation.hpp"
 
 namespace relmore::eed {
 namespace {
+
+/// The screen of a wire `wire.length_m` long, from its totals.
+InductanceFiguresOfMerit assess_wire(const circuit::WireSpec& wire, double rise_seconds) {
+  return assess_line(wire.r_per_m * wire.length_m, wire.l_per_m * wire.length_m,
+                     wire.c_per_m * wire.length_m, rise_seconds);
+}
 
 TEST(FiguresOfMerit, FastEdgeLowResistanceMatters) {
   // 1 mm global wire, 10 ps edge: squarely in the inductance window
@@ -49,7 +56,7 @@ TEST(FiguresOfMerit, RejectsBadInputs) {
   EXPECT_THROW((void)assess_line(1.0, 1e-9, 1e-12, -1.0), std::invalid_argument);
   circuit::WireSpec zero = circuit::global_wire_spec();
   zero.length_m = 0.0;
-  EXPECT_THROW((void)assess_wire(zero, 1e-12), std::invalid_argument);
+  EXPECT_THROW((void)assess_wire(zero, 1e-12), std::invalid_argument);  // no L, no C
   EXPECT_THROW((void)assess_tree(circuit::RlcTree{}, 1e-12), std::invalid_argument);
 }
 

@@ -12,6 +12,14 @@
 namespace relmore::eed {
 namespace {
 
+/// 20 log10 |H(jw)| and the phase of H(jw) in degrees.
+double magnitude_db(const NodeModel& node, double omega) {
+  return 20.0 * std::log10(std::abs(transfer_function(node, omega)));
+}
+double phase_deg(const NodeModel& node, double omega) {
+  return std::arg(transfer_function(node, omega)) * 180.0 / M_PI;
+}
+
 NodeModel node_with(double zeta, double omega_n) {
   NodeModel n;
   n.zeta = zeta;
@@ -80,27 +88,9 @@ TEST(Frequency, RcLimitSinglePole) {
   EXPECT_FALSE(has_resonant_peak(rc));
 }
 
-TEST(Frequency, BodeSweepIsLogSpacedAndMonotoneFrequencies) {
-  const NodeModel n = node_with(0.5, 1e9);
-  const auto pts = bode_sweep(n, 1e7, 1e11, 41);
-  ASSERT_EQ(pts.size(), 41u);
-  EXPECT_NEAR(pts.front().omega, 1e7, 1.0);
-  EXPECT_NEAR(pts.back().omega, 1e11, 1e3);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_GT(pts[i].omega, pts[i - 1].omega);
-    // Log spacing: constant ratio.
-    if (i >= 2) {
-      EXPECT_NEAR(pts[i].omega / pts[i - 1].omega, pts[1].omega / pts[0].omega, 1e-6);
-    }
-  }
-}
-
 TEST(Frequency, RejectsBadArguments) {
   const NodeModel n = node_with(0.5, 1e9);
   EXPECT_THROW((void)transfer_function(n, -1.0), std::invalid_argument);
-  EXPECT_THROW(bode_sweep(n, 0.0, 1e9, 10), std::invalid_argument);
-  EXPECT_THROW(bode_sweep(n, 1e9, 1e8, 10), std::invalid_argument);
-  EXPECT_THROW(bode_sweep(n, 1e8, 1e9, 1), std::invalid_argument);
 }
 
 TEST(Frequency, MatchesExactTransferAtLowFrequency) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ode_reference.hpp"
 #include "relmore/eed/response.hpp"
 #include "relmore/eed/second_order.hpp"
 #include "relmore/sim/waveform.hpp"
@@ -44,9 +45,10 @@ TEST(RampResponse, MatchesOdeIntegration) {
   for (double zeta : {0.4, 1.0, 1.8}) {
     const NodeModel n = node_with(zeta, 2e9);
     const auto grid = sim::uniform_grid(6e-9, 61);
-    const sim::Waveform closed = ramp_input_waveform(n, grid, 1.0, rise);
+    const sim::Waveform closed =
+        sim::sample(grid, [&](double t) { return ramp_input_response(n, t, 1.0, rise); });
     const sim::Waveform ode =
-        arbitrary_input_waveform(n, sim::RampSource{1.0, rise}, grid);
+        reference::arbitrary_input_waveform(n, sim::RampSource{1.0, rise}, grid);
     EXPECT_LT(closed.max_abs_difference(ode), 1e-7) << "zeta=" << zeta;
   }
 }
@@ -59,8 +61,10 @@ TEST(RampResponse, RcLimitMatchesOde) {
   rc.omega_n = std::numeric_limits<double>::infinity();
   const double rise = 1e-9;
   const auto grid = sim::uniform_grid(6e-9, 61);
-  const sim::Waveform closed = ramp_input_waveform(rc, grid, 1.0, rise);
-  const sim::Waveform ode = arbitrary_input_waveform(rc, sim::RampSource{1.0, rise}, grid);
+  const sim::Waveform closed =
+      sim::sample(grid, [&](double t) { return ramp_input_response(rc, t, 1.0, rise); });
+  const sim::Waveform ode =
+      reference::arbitrary_input_waveform(rc, sim::RampSource{1.0, rise}, grid);
   EXPECT_LT(closed.max_abs_difference(ode), 1e-7);
 }
 
@@ -69,8 +73,12 @@ TEST(RampResponse, SlowerRampReducesOvershoot) {
   // edges excite less of the resonance.
   const NodeModel n = node_with(0.3, 1e9);
   const auto grid = sim::uniform_grid(60e-9, 2001);
-  const double fast_peak = ramp_input_waveform(n, grid, 1.0, 0.1e-9).max_value();
-  const double slow_peak = ramp_input_waveform(n, grid, 1.0, 20e-9).max_value();
+  const auto peak = [&](double rise) {
+    return sim::sample(grid, [&](double t) { return ramp_input_response(n, t, 1.0, rise); })
+        .max_value();
+  };
+  const double fast_peak = peak(0.1e-9);
+  const double slow_peak = peak(20e-9);
   EXPECT_GT(fast_peak, 1.2);
   EXPECT_LT(slow_peak, fast_peak);
   EXPECT_LT(slow_peak, 1.1);

@@ -24,8 +24,8 @@
 #include "relmore/eed/model.hpp"
 #include "relmore/eed/second_order.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/diagnostics.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace {
 
@@ -147,7 +147,7 @@ TEST(Batched, PoolCompositionIsBitwiseIdentical) {
   }
   const SectionId sink = tree.leaves().back();
   const engine::BatchedModels serial = batch.analyze_nodes({sink});
-  engine::WorkerPool pool(4);
+  util::WorkerPool pool(4);
   const engine::BatchedModels pooled = batch.analyze_nodes({sink}, &pool);
   for (std::size_t s = 0; s < samples; ++s) {
     EXPECT_EQ(serial.sum_rc(s, sink), pooled.sum_rc(s, sink)) << "sample " << s;
@@ -190,7 +190,7 @@ TEST(Batched, StreamIsBitwiseIdenticalToStoredPath) {
     }
     const engine::BatchedModels stored = batch.analyze_nodes(sinks);
     const engine::BatchedModels streamed = batch.analyze_stream(samples, fill, sinks);
-    engine::WorkerPool pool(3);
+    util::WorkerPool pool(3);
     const engine::BatchedModels pooled = batch.analyze_stream(samples, fill, sinks, &pool);
     for (std::size_t s = 0; s < samples; ++s) {
       for (const SectionId id : sinks) {

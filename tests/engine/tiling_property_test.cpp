@@ -19,7 +19,7 @@
 #include "relmore/circuit/random_tree.hpp"
 #include "relmore/eed/model.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/worker_pool.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace {
 
@@ -41,14 +41,14 @@ void draw_sample(const circuit::FlatTree& flat, std::size_t s, circuit::Rng& rng
 
 /// The tile sizes a draw exercises: forced single-row tiles, a random
 /// interior size, tile >= n (one degenerate whole-tree tile), and 0
-/// (auto — whatever engine::KernelTuner picks for this shape).
+/// (auto — whatever util::KernelTuner picks for this shape).
 std::vector<std::size_t> tile_draws(std::size_t n, circuit::Rng& rng) {
   return {std::size_t{1}, static_cast<std::size_t>(rng.uniform_int(2, static_cast<int>(n))),
           n + static_cast<std::size_t>(rng.uniform_int(0, 64)), std::size_t{0}};
 }
 
 TEST(TilingProperty, AnalyzeBitwiseEqualsScalarAcrossTilesWidthsThreads) {
-  engine::WorkerPool pool(3);
+  util::WorkerPool pool(3);
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const circuit::RlcTree tree = circuit::make_random_tree(
         {.min_sections = 40, .max_sections = 300}, seed + 5000);
@@ -77,8 +77,8 @@ TEST(TilingProperty, AnalyzeBitwiseEqualsScalarAcrossTilesWidthsThreads) {
     for (const std::size_t tile : tile_draws(n, rng)) {
       batch.set_tile_rows(tile);
       EXPECT_EQ(batch.tile_rows(), tile);
-      for (engine::WorkerPool* p :
-           {static_cast<engine::WorkerPool*>(nullptr), &pool}) {
+      for (util::WorkerPool* p :
+           {static_cast<util::WorkerPool*>(nullptr), &pool}) {
         const engine::BatchedModels models = batch.analyze(p);
         for (std::size_t s = 0; s < samples; ++s) {
           for (std::size_t k = 0; k < n; ++k) {
@@ -101,7 +101,7 @@ TEST(TilingProperty, AnalyzeNodesPathWalkAndSweepBitwiseEqualScalar) {
   // the all-leaves query takes the tiled downward sweep with a sorted
   // drain. Both must reproduce the scalar oracle exactly under every
   // tile setting.
-  engine::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const circuit::RlcTree tree = circuit::make_random_tree(
         {.min_sections = 60, .max_sections = 250}, seed + 9000);
@@ -167,7 +167,7 @@ TEST(TilingProperty, StreamBitwiseEqualsStoredUnderEveryTile) {
     std::copy(cv[s].begin(), cv[s].end(), c);
   };
   const std::vector<SectionId> sinks = flat.leaves();
-  engine::WorkerPool pool(3);
+  util::WorkerPool pool(3);
   for (const std::size_t w : {std::size_t{2}, std::size_t{8}}) {
     engine::BatchedAnalyzer batch(flat, w);
     batch.resize(samples);

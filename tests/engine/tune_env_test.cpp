@@ -16,10 +16,10 @@
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/eed/model.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/tuner.hpp"
 #include "relmore/sim/batch_sim.hpp"
 #include "relmore/sim/flat_stepper.hpp"
 #include "relmore/sim/tree_transient.hpp"
+#include "relmore/util/tuner.hpp"
 
 namespace {
 
@@ -33,14 +33,14 @@ const bool kEnvPlanted = [] {
 
 TEST(TuneEnv, ForcedPlanPinsEveryBucket) {
   ASSERT_TRUE(kEnvPlanted);
-  const engine::KernelTuner& tuner = engine::KernelTuner::instance();
+  const util::KernelTuner& tuner = util::KernelTuner::instance();
   ASSERT_TRUE(tuner.forced());
   for (const std::size_t sections : {std::size_t{8}, std::size_t{100000}}) {
     for (const std::size_t lanes : {std::size_t{0}, std::size_t{1}, std::size_t{512}}) {
-      const engine::KernelPlan ap = tuner.analysis_plan(sections, lanes);
+      const util::KernelPlan ap = tuner.analysis_plan(sections, lanes);
       EXPECT_EQ(ap.lane_width, 2u);
       EXPECT_EQ(ap.tile_rows, 4u);
-      const engine::KernelPlan sp = tuner.sim_plan(sections, lanes);
+      const util::KernelPlan sp = tuner.sim_plan(sections, lanes);
       EXPECT_EQ(sp.lane_width, 2u);
       EXPECT_EQ(sp.tile_rows, 4u);
     }

@@ -12,7 +12,7 @@
 #include "relmore/circuit/builders.hpp"
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/tuner.hpp"
+#include "relmore/util/tuner.hpp"
 
 namespace {
 
@@ -25,7 +25,7 @@ const bool kEnvPlanted = [] {
 
 TEST(TuneReject, MalformedOverrideFallsBackToAutoCalibration) {
   ASSERT_TRUE(kEnvPlanted);
-  const engine::KernelTuner& tuner = engine::KernelTuner::instance();
+  const util::KernelTuner& tuner = util::KernelTuner::instance();
   EXPECT_FALSE(tuner.forced());
   // Auto plans, not the half-parseable "8x64" prefix.
   EXPECT_EQ(tuner.analysis_plan(1000, 256).lane_width, 4u);

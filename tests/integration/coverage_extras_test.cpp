@@ -14,6 +14,7 @@
 #include "relmore/sim/adaptive.hpp"
 #include "relmore/sim/measure.hpp"
 #include "relmore/sim/state_space.hpp"
+#include "relmore/sim/waveform.hpp"
 
 namespace relmore {
 namespace {
@@ -110,7 +111,7 @@ TEST(CoverageExtras, MeasurementOnAweWaveformMatchesClosedForms) {
   const auto nm = eed::analyze(t).at(0);
   const double horizon = analysis::suggest_horizon(nm);
   const auto grid = sim::uniform_grid(horizon, 8001);
-  const auto w = models[0].step_waveform(grid, 1.0);
+  const auto w = sim::sample(grid, [&](double t) { return models[0].step_response(t); });
   const auto m = sim::measure_rising(w, 1.0);
   EXPECT_NEAR(m.delay_50, eed::delay_50_exact(nm), 2e-3 * eed::delay_50_exact(nm) + 1e-13);
   EXPECT_NEAR(m.rise_10_90, eed::rise_time_exact(nm),

@@ -7,6 +7,7 @@
 #include "relmore/eed/eed.hpp"
 #include "relmore/moments/tree_moments.hpp"
 #include "relmore/sim/measure.hpp"
+#include "relmore/sim/waveform.hpp"
 
 namespace relmore {
 namespace {
@@ -71,7 +72,8 @@ TEST(PaperClaims, SlowerInputsAreMoreAccurate) {
   for (double tau : {1e-12, 0.5e-9, 2e-9}) {
     const sim::Waveform ref =
         analysis::reference_waveform(t, out, sim::ExpSource{1.0, tau}, horizon, 1501);
-    const sim::Waveform closed = eed::exp_input_waveform(nm, grid, 1.0, tau);
+    const sim::Waveform closed =
+        sim::sample(grid, [&](double t) { return eed::exp_input_response(nm, t, 1.0, tau); });
     errors.push_back(ref.max_abs_difference(closed));
   }
   EXPECT_GT(errors[0], errors[1]);
@@ -147,7 +149,8 @@ TEST(PaperClaims, DepthIncreasesUnmodeledHarmonics) {
     const double horizon = analysis::suggest_horizon(nm);
     const sim::Waveform ref =
         analysis::reference_waveform(t, sink, sim::StepSource{1.0}, horizon, 3001);
-    const sim::Waveform eed_w = eed::step_waveform(nm, ref.times(), 1.0);
+    const sim::Waveform eed_w =
+        sim::sample(ref.times(), [&](double t) { return eed::step_response(nm, t); });
     int count = 0;
     double prev = 0.0;
     for (std::size_t i = 0; i < ref.size(); ++i) {

@@ -8,6 +8,7 @@
 #include "relmore/moments/tree_moments.hpp"
 #include "relmore/sim/state_space.hpp"
 #include "relmore/sim/tree_transient.hpp"
+#include "relmore/sim/waveform.hpp"
 
 namespace relmore::moments {
 namespace {
@@ -92,7 +93,7 @@ TEST(Awe, HigherOrderTracksSimulatorOnFig5) {
   opts.dt = 2.5e-13;
   const auto res = sim::simulate_tree(t, sim::StepSource{1.0}, opts);
   const auto grid = sim::uniform_grid(opts.t_stop, 301);
-  const sim::Waveform awe_w = model.step_waveform(grid, 1.0);
+  const sim::Waveform awe_w = sim::sample(grid, [&](double t) { return model.step_response(t); });
   EXPECT_LT(awe_w.max_abs_difference(res.waveform(node7)), 0.08);
 }
 

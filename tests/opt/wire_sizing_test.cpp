@@ -4,8 +4,8 @@
 
 #include "relmore/analysis/compare.hpp"
 #include "relmore/eed/eed.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/measure.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::opt {
 namespace {
@@ -121,7 +121,7 @@ TEST(WireSizing, BatchedSweepComposesWithPool) {
   }
   const std::vector<double> serial =
       sized_line_delays(p, candidates, DelayModel::kEquivalentElmore);
-  engine::WorkerPool pool(4);
+  util::WorkerPool pool(4);
   const std::vector<double> pooled =
       sized_line_delays(p, candidates, DelayModel::kEquivalentElmore, &pool);
   EXPECT_EQ(serial, pooled);

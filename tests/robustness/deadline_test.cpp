@@ -19,14 +19,14 @@
 #include "relmore/circuit/rlc_tree.hpp"
 #include "relmore/eed/model.hpp"
 #include "relmore/engine/batched.hpp"
-#include "relmore/engine/worker_pool.hpp"
-#include "relmore/sim/source.hpp"
 #include "relmore/sim/batch_sim.hpp"
+#include "relmore/sim/source.hpp"
 #include "relmore/sta/corpus.hpp"
 #include "relmore/sta/synthetic.hpp"
 #include "relmore/util/deadline.hpp"
 #include "relmore/util/diagnostics.hpp"
 #include "relmore/util/fault_injector.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace rc = relmore::circuit;
 namespace ru = relmore::util;

@@ -21,8 +21,8 @@
 #include "relmore/eed/model.hpp"
 #include "relmore/engine/batched.hpp"
 #include "relmore/engine/timing_engine.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/util/diagnostics.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace rc = relmore::circuit;
 namespace ru = relmore::util;
@@ -667,7 +667,7 @@ TEST(BatchedFaults, PooledAnalyzeAgreesOnFaults) {
       batch.set_sample(s, r.data(), l.data(), c.data());
     }
   }
-  eng::WorkerPool pool(4);
+  ru::WorkerPool pool(4);
   const eng::BatchedModels serial = batch.analyze();
   const eng::BatchedModels pooled = batch.analyze(&pool);
   EXPECT_EQ(serial.fault_count(), 1u);

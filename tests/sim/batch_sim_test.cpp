@@ -13,9 +13,9 @@
 #include "relmore/circuit/builders.hpp"
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/circuit/rlc_tree.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/flat_stepper.hpp"
 #include "relmore/sim/tree_transient.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::sim {
 namespace {
@@ -89,8 +89,8 @@ TEST(BatchSimulator, LanesBitwiseEqualScalarAcrossWidthsAndThreads) {
 
   const std::vector<TransientResult> ref = scalar_reference(base, runs, opts);
 
-  engine::WorkerPool pool_one(1);
-  engine::WorkerPool pool_four(4);
+  util::WorkerPool pool_one(1);
+  util::WorkerPool pool_four(4);
   for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     BatchSimulator bs(FlatTree(base), w);
     EXPECT_EQ(bs.lane_width(), w);
@@ -100,7 +100,7 @@ TEST(BatchSimulator, LanesBitwiseEqualScalarAcrossWidthsAndThreads) {
       bs.set_run(s, runs[s].r.data(), runs[s].l.data(), runs[s].c.data());
       bs.set_source(s, runs[s].src);
     }
-    for (engine::WorkerPool* pool : {static_cast<engine::WorkerPool*>(nullptr),
+    for (util::WorkerPool* pool : {static_cast<util::WorkerPool*>(nullptr),
                                         &pool_one, &pool_four}) {
       const BatchTransientResult res = bs.simulate(opts, pool);
       ASSERT_EQ(res.runs(), kRuns);
@@ -158,7 +158,7 @@ TEST(BatchSimulator, FirstCrossingsBitwiseMatchScalarStreaming) {
   opts.dt = suggest_timestep(base, 0.05);
   const SectionId probe = static_cast<SectionId>(base.size() - 1);
 
-  engine::WorkerPool pool(3);
+  util::WorkerPool pool(3);
   for (const double threshold : {0.5, 0.95, 3.0, 0.0}) {
     std::vector<double> want(kRuns);
     for (std::size_t s = 0; s < kRuns; ++s) {

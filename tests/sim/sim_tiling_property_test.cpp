@@ -17,9 +17,9 @@
 #include "relmore/circuit/builders.hpp"
 #include "relmore/circuit/flat_tree.hpp"
 #include "relmore/circuit/rlc_tree.hpp"
-#include "relmore/engine/worker_pool.hpp"
 #include "relmore/sim/flat_stepper.hpp"
 #include "relmore/sim/tree_transient.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace relmore::sim {
 namespace {
@@ -82,9 +82,9 @@ TEST(SimTilingProperty, SimulateBitwiseEqualScalarAcrossTilesWidthsThreads) {
     ref.push_back(simulate_tree(FlatTree(tree), run.src, opts));
   }
 
-  engine::WorkerPool pool(3);
+  util::WorkerPool pool(3);
   // Tiles: single-row (maximal sink traffic), a ragged interior size,
-  // >= n (one whole-tree tile), and 0 (auto via engine::KernelTuner).
+  // >= n (one whole-tree tile), and 0 (auto via util::KernelTuner).
   const std::size_t tiles[] = {1, 9, n + 7, 0};
   for (const std::size_t w : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     BatchSimulator bs(FlatTree(base), w);
@@ -96,8 +96,8 @@ TEST(SimTilingProperty, SimulateBitwiseEqualScalarAcrossTilesWidthsThreads) {
     for (const std::size_t tile : tiles) {
       bs.set_tile_rows(tile);
       EXPECT_EQ(bs.tile_rows(), tile);
-      for (engine::WorkerPool* p :
-           {static_cast<engine::WorkerPool*>(nullptr), &pool}) {
+      for (util::WorkerPool* p :
+           {static_cast<util::WorkerPool*>(nullptr), &pool}) {
         const BatchTransientResult res = bs.simulate(opts, p);
         for (std::size_t s = 0; s < kRuns; ++s) {
           for (std::size_t row = 0; row < opts.probes.size(); ++row) {
@@ -174,7 +174,7 @@ TEST(SimTilingProperty, FirstCrossingsBitwiseEqualAcrossTiles) {
         simulate_first_crossings(FlatTree(tree), runs[s].src, opts, {probe}, 0.5).front();
   }
 
-  engine::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   BatchSimulator bs(FlatTree(base), 8);
   bs.resize(kRuns);
   for (std::size_t s = 0; s < kRuns; ++s) {

@@ -37,37 +37,6 @@ TEST(Brent, SteepFunction) {
   EXPECT_NEAR(*r, std::log(5.0) / 20.0, 1e-10);
 }
 
-TEST(Bisect, MatchesBrent) {
-  const auto f = [](double x) { return x * x * x - x - 2.0; };
-  const auto rb = brent(f, 1.0, 2.0);
-  const auto ri = bisect(f, 1.0, 2.0);
-  ASSERT_TRUE(rb.has_value());
-  ASSERT_TRUE(ri.has_value());
-  EXPECT_NEAR(*rb, *ri, 1e-9);
-}
-
-TEST(FindRootForward, ExpandsToBracket) {
-  // Root at x = 100; initial step far too small.
-  const auto r = find_root_forward([](double x) { return x - 100.0; }, 0.0, 0.5);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(*r, 100.0, 1e-9);
-}
-
-TEST(FindRootForward, RootAtStart) {
-  const auto r = find_root_forward([](double x) { return x; }, 0.0, 1.0);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(*r, 0.0);
-}
-
-TEST(FindRootForward, GivesUpWithoutSignChange) {
-  EXPECT_FALSE(
-      find_root_forward([](double) { return 1.0; }, 0.0, 1.0, 1.6, 20).has_value());
-}
-
-TEST(FindRootForward, RejectsNonPositiveStep) {
-  EXPECT_FALSE(find_root_forward([](double x) { return x - 1.0; }, 0.0, 0.0).has_value());
-}
-
 // The end-values entry is the loop brent() runs: handed f(a) and f(b), it
 // returns brent()'s root bit for bit, two evaluations sooner.
 TEST(BrentBracketed, EndValuesEntryReturnsThePlainEntrysRoot) {

@@ -5,13 +5,13 @@
 /// live in dedicated single-process binaries (tune_env_test,
 /// tune_reject_test) because the variable is read once per process.
 
-#include "relmore/engine/tuner.hpp"
+#include "relmore/util/tuner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
-namespace relmore::engine {
+namespace relmore::util {
 namespace {
 
 TEST(KernelTunerParse, AcceptsWellFormedPlans) {
@@ -76,4 +76,4 @@ TEST(KernelTuner, PlansMatchLaneCountAndTreeSize) {
 }
 
 }  // namespace
-}  // namespace relmore::engine
+}  // namespace relmore::util

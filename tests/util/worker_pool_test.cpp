@@ -4,21 +4,21 @@
 
 #include <gtest/gtest.h>
 
-#include "relmore/engine/worker_pool.hpp"
+#include "relmore/util/worker_pool.hpp"
 
 namespace {
 
 using namespace relmore;
 
 TEST(WorkerPool, ThreadCountDefaultsToAtLeastOne) {
-  const engine::WorkerPool pool;
+  const util::WorkerPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
-  const engine::WorkerPool one(1);
+  const util::WorkerPool one(1);
   EXPECT_EQ(one.thread_count(), 1u);
 }
 
 TEST(WorkerPool, ParallelForVisitsEveryIndexExactlyOnce) {
-  engine::WorkerPool pool(4);
+  util::WorkerPool pool(4);
   const std::size_t count = 1000;
   std::vector<std::atomic<int>> hits(count);
   pool.parallel_for(count, [&](std::size_t i) { ++hits[i]; });
@@ -26,12 +26,12 @@ TEST(WorkerPool, ParallelForVisitsEveryIndexExactlyOnce) {
 }
 
 TEST(WorkerPool, ParallelForZeroCountIsNoop) {
-  engine::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   pool.parallel_for(0, [&](std::size_t) { FAIL() << "fn called for empty range"; });
 }
 
 TEST(WorkerPool, ParallelForReusableAcrossCalls) {
-  engine::WorkerPool pool(3);
+  util::WorkerPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::size_t> sum{0};
     pool.parallel_for(100, [&](std::size_t i) { sum += i; });
@@ -40,7 +40,7 @@ TEST(WorkerPool, ParallelForReusableAcrossCalls) {
 }
 
 TEST(WorkerPool, ParallelChunksCoverRangeWithoutOverlap) {
-  engine::WorkerPool pool(4);
+  util::WorkerPool pool(4);
   const std::size_t count = 103;  // deliberately not divisible by the pool size
   std::vector<std::atomic<int>> hits(count);
   std::atomic<unsigned> chunks{0};
@@ -54,7 +54,7 @@ TEST(WorkerPool, ParallelChunksCoverRangeWithoutOverlap) {
 }
 
 TEST(WorkerPool, FirstExceptionPropagatesToCaller) {
-  engine::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   EXPECT_THROW(pool.parallel_for(50,
                                  [](std::size_t i) {
                                    if (i == 17) throw std::runtime_error("task 17 failed");

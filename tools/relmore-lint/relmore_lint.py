@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """relmore-lint: repo-specific static checks for the relmore contracts.
 
-The repo promises three things no general-purpose tool checks for us:
+The repo promises five things no general-purpose tool checks for us:
 
   R1  Every `Status`/`Result<T>` an API hands back is consumed. The
       `_checked` convention makes error handling explicit *only* if call
@@ -34,6 +34,15 @@ The repo promises three things no general-purpose tool checks for us:
       `<cctype>` `tolower`/`toupper`/`is*`. `strtod_l` under a C
       `locale_t` and `std::from_chars` stay legal.
 
+  R5  The libraries form layers. The `target_link_libraries` lines of
+      `src/*/CMakeLists.txt` are the one declaration of the layer order:
+      the `relmore_*` targets they link must form no cycle, and a file
+      under `src/<n>/` may include `relmore/<m>/...` only when
+      `relmore_<m>` is `relmore_<n>` or one of its direct links. The
+      umbrella `src/include/relmore/relmore.hpp` is exempt; a file outside
+      `src/` names the module it stands for with
+      `// relmore-lint: layer(<n>)`.
+
 Suppression policy (see docs/static-analysis.md): a finding is silenced
 only by an on-line annotation naming the rule, e.g.
 
@@ -41,7 +50,7 @@ only by an on-line annotation naming the rule, e.g.
 
 Usage:
     relmore_lint.py [--repo-root DIR] [--compile-commands FILE]
-                    [--rules R1,R2,R3,R4] [paths...]
+                    [--rules R1,R2,R3,R4,R5] [paths...]
 
 With no paths, lints every TU listed in compile_commands.json that lives
 under src/, bench/, or examples/ (plus all headers under src/); without a
@@ -617,6 +626,112 @@ def check_r4(sf: SourceFile) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R5: layer order
+# --------------------------------------------------------------------------
+
+ADD_LIBRARY_RE = re.compile(r"\badd_library\s*\(\s*(relmore_\w+)")
+LINK_LIBRARIES_RE = re.compile(r"\btarget_link_libraries\s*\(\s*(relmore_\w+)([^)]*)\)")
+RELMORE_TARGET_RE = re.compile(r"\brelmore_\w+")
+MODULE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"relmore/(\w+)/')
+LAYER_DIRECTIVE_RE = re.compile(r"layer\((\w+)\)")
+
+
+@dataclass
+class LayerGraph:
+    links: dict[str, set[str]] = field(default_factory=dict)  # target -> direct links
+    declared_at: dict[str, tuple[str, int]] = field(default_factory=dict)  # link line
+
+
+def read_layer_graph(repo_root: str) -> LayerGraph:
+    """The direct links among the library targets of src/*/CMakeLists.txt.
+
+    Only targets an `add_library` there declares are layers, so the
+    flag-only interface targets (relmore_warnings, ...) drop out.
+    """
+    graph = LayerGraph()
+    src = os.path.join(repo_root, "src")
+    raw: dict[str, set[str]] = {}
+    for module in sorted(os.listdir(src)):
+        path = os.path.join(src, module, "CMakeLists.txt")
+        if not os.path.isfile(path):
+            continue
+        with open(path, "r", encoding="utf-8") as f:
+            text = re.sub(r"#[^\n]*", "", f.read())
+        for m in ADD_LIBRARY_RE.finditer(text):
+            graph.links.setdefault(m.group(1), set())
+        for m in LINK_LIBRARIES_RE.finditer(text):
+            raw.setdefault(m.group(1), set()).update(RELMORE_TARGET_RE.findall(m.group(2)))
+            graph.declared_at[m.group(1)] = (f"src/{module}/CMakeLists.txt", line_of(text, m.start()))
+    for target in graph.links:
+        graph.links[target] = raw.get(target, set()) & graph.links.keys()
+    return graph
+
+
+def layer_cycles(graph: LayerGraph, repo_root: str) -> list[Finding]:
+    """One finding per cycle among the layers, at its first target's links."""
+    findings: list[Finding] = []
+    state: dict[str, int] = {}  # 1 = on the DFS stack, 2 = done
+    stack: list[str] = []
+
+    def visit(target: str) -> None:
+        state[target] = 1
+        stack.append(target)
+        for dep in sorted(graph.links[target]):
+            if state.get(dep) == 1:
+                cycle = stack[stack.index(dep):] + [dep]
+                rel, line = graph.declared_at.get(cycle[0], ("src/CMakeLists.txt", 1))
+                findings.append(Finding(
+                    os.path.join(repo_root, rel), line, "R5",
+                    "library cycle " + " -> ".join(cycle) + ": a layer may link only "
+                    "layers below it",
+                ))
+            elif dep not in state:
+                visit(dep)
+        stack.pop()
+        state[target] = 2
+
+    for target in sorted(graph.links):
+        if target not in state:
+            visit(target)
+    return findings
+
+
+def file_layer(sf: SourceFile) -> str | None:
+    """`relmore_<n>` for a file under src/<n>/ or naming layer(<n>)."""
+    for ds in sf.directives.values():
+        for d in ds:
+            m = LAYER_DIRECTIVE_RE.match(d)
+            if m:
+                return f"relmore_{m.group(1)}"
+    parts = sf.rel.split("/")
+    if len(parts) > 2 and parts[0] == "src" and parts[1] != "include":
+        return f"relmore_{parts[1]}"
+    return None
+
+
+def check_r5(sf: SourceFile, graph: LayerGraph) -> list[Finding]:
+    layer = file_layer(sf)
+    if layer is None:
+        return []
+    allowed = {layer} | graph.links.get(layer, set())
+    findings: list[Finding] = []
+    stripped_lines = sf.stripped.splitlines()
+    for lineno, text in enumerate(sf.text.splitlines(), 1):
+        m = MODULE_INCLUDE_RE.match(text)
+        if not m or not stripped_lines[lineno - 1].lstrip().startswith("#"):
+            continue  # not an include, or one inside a comment
+        target = f"relmore_{m.group(1)}"
+        if target in allowed or sf.allows(lineno, "R5"):
+            continue
+        findings.append(Finding(
+            sf.path, lineno, "R5",
+            f"{layer} includes relmore/{m.group(1)}/ but does not link {target}: "
+            f"include only the layers {layer} links (src/*/CMakeLists.txt)",
+        ))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -656,7 +771,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--compile-commands", default=None,
                     help="compile_commands.json to enumerate TUs (default: "
                          "<repo-root>/build/compile_commands.json when present)")
-    ap.add_argument("--rules", default="R1,R2,R3,R4",
+    ap.add_argument("--rules", default="R1,R2,R3,R4,R5",
                     help="comma-separated subset of rules to run")
     args = ap.parse_args(argv)
 
@@ -667,7 +782,7 @@ def main(argv: list[str]) -> int:
         cc = default_cc if os.path.isfile(default_cc) else None
 
     rules = {r.strip().upper() for r in args.rules.split(",") if r.strip()}
-    bad_rules = rules - {"R1", "R2", "R3", "R4"}
+    bad_rules = rules - {"R1", "R2", "R3", "R4", "R5"}
     if bad_rules:
         print(f"relmore-lint: unknown rules {sorted(bad_rules)}", file=sys.stderr)
         return 2
@@ -696,6 +811,9 @@ def main(argv: list[str]) -> int:
     idx = index_signatures(index_inputs)
 
     findings: list[Finding] = []
+    graph = read_layer_graph(repo_root) if "R5" in rules else LayerGraph()
+    if "R5" in rules:
+        findings.extend(layer_cycles(graph, repo_root))
     for sf in sources:
         if "R1" in rules:
             findings.extend(check_r1(sf, idx))
@@ -705,6 +823,8 @@ def main(argv: list[str]) -> int:
             findings.extend(check_r3(sf))
         if "R4" in rules:
             findings.extend(check_r4(sf))
+        if "R5" in rules:
+            findings.extend(check_r5(sf, graph))
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)
