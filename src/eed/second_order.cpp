@@ -12,7 +12,6 @@ namespace {
 
 constexpr double kLn2 = 0.6931471805599453;
 constexpr double kLn9 = 2.1972245773362196;
-constexpr double kCriticalTol = 1e-7;
 
 /// The exact step crossing of `fraction` by `node`, or a throw when the
 /// no-throw kernel finds none (a non-finite model).
@@ -28,13 +27,15 @@ double scaled_step_response(double zeta, double t_scaled) {
   if (zeta < 0.0) throw std::invalid_argument("scaled_step_response: zeta must be >= 0");
   if (t_scaled <= 0.0) return 0.0;
   const double t = t_scaled;
-  if (std::abs(zeta - 1.0) <= kCriticalTol) {
-    // Critically damped: v = 1 - (1 + t) e^{-t}.
+  if (zeta == 1.0) {
+    // Critically damped: v = 1 - (1 + t) e^{-t}. Next to it the two forms
+    // below stay exact: sin(wd t)/wd and sinh(d t)/d tend to t.
     return 1.0 - (1.0 + t) * std::exp(-t);
   }
   if (zeta < 1.0) {
-    // Underdamped (paper eq. 31): v = 1 - e^{-zt}[cos(wd t) + z sin(wd t)/wd].
-    const double wd = std::sqrt(1.0 - zeta * zeta);
+    // Underdamped (paper eq. 31): v = 1 - e^{-zt}[cos(wd t) + z sin(wd t)/wd],
+    // wd = sqrt((1 - z)(1 + z)), which keeps its digits as z nears 1.
+    const double wd = std::sqrt((1.0 - zeta) * (1.0 + zeta));
     return 1.0 -
            std::exp(-zeta * t) * (std::cos(wd * t) + zeta * std::sin(wd * t) / wd);
   }
@@ -56,9 +57,9 @@ double scaled_step_derivative(double zeta, double t_scaled) {
   if (zeta < 0.0) throw std::invalid_argument("scaled_step_derivative: zeta must be >= 0");
   if (t_scaled <= 0.0) return 0.0;
   const double t = t_scaled;
-  if (std::abs(zeta - 1.0) <= kCriticalTol) return t * std::exp(-t);
+  if (zeta == 1.0) return t * std::exp(-t);
   if (zeta < 1.0) {
-    const double wd = std::sqrt(1.0 - zeta * zeta);
+    const double wd = std::sqrt((1.0 - zeta) * (1.0 + zeta));
     return std::exp(-zeta * t) * std::sin(wd * t) / wd;
   }
   const double d = std::sqrt((zeta - 1.0) * (zeta + 1.0));
@@ -145,7 +146,7 @@ double overshoot_pct(const NodeModel& node, int n) {
   if (!(node.zeta < 1.0)) {
     throw std::invalid_argument("overshoot_pct: node is not underdamped");
   }
-  const double wd = std::sqrt(1.0 - node.zeta * node.zeta);
+  const double wd = std::sqrt((1.0 - node.zeta) * (1.0 + node.zeta));
   return 100.0 * std::exp(-static_cast<double>(n) * M_PI * node.zeta / wd);
 }
 
@@ -154,7 +155,7 @@ double overshoot_time(const NodeModel& node, int n) {
   if (!(node.zeta < 1.0)) {
     throw std::invalid_argument("overshoot_time: node is not underdamped");
   }
-  const double wd = std::sqrt(1.0 - node.zeta * node.zeta);
+  const double wd = std::sqrt((1.0 - node.zeta) * (1.0 + node.zeta));
   return static_cast<double>(n) * M_PI / (node.omega_n * wd);
 }
 
@@ -170,7 +171,7 @@ double settling_time(const NodeModel& node, double band) {
   if (node.zeta <= 0.0) return std::numeric_limits<double>::infinity();
   // Paper eqs. (41)-(42): the first extremum whose excursion is below
   // `band` of the steady state; its index solves e^{-n pi z/wd} <= band.
-  const double wd = std::sqrt(1.0 - node.zeta * node.zeta);
+  const double wd = std::sqrt((1.0 - node.zeta) * (1.0 + node.zeta));
   const double n_real = wd * std::log(1.0 / band) / (M_PI * node.zeta);
   const double n = std::max(1.0, std::ceil(n_real));
   return n * M_PI / (node.omega_n * wd);

@@ -33,11 +33,13 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "relmore/sta/corpus.hpp"
 #include "relmore/sta/design.hpp"
 #include "relmore/util/diagnostics.hpp"
+#include "relmore/util/exact_sum.hpp"
 
 namespace relmore::sta {
 
@@ -58,21 +60,24 @@ struct NetTiming {
                          ///< or a tap's wire stage not timeable
 };
 
-/// One endpoint's summary row.
+/// One endpoint's summary row. The row holds no name: the endpoint is
+/// `design.ports[port].name`, so a row is a 32-byte trivially copyable
+/// value that a commit moves to its new place by plain copies.
 struct EndpointSlack {
   int port = -1;          ///< index into Design::ports
-  std::string name;
   bool timed = false;
   bool constrained = false;
   double arrival = 0.0;
   double required = 0.0;
   double slack = 0.0;     ///< required - arrival
 };
+static_assert(std::is_trivially_copyable_v<EndpointSlack>);
 
 /// Design-wide summary.
 struct TimingSummary {
   double wns = 0.0;  ///< worst negative slack (most negative slack; >= 0 = met)
-  double tns = 0.0;  ///< total negative slack (sum of negative slacks)
+  double tns = 0.0;  ///< total negative slack: the constrained negative
+                     ///< slacks' correctly rounded sum, in no order
   std::size_t endpoints = 0;
   std::size_t constrained_endpoints = 0;
   std::size_t untimed_endpoints = 0;  ///< endpoints in a faulted fanout cone
@@ -102,6 +107,9 @@ struct TimingResult {
   /// Corpus-phase record: per-name errors for faulted nets, warnings for
   /// incomplete nets and recovered transients (see corpus.hpp).
   util::DiagnosticsReport diagnostics;
+  /// The TNS terms, summed exactly: the summary's `tns` is its value. An
+  /// update takes out a moved row's old term and puts in its new one.
+  util::ExactSum tns_terms;
 };
 
 /// One point of a reported path, launch to endpoint.
@@ -173,11 +181,11 @@ class TimingGraph {
   /// Cost: the nets of the two cones, popped from worklists in
   /// (Net::level, net index) order, plus the endpoint rows on the nets
   /// the backward cone re-timed, each moved to its new place in the
-  /// sorted rows. The up-front shape check is O(1): four lengths. One
-  /// pass stays linear in the design on purpose, the TNS sum in port
-  /// order (the order fixes its rounding), which runs only when a
-  /// negative slack moved; the only other per-net work is clearing one
-  /// dirty-flag byte per net.
+  /// sorted rows. A moved row takes its old TNS term out of the exact sum
+  /// and puts its new one in, and the sum is read once, so TNS costs the
+  /// moved rows too, not the TNS terms. The up-front shape check is O(1):
+  /// four lengths. The only per-net work is clearing one dirty-flag byte
+  /// per net.
   ///
   /// `cache` must cover every net in the dirty cones at its current epoch
   /// (the Timer guarantees this: a full analyze fills it, edits restamp

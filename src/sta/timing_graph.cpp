@@ -197,8 +197,7 @@ const PointTiming& endpoint_timing(const Design& design, const TimingResult& res
   return result.taps[tap_slot(design, port.net, port.tap)];
 }
 
-/// The summary row of output port `pi` with tap timing `tt`, all but its
-/// name.
+/// The summary row of output port `pi` with tap timing `tt`.
 EndpointSlack endpoint_row(std::size_t pi, const PointTiming& tt) {
   EndpointSlack row;
   row.port = static_cast<int>(pi);
@@ -243,48 +242,9 @@ double worst_slack(const TimingSummary& summary) {
   return !rows.empty() && row_rank(rows.front()) == 0 ? rows.front().slack : 0.0;
 }
 
-/// Caller storage for total_negative_slack: one slot per design port, and
-/// one bit per port in `terms` (kTermBits to a word).
-struct TnsScratch {
-  double* by_port = nullptr;
-  std::uint64_t* terms = nullptr;
-};
-constexpr std::size_t kTermBits = 64;
-
-std::size_t term_words(const Design& design) {
-  return (design.ports.size() + kTermBits - 1) / kTermBits;
-}
-
-/// TNS from sorted rows into `*tns`: the TNS terms, which lead the
-/// order, are scattered by port and summed left to right in port order,
-/// so the rounding never depends on how the rows came about. Only the
-/// terms' slots are written and read; the bit set orders them. False,
-/// with `*tns` untouched, when a term names no port of the design: rows
-/// of another design's result, which the length guard lets through.
-bool total_negative_slack(const Design& design, const TimingSummary& summary,
-                          const TnsScratch& scratch, double* tns) {
-  const std::size_t words = term_words(design);
-  std::fill_n(scratch.terms, words, std::uint64_t{0});
-  for (const EndpointSlack& row : summary.endpoints_by_slack) {
-    if (!in_tns(row)) break;
-    const auto pi = static_cast<std::size_t>(row.port);
-    if (pi >= design.ports.size()) return false;
-    scratch.by_port[pi] = row.slack;
-    scratch.terms[pi / kTermBits] |= std::uint64_t{1} << (pi % kTermBits);
-  }
-  double sum = 0.0;
-  for (std::size_t w = 0; w < words; ++w) {
-    for (std::uint64_t bits = scratch.terms[w]; bits != 0; bits &= bits - 1) {
-      sum += scratch.by_port[w * kTermBits + static_cast<std::size_t>(std::countr_zero(bits))];
-    }
-  }
-  *tns = sum;
-  return true;
-}
-
-/// Rebuilds the endpoint summary (rows, WNS/TNS, endpoint counts) from
-/// the per-point timings. The corpus-phase counters
-/// (faulted/incomplete/cache) are left untouched — the caller
+/// Rebuilds the endpoint summary (rows, WNS/TNS, endpoint counts) and the
+/// exact sum of the TNS terms from the per-point timings. The corpus-phase
+/// counters (faulted/incomplete/cache) are left untouched — the caller
 /// owns them.
 void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   TimingSummary& summary = result.summary;
@@ -292,20 +252,18 @@ void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   summary.constrained_endpoints = 0;
   summary.untimed_endpoints = 0;
   summary.endpoints_by_slack.clear();
+  result.tns_terms = util::ExactSum{};
   for (std::size_t pi = 0; pi < design.ports.size(); ++pi) {
     if (design.ports[pi].is_input) continue;
     ++summary.endpoints;
-    EndpointSlack row = endpoint_row(pi, endpoint_timing(design, result, pi));
-    row.name = design.ports[pi].name;
+    const EndpointSlack row = endpoint_row(pi, endpoint_timing(design, result, pi));
     if (std::size_t* count = row_count(summary, row)) ++*count;
-    summary.endpoints_by_slack.push_back(std::move(row));
+    if (in_tns(row)) result.tns_terms.add(row.slack);
+    summary.endpoints_by_slack.push_back(row);
   }
   std::sort(summary.endpoints_by_slack.begin(), summary.endpoints_by_slack.end(), row_before);
   summary.wns = worst_slack(summary);
-  std::vector<double> by_port(design.ports.size());
-  std::vector<std::uint64_t> terms(term_words(design));
-  // Rows built from the design's own ports: every term has its slot.
-  total_negative_slack(design, summary, TnsScratch{by_port.data(), terms.data()}, &summary.tns);
+  summary.tns = result.tns_terms.value();
 }
 
 /// Bitwise comparison of the forward-owned fields (timed/arrival/slew);
@@ -330,7 +288,7 @@ bool same_forward_net(const NetSlots& a, const NetSlots& b, std::size_t taps) {
   return true;
 }
 
-/// Bitwise comparison of two summary rows, names aside.
+/// Bitwise comparison of two summary rows.
 bool same_row(const EndpointSlack& a, const EndpointSlack& b) {
   return a.timed == b.timed && a.constrained == b.constrained && same_bits(a.arrival, b.arrival) &&
          same_bits(a.required, b.required) && same_bits(a.slack, b.slack);
@@ -351,15 +309,16 @@ struct EndpointLog {
 /// old key (the order is total, so the key names exactly one row), takes
 /// the new bits, and is rotated to its place — work in the distance each
 /// row moves, not in the endpoint count. The endpoint counts move by the
-/// difference, WNS is re-read from the first row, and TNS is re-summed
-/// when a moved row was or became a TNS term. Rows that are not this
-/// result's own — a logged row not found, a term naming no port of the
-/// design — are all derived again instead.
-void update_endpoint_summary(const Design& design, const EndpointLog& log,
-                             const TnsScratch& scratch, TimingResult& result) {
+/// difference, the exact TNS sum loses the row's old term and gains its
+/// new one, WNS is re-read from the first row, and TNS is read from the
+/// sum when a term moved. The sum has no order, so its value is the one
+/// a rebuild reads. Rows that are not this result's own — a logged row
+/// not found — are all derived again instead.
+void update_endpoint_summary(const Design& design, const EndpointLog& log, TimingResult& result) {
   TimingSummary& summary = result.summary;
   std::vector<EndpointSlack>& rows = summary.endpoints_by_slack;
   bool tns_moved = false;
+  // relmore-lint: begin-hot-loop(summary-moved-rows)
   for (std::size_t i = 0; i < log.size; ++i) {
     const auto pi = static_cast<std::size_t>(log.ports[i]);
     const EndpointSlack old = endpoint_row(pi, log.before[i]);
@@ -370,11 +329,12 @@ void update_endpoint_summary(const Design& design, const EndpointLog& log,
       rebuild_endpoint_summary(design, result);
       return;
     }
+    if (in_tns(old)) result.tns_terms.sub(old.slack);
+    if (in_tns(now)) result.tns_terms.add(now.slack);
     tns_moved = tns_moved || in_tns(old) || in_tns(now);
     if (std::size_t* count = row_count(summary, old)) --*count;
     if (std::size_t* count = row_count(summary, now)) ++*count;
-    now.name = std::move(it->name);
-    *it = std::move(now);
+    *it = now;
     // Every other row is in order: move this one to its place.
     if (it != rows.begin() && row_before(*it, *(it - 1))) {
       std::rotate(std::lower_bound(rows.begin(), it, *it, row_before), it, it + 1);
@@ -382,10 +342,9 @@ void update_endpoint_summary(const Design& design, const EndpointLog& log,
       std::rotate(it, it + 1, std::lower_bound(it + 1, rows.end(), *it, row_before));
     }
   }
+  // relmore-lint: end-hot-loop
   summary.wns = worst_slack(summary);
-  if (tns_moved && !total_negative_slack(design, summary, scratch, &summary.tns)) {
-    rebuild_endpoint_summary(design, result);
-  }
+  if (tns_moved) summary.tns = result.tns_terms.value();
 }
 
 /// The nets one cone sweep has yet to visit, popped in (Net::level, net
@@ -557,9 +516,9 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
 
   // --- workspace: the calling thread's arena, reused across calls --------
   // One slot per net for the dirty flags and each worklist, one per port
-  // for the endpoint log and the TNS scatter, and the largest net's tap
-  // count for the forward scratch; beyond the flags, only what the cones
-  // touch is written. A failed grab leaves `result` unchanged.
+  // for the endpoint log, and the largest net's tap count for the forward
+  // scratch; beyond the flags, only what the cones touch is written. A
+  // failed grab leaves `result` unchanged.
   util::Arena& arena = util::thread_arena();
   const util::ArenaScope scope(arena);
   std::uint8_t* dirty = nullptr;
@@ -568,7 +527,6 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   NetTiming scratch_net;
   NetSlots scratch{&scratch_net};
   EndpointLog log;
-  TnsScratch tns;
   try {
     dirty = arena.grab<std::uint8_t>(n_nets);
     forward_heap = arena.grab<std::uint64_t>(n_nets);
@@ -577,8 +535,6 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
     scratch.wire_delay = arena.grab<double>(max_taps_);
     log.ports = arena.grab<int>(design.ports.size());
     log.before = arena.grab<PointTiming>(design.ports.size());
-    tns.by_port = arena.grab<double>(design.ports.size());
-    tns.terms = arena.grab<std::uint64_t>(term_words(design));
   } catch (const std::bad_alloc&) {
     return Status(ErrorCode::kResourceExhausted, "update: workspace allocation failed");
   }
@@ -718,7 +674,7 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
 
   // Every net whose tap timing moved went through the backward sweep, so
   // the log names every endpoint whose row may have moved.
-  update_endpoint_summary(design, log, tns, result);
+  update_endpoint_summary(design, log, result);
   return stats;
 }
 

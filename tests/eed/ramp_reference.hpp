@@ -49,6 +49,7 @@ class Response {
       const Real d = std::sqrt((zeta - 1) * (zeta + 1));
       p1_ = -1 / (zeta + d);
       p2_ = -(zeta + d);
+      gap_ = 2 * d;
     } else {
       const Real w = std::sqrt((1 - zeta) * (1 + zeta));
       p1_ = Complex(-zeta, w);
@@ -77,6 +78,15 @@ class Response {
       const Real w = u - rise_;
       return 1 - ((2 + w) * std::exp(-w) - (2 + u) * std::exp(-u)) / rise_;
     }
+    if (rise_ == 0 && gap_ > 0) {
+      // Real poles: 1 − (e^{p1 u}·expm1(−Δu)/Δ + e^{p2 u}/p2)/p1 with
+      // Δ = p1 − p2 = 2√(ζ² − 1) taken from d. Both terms are positive
+      // and bounded, so the residues' near cancellation next to critical
+      // damping (~1/Δ each) costs nothing.
+      const Real p1 = p1_.real();
+      const Real p2 = p2_.real();
+      return 1 - (std::exp(p1 * u) * std::expm1(-gap_ * u) / gap_ + std::exp(p2 * u) / p2) / p1;
+    }
     if (rise_ == 0) return (Real(1) + r1_ * std::exp(p1_ * u) + r2_ * std::exp(p2_ * u)).real();
     if (u <= rise_) return (u + c1_ * expm1(p1_ * u) + c2_ * expm1(p2_ * u)).real() / rise_;
     // 1 − Σ c_i e^{p_i (u − rise)}·(1 − e^{p_i rise})/rise: no difference
@@ -92,6 +102,7 @@ class Response {
   bool critical_ = false;
   Real unit_ = 1;
   Real rise_ = 0;
+  Real gap_ = 0;  ///< p1 − p2 when the poles are real
   Complex p1_, p2_, r1_, r2_, c1_, c2_;
 };
 

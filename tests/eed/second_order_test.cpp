@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "ramp_reference.hpp"
+
 namespace relmore::eed {
 namespace {
 
@@ -35,6 +37,34 @@ TEST(ScaledResponse, ContinuousAcrossCriticalDamping) {
     const double above = scaled_step_response(1.0 + 1e-6, tp);
     EXPECT_NEAR(below, at, 1e-5) << "t'=" << tp;
     EXPECT_NEAR(above, at, 1e-5) << "t'=" << tp;
+  }
+}
+
+// Next to critical damping the under- and overdamped forms stay exact,
+// so nothing snaps them to the double-pole form, which is off there by
+// ~|zeta - 1|. The long double reference gives the response, and a
+// five-point stencil over it the derivative (truncation ~1e-14 at h = 1e-3).
+TEST(ScaledResponse, ExactNextToCriticalDamping) {
+  if (!reference::long_double_is_wider()) GTEST_SKIP() << "long double has only 53 bits";
+  for (const double offset : {0x1p-52, 1e-12, 1e-9, 5e-8, 1e-7}) {
+    for (const double zeta : {1.0 - offset, 1.0 + offset}) {
+      NodeModel node;
+      node.zeta = zeta;
+      node.omega_n = 1.0;
+      node.sum_lc = 1.0;
+      node.sum_rc = 2.0 * zeta;
+      const reference::Response v(node, 0.0);
+      const long double h = 1e-3L;
+      for (int i = 0; i <= 400; ++i) {
+        const double u = 0.01 + (40.0 - 0.01) * i / 400.0;
+        const long double slope =
+            (v(u - 2 * h) - 8 * v(u - h) + 8 * v(u + h) - v(u + 2 * h)) / (12 * h);
+        EXPECT_NEAR(scaled_step_response(zeta, u), static_cast<double>(v(u)), 1e-15)
+            << "zeta = 1 " << (zeta < 1.0 ? "- " : "+ ") << offset << ", u = " << u;
+        EXPECT_NEAR(scaled_step_derivative(zeta, u), static_cast<double>(slope), 1e-12)
+            << "zeta = 1 " << (zeta < 1.0 ? "- " : "+ ") << offset << ", u = " << u;
+      }
+    }
   }
 }
 

@@ -12,14 +12,21 @@
 //  - an accepted design times end to end without an exception — the whole
 //    TimingGraph flow under kSkipAndFlag (per-net faults must be isolated,
 //    never thrown across the corpus phase) — into a result whose per-tap
-//    arrays have the design's tap total as their length.
+//    arrays have the design's tap total as their length;
+//  - its summary keeps its definitions: TNS is the correctly rounded sum
+//    of the rows' constrained negative slacks (the reference shares no
+//    code with util::ExactSum), and WNS is the slack of the first
+//    constrained row, or 0 when no row is constrained.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "../util/exact_sum_reference.hpp"
 #include "relmore/sta/corpus.hpp"
 #include "relmore/sta/design.hpp"
 #include "relmore/sta/timing_graph.hpp"
@@ -81,6 +88,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     if (result.value().taps.size() != taps || result.value().wire_delay.size() != taps) {
       std::abort();
     }
+    const sta::TimingSummary& summary = result.value().summary;
+    std::vector<double> terms;
+    double wns = 0.0;
+    bool constrained = false;
+    for (const sta::EndpointSlack& row : summary.endpoints_by_slack) {
+      if (!row.timed || !row.constrained) continue;
+      if (!constrained) wns = row.slack;
+      constrained = true;
+      if (row.slack < 0.0) terms.push_back(row.slack);
+    }
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    if (bits(summary.tns) != bits(util::reference::exact_sum(terms))) std::abort();
+    if (bits(summary.wns) != bits(wns)) std::abort();
   } catch (...) {
     std::abort();  // no exception may cross the corpus phase
   }

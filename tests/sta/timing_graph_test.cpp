@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "../util/exact_sum_reference.hpp"
 #include "relmore/sta/design.hpp"
 #include "relmore/timer.hpp"
 #include "relmore/util/diagnostics.hpp"
@@ -57,6 +58,8 @@ Design parse(const std::string& text) {
   std::istringstream is(text);
   return std::move(read_design_checked(is)).value();
 }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TimingResult analyze(const Design& d, const AnalyzeOptions& options = {}) {
   util::Result<TimingGraph> g = TimingGraph::build_checked(d);
@@ -111,7 +114,7 @@ TEST(TimingGraph, GoldenThreeStageArrivalsAndSlews) {
   EXPECT_EQ(s.faulted_nets, 0u);
   ASSERT_EQ(s.endpoints_by_slack.size(), 1u);
   const EndpointSlack& row = s.endpoints_by_slack[0];
-  EXPECT_EQ(row.name, "out");
+  EXPECT_EQ(d.ports[static_cast<std::size_t>(row.port)].name, "out");
   EXPECT_TRUE(row.timed);
   EXPECT_TRUE(row.constrained);
   EXPECT_NEAR(row.arrival, endpoint_arrival, kTol);
@@ -241,6 +244,61 @@ TEST(TimingGraph, ViolatedEndpointShowsNegativeSlack) {
   EXPECT_NE(format_path(r.value()[0]).find("(VIOLATED)"), std::string::npos);
 }
 
+// TNS is the correctly rounded sum of its terms, in no order. One
+// endpoint here misses by ~22 ps, and three more by one ulp of their
+// ~7 ps arrival each: a quarter of an ulp of the large slack. A
+// left-to-right sum in port order drops each small term and stays on the
+// large slack; the exact sum lies three quarters of an ulp beyond it and
+// rounds one ulp further. An update that moves the large term reads the
+// same bits as a from-scratch analysis.
+TEST(TimingGraph, TnsIsTheCorrectlyRoundedSumOfItsTerms) {
+  Design d = parse(R"(design tns
+net n0
+section s0 - R=1k L=0 C=10f
+end
+input in n0 at=0 slew=0
+output o0 n0:s0
+output o1 n0:s0
+output o2 n0:s0
+output o3 n0:s0
+)");
+  const double arrival = analyze(d).taps[d.tap_offset[0]].arrival;  // ln2 * 10 ps
+  for (DesignPort& port : d.ports) {
+    port.has_required = !port.is_input;
+    port.required = std::nextafter(arrival, 0.0);
+  }
+  const auto big = static_cast<std::size_t>(d.find_port("o0"));
+  d.ports[big].required = arrival - 0x1.8p-36;
+  TimingResult res = analyze(d);
+
+  const auto terms_of = [&](const TimingResult& r) {
+    std::vector<double> by_port(d.ports.size(), 0.0);
+    for (const EndpointSlack& row : r.summary.endpoints_by_slack) {
+      EXPECT_TRUE(row.timed && row.constrained && row.slack < 0.0);
+      by_port[static_cast<std::size_t>(row.port)] = row.slack;
+    }
+    return by_port;
+  };
+  const std::vector<double> terms = terms_of(res);
+  double port_order = 0.0;
+  for (const double term : terms) port_order += term;
+  const double exact = util::reference::exact_sum(terms);
+  ASSERT_NE(bits(port_order), bits(exact));  // the design tells the two sums apart
+  EXPECT_EQ(bits(res.summary.tns), bits(exact));
+
+  util::Result<TimingGraph> graph = TimingGraph::build_checked(d);
+  ASSERT_TRUE(graph.is_ok());
+  d.ports[big].required = arrival - 0x1.9p-36;
+  UpdateSeeds seeds;
+  seeds.backward_nets.push_back(d.ports[big].net);
+  CorpusCache cache;  // a backward-only update reads no models
+  ASSERT_TRUE(graph.value().update_checked(res, cache, seeds).is_ok());
+  const TimingResult fresh = analyze(d);
+  EXPECT_EQ(bits(res.summary.tns), bits(fresh.summary.tns));
+  EXPECT_EQ(bits(res.summary.tns), bits(util::reference::exact_sum(terms_of(fresh))));
+  EXPECT_EQ(bits(res.summary.wns), bits(fresh.summary.wns));
+}
+
 TEST(TimingGraph, FaultedNetPoisonsOnlyItsOwnCone) {
   // Two independent port->net->port paths; nb's moments overflow to inf
   // (R*C ~ 1e330), so ob must come back untimed while oa stays timed.
@@ -277,8 +335,6 @@ TEST(TimingGraph, FaultedNetPoisonsOnlyItsOwnCone) {
   ASSERT_FALSE(thrown.is_ok());
   EXPECT_EQ(thrown.status().net(), "nb");
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Bitwise equality of net `ni`'s timings in two results of `design`'s
 /// shape: fault flag, every point, every wire delay.

@@ -91,6 +91,7 @@ REQUIRED_MARKER_FILES = (
     "src/eed/model.cpp",  # the two moment passes every scalar entry shares
     "src/eed/response.cpp",  # the STA wire-stage kernel's bracket scan
     "src/util/include/relmore/util/roots.hpp",  # the one Brent loop
+    "src/util/exact_sum.cpp",  # the carry and rounding passes behind every TNS read
 )
 
 # Reader files that must not read the process locale (R4).
