@@ -63,12 +63,6 @@ class RlcTree {
   /// Mutable access to values (wire sizing and ζ-targeting rescale trees).
   SectionValues& values(SectionId i);
 
-  /// Drops the most recently added sections so that size() == n (no-op when
-  /// n >= size()). Because ids are append-only, the dropped ids are exactly
-  /// [n, size()) and no surviving section can reference them. Used by the
-  /// engine's transactional rollback to undo grafts.
-  void truncate(std::size_t n);
-
   /// Section ids in parent-before-child order (ids are already topological
   /// by the append-only invariant; provided for readability at call sites).
   [[nodiscard]] std::vector<SectionId> topological_order() const;

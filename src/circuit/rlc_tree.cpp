@@ -55,23 +55,6 @@ SectionValues& RlcTree::values(SectionId i) {
   return sections_[static_cast<std::size_t>(i)].v;
 }
 
-void RlcTree::truncate(std::size_t n) {
-  if (n >= sections_.size()) return;
-  // Dropped ids are the largest, and both roots_ and each children_ list
-  // were appended in ascending id order, so every dropped id sits at the
-  // back of whichever list holds it.
-  for (std::size_t i = sections_.size(); i-- > n;) {
-    const SectionId p = sections_[i].parent;
-    if (p == kInput) {
-      roots_.pop_back();
-    } else if (static_cast<std::size_t>(p) < n) {
-      children_[static_cast<std::size_t>(p)].pop_back();
-    }
-  }
-  sections_.resize(n);
-  children_.resize(n);
-}
-
 std::vector<SectionId> RlcTree::topological_order() const {
   std::vector<SectionId> order(sections_.size());
   for (std::size_t i = 0; i < sections_.size(); ++i) order[i] = static_cast<SectionId>(i);

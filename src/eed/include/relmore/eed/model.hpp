@@ -31,16 +31,16 @@
 namespace relmore::eed {
 
 /// Per-node / per-sample fault flag bits surfaced by the numerical
-/// guardrails (TreeModel::fault_flags, engine::BatchedModels sample
-/// flags). A flag marks a node whose *own* moments are degenerate; with a
-/// poisoned value mid-tree the whole affected root path and subtree carry
-/// flags, because the moment prefix sums propagate the poison.
+/// guardrails (TreeModel::fault_flags, and the per-sample verdicts behind
+/// engine::BatchedAnalyzer's FaultError). A flag marks a node whose *own*
+/// moments are degenerate; with a poisoned value mid-tree the whole
+/// affected root path and subtree carry flags, because the moment prefix
+/// sums propagate the poison.
 enum AnalysisFault : std::uint8_t {
   kFaultNone = 0,
   kFaultBadInput = 1,          ///< input R/L/C was NaN, Inf, or negative
   kFaultNonFiniteMoment = 2,   ///< SR/SL/Ctot became NaN or Inf
   kFaultNegativeMoment = 4,    ///< SR/SL/Ctot went negative
-  kFaultNotRun = 8,            ///< sample skipped: deadline/cancel stop
 };
 
 /// Guardrail configuration for analyze(): what to do when a node's moment

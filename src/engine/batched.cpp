@@ -109,6 +109,24 @@ util::Status bad_sample_status(const char* entry, std::size_t sample, bool non_f
           " element value in sample " + std::to_string(sample));
 }
 
+/// Post-join fault resolution: throws util::FaultError naming the first
+/// sample whose eed::AnalysisFault bits are set, with the faulted count.
+/// Tasks record verdicts per sample and never throw, so a faulted lane
+/// cannot abandon other groups' results mid-flight.
+void throw_first_fault(const std::vector<std::uint8_t>& faults, const char* entry) {
+  std::size_t count = 0;
+  for (const std::uint8_t f : faults) count += f != 0 ? 1u : 0u;
+  if (count == 0) return;
+  std::size_t first = 0;
+  while (faults[first] == 0) ++first;
+  const bool input = (faults[first] & eed::kFaultBadInput) != 0;
+  throw util::FaultError(util::Status(
+      input ? util::ErrorCode::kInvalidArgument : util::ErrorCode::kNonFiniteMoment,
+      std::string(entry) + ": " + (input ? "invalid element values" : "non-finite moments") +
+          " in sample " + std::to_string(first) + " (" + std::to_string(count) +
+          " faulted of " + std::to_string(faults.size()) + " samples)"));
+}
+
 /// Sink called after the downward sweep finishes sections [lo, hi): the
 /// rows completed by the tile are drained (copied to the output layout)
 /// while still cache-hot. A plain function pointer — not a template
@@ -117,9 +135,9 @@ util::Status bad_sample_status(const char* entry, std::size_t sample, bool non_f
 using TileSinkFn = void (*)(void* ctx, std::size_t lo, std::size_t hi);
 
 /// Sink for the path-walk kernel: one call per requested output row with
-/// the walked prefix sums and the row's subtree-capacitance lanes.
+/// the walked prefix sums.
 using RowSinkFn = void (*)(void* ctx, std::size_t row, const double* acc_sr,
-                           const double* acc_sl, const double* ctot_row);
+                           const double* acc_sl);
 
 /// Everything a drain sink needs: the output arrays, which scratch rows
 /// to copy (ids ascending, with their output rows), and the per-lane
@@ -127,13 +145,11 @@ using RowSinkFn = void (*)(void* ctx, std::size_t row, const double* acc_sr,
 struct DrainCtx {
   double* out_sr = nullptr;
   double* out_sl = nullptr;
-  double* out_ctot = nullptr;
   std::size_t padded = 0;  ///< output padded sample count
   std::size_t g = 0;       ///< lane-group index
   std::size_t w = 0;       ///< lane width
   const double* sr = nullptr;    ///< scratch, n*w (two-pass mode)
   const double* sl = nullptr;    ///< scratch, n*w (two-pass mode)
-  const double* ctot = nullptr;  ///< scratch, n*w
   const SectionId* ids = nullptr;  ///< drain ids, ascending
   const int* rows = nullptr;       ///< output row of each drain id
   std::size_t count = 0;
@@ -149,7 +165,8 @@ struct DrainCtx {
 /// non-finite moment?" without branching. Per-term multiplies — summing
 /// first could overflow to Inf on legitimately huge finite moments. The
 /// terms are all +0.0 or NaN, so accumulation order cannot change the
-/// verdict (or the bits).
+/// verdict (or the bits). A non-finite Ctot_i always shows in SR_i, whose
+/// last term is R_i·Ctot_i with R_i finite and non-negative.
 void drain_tile(void* vctx, std::size_t lo, std::size_t hi) {
   auto* d = static_cast<DrainCtx*>(vctx);
   (void)lo;
@@ -160,13 +177,11 @@ void drain_tile(void* vctx, std::size_t lo, std::size_t hi) {
         static_cast<std::size_t>(d->rows[d->cursor]) * d->padded + d->g * w;
     std::memcpy(d->out_sr + dst, d->sr + i * w, w * sizeof(double));
     std::memcpy(d->out_sl + dst, d->sl + i * w, w * sizeof(double));
-    std::memcpy(d->out_ctot + dst, d->ctot + i * w, w * sizeof(double));
     const double* a = d->sr + i * w;
     const double* b = d->sl + i * w;
-    const double* cc = d->ctot + i * w;
     RELMORE_SIMD
     for (std::size_t t = 0; t < w; ++t) {
-      d->poison[t] += a[t] * 0.0 + b[t] * 0.0 + cc[t] * 0.0;
+      d->poison[t] += a[t] * 0.0 + b[t] * 0.0;
     }
     ++d->cursor;
   }
@@ -174,17 +189,15 @@ void drain_tile(void* vctx, std::size_t lo, std::size_t hi) {
 
 /// Path-walk drain: the walked prefix sums land directly in output row
 /// `row` (the walk visits rows in output order, no cursor needed).
-void drain_row(void* vctx, std::size_t row, const double* acc_sr, const double* acc_sl,
-               const double* ctot_row) {
+void drain_row(void* vctx, std::size_t row, const double* acc_sr, const double* acc_sl) {
   auto* d = static_cast<DrainCtx*>(vctx);
   const std::size_t w = d->w;
   const std::size_t dst = row * d->padded + d->g * w;
   std::memcpy(d->out_sr + dst, acc_sr, w * sizeof(double));
   std::memcpy(d->out_sl + dst, acc_sl, w * sizeof(double));
-  std::memcpy(d->out_ctot + dst, ctot_row, w * sizeof(double));
   RELMORE_SIMD
   for (std::size_t t = 0; t < w; ++t) {
-    d->poison[t] += acc_sr[t] * 0.0 + acc_sl[t] * 0.0 + ctot_row[t] * 0.0;
+    d->poison[t] += acc_sr[t] * 0.0 + acc_sl[t] * 0.0;
   }
 }
 
@@ -314,7 +327,7 @@ RELMORE_KERNEL_CLONES void pathwalk_pass(std::size_t n, const SectionId* parent,
       RELMORE_SIMD
       for (std::size_t t = 0; t < W; ++t) acc_sl[t] += rows_l[t * n + j] * ctot[at + t];
     }
-    sink(ctx, row, acc_sr, acc_sl, ctot + static_cast<std::size_t>(ids[row]) * W);
+    sink(ctx, row, acc_sr, acc_sl);
   }
   // relmore-lint: end-hot-loop
 }
@@ -343,8 +356,10 @@ void run_sweep(std::size_t n, const SectionId* parent, const double* rows_r,
 struct BatchedAnalyzer::SweepPlan {
   std::size_t tile_rows = 0;  ///< downward tile size; 0 = whole tree
   bool use_pathwalk = false;  ///< sparse shallow queries take the walk
-  std::vector<circuit::SectionId> drain_ids;  ///< output ids, ascending
-  std::vector<int> drain_rows;                ///< output row per drain id
+  /// Output ids: in row order for the path walk, ascending for the
+  /// sweep's drain.
+  std::vector<circuit::SectionId> drain_ids;
+  std::vector<int> drain_rows;  ///< output row per drain id (sweep only)
 };
 
 // --- BatchedModels ----------------------------------------------------------
@@ -363,14 +378,6 @@ double BatchedModels::sum_rc(std::size_t sample, SectionId id) const {
   return sr_[slot(sample, id)];
 }
 
-double BatchedModels::sum_lc(std::size_t sample, SectionId id) const {
-  return sl_[slot(sample, id)];
-}
-
-double BatchedModels::load_capacitance(std::size_t sample, SectionId id) const {
-  return ctot_[slot(sample, id)];
-}
-
 eed::NodeModel BatchedModels::node(std::size_t sample, SectionId id) const {
   const std::size_t at = slot(sample, id);
   return eed::node_model(sr_[at], sl_[at]);
@@ -378,20 +385,6 @@ eed::NodeModel BatchedModels::node(std::size_t sample, SectionId id) const {
 
 double BatchedModels::delay_50(std::size_t sample, SectionId id) const {
   return eed::delay_50(node(sample, id));
-}
-
-std::uint8_t BatchedModels::fault_flags(std::size_t sample) const {
-  if (sample >= samples_) throw std::out_of_range("BatchedModels: sample out of range");
-  return fault_flags_.empty() ? std::uint8_t{eed::kFaultNone} : fault_flags_[sample];
-}
-
-std::vector<std::size_t> BatchedModels::faulted_samples() const {
-  std::vector<std::size_t> out;
-  out.reserve(fault_count_);
-  for (std::size_t s = 0; s < fault_flags_.size(); ++s) {
-    if (fault_flags_[s] != 0) out.push_back(s);
-  }
-  return out;
 }
 
 // --- BatchedAnalyzer --------------------------------------------------------
@@ -411,23 +404,6 @@ BatchedAnalyzer::BatchedAnalyzer(circuit::FlatTree topology, std::size_t lane_wi
   lane_width_ = lane_width;
 }
 
-util::Result<BatchedAnalyzer> BatchedAnalyzer::create_checked(circuit::FlatTree topology,
-                                                              std::size_t lane_width) {
-  if (topology.empty()) {
-    return util::Status(util::ErrorCode::kEmptyTree, "BatchedAnalyzer: empty topology");
-  }
-  if (lane_width != 0 && lane_width != 1 && lane_width != 2 && lane_width != 4 &&
-      lane_width != 8) {
-    return util::Status(util::ErrorCode::kInvalidArgument,
-                        "BatchedAnalyzer: lane width must be 1, 2, 4, or 8");
-  }
-  try {
-    return BatchedAnalyzer(std::move(topology), lane_width);
-  } catch (const util::FaultError& e) {
-    return e.status();
-  }
-}
-
 std::size_t BatchedAnalyzer::value_slot(std::size_t s, std::size_t section) const {
   return s * topo_.size() + section;
 }
@@ -440,7 +416,6 @@ void BatchedAnalyzer::resize(std::size_t samples) {
   r_.resize(padded * n);
   l_.resize(padded * n);
   c_.resize(padded * n);
-  input_fault_.assign(samples, 0);
   // Nominal values everywhere, padding rows included — padding computes
   // harmless real numbers and is never read back. Sample-major rows make
   // this (and set_sample) a straight memcpy per array.
@@ -463,31 +438,18 @@ void BatchedAnalyzer::set_sample(std::size_t s, const double* resistance,
   scan.merge(scan_values(inductance, n));
   scan.merge(scan_values(capacitance, n));
   // Injection site: a poisoned value arriving at snapshot fill — folded
-  // into the scan verdict before the policy branch, so it flows through
-  // the exact guards a genuinely bad input would (throw / clamp / flag).
-  const bool inject = util::fault_should_fire(util::FaultSite::kSnapshotNan);
-  if (inject) scan.poison += std::numeric_limits<double>::quiet_NaN();
-  if (scan.bad() && policy_ == util::FaultPolicy::kThrow) {
+  // into the scan verdict, so it takes the exact guard a genuinely bad
+  // input would.
+  if (util::fault_should_fire(util::FaultSite::kSnapshotNan)) {
+    scan.poison += std::numeric_limits<double>::quiet_NaN();
+  }
+  if (scan.bad()) {
     throw util::FaultError(bad_sample_status("BatchedAnalyzer", s, scan.non_finite()));
   }
   const std::size_t base = value_slot(s, 0);
   std::memcpy(r_.data() + base, resistance, n * sizeof(double));
   std::memcpy(l_.data() + base, inductance, n * sizeof(double));
   std::memcpy(c_.data() + base, capacitance, n * sizeof(double));
-  if (inject) r_[base] = std::numeric_limits<double>::quiet_NaN();
-  input_fault_[s] = 0;
-  if (scan.bad()) {
-    // Flag-policy slow path: mark the sample; under kClampAndFlag rewrite
-    // just-stored invalid entries to 0 so the kernel sees usable numbers.
-    input_fault_[s] = eed::kFaultBadInput;
-    if (policy_ == util::FaultPolicy::kClampAndFlag) {
-      for (double* row : {r_.data() + base, l_.data() + base, c_.data() + base}) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!util::valid_element_value(row[i])) row[i] = 0.0;
-        }
-      }
-    }
-  }
 }
 
 void BatchedAnalyzer::set_section(std::size_t s, SectionId id, const circuit::SectionValues& v) {
@@ -495,75 +457,58 @@ void BatchedAnalyzer::set_section(std::size_t s, SectionId id, const circuit::Se
   if (id < 0 || static_cast<std::size_t>(id) >= topo_.size()) {
     throw std::out_of_range("BatchedAnalyzer::set_section: section id out of range");
   }
-  circuit::SectionValues stored = v;
-  const bool ok = util::valid_element_value(v.resistance) &&
-                  util::valid_element_value(v.inductance) &&
-                  util::valid_element_value(v.capacitance);
-  if (!ok) {
+  if (!util::valid_element_value(v.resistance) || !util::valid_element_value(v.inductance) ||
+      !util::valid_element_value(v.capacitance)) {
     const bool non_finite = !std::isfinite(v.resistance) || !std::isfinite(v.inductance) ||
                             !std::isfinite(v.capacitance);
-    if (policy_ == util::FaultPolicy::kThrow) {
-      throw util::FaultError(bad_sample_status("BatchedAnalyzer", s, non_finite));
-    }
-    input_fault_[s] = eed::kFaultBadInput;
-    if (policy_ == util::FaultPolicy::kClampAndFlag) {
-      for (double* m : {&stored.resistance, &stored.inductance, &stored.capacitance}) {
-        if (!util::valid_element_value(*m)) *m = 0.0;
-      }
-    }
+    throw util::FaultError(bad_sample_status("BatchedAnalyzer", s, non_finite));
   }
   const std::size_t at = value_slot(s, static_cast<std::size_t>(id));
-  r_[at] = stored.resistance;
-  l_[at] = stored.inductance;
-  c_[at] = stored.capacitance;
+  r_[at] = v.resistance;
+  l_[at] = v.inductance;
+  c_[at] = v.capacitance;
 }
 
 void BatchedAnalyzer::set_tile_rows(std::size_t tile_rows) { tile_rows_ = tile_rows; }
 
-BatchedAnalyzer::SweepPlan BatchedAnalyzer::make_plan(const BatchedModels& out,
-                                                      bool all_nodes,
+BatchedAnalyzer::SweepPlan BatchedAnalyzer::make_plan(const std::vector<SectionId>& ids,
                                                       std::size_t samples) const {
   const std::size_t n = topo_.size();
   SweepPlan plan;
   plan.tile_rows = tile_rows_ != 0
                        ? tile_rows_
                        : util::KernelTuner::instance().analysis_plan(n, samples).tile_rows;
-  if (!all_nodes && !out.ids_.empty()) {
-    // The path walk wins when the requested root paths touch fewer rows
-    // than the full sweep would; level() is exactly each path's length.
-    std::size_t walked = 0;
-    for (const SectionId id : out.ids_) {
-      walked += static_cast<std::size_t>(topo_.level()[static_cast<std::size_t>(id)]);
-    }
-    plan.use_pathwalk = 2 * walked < n;
+  // The path walk wins when the requested root paths touch fewer rows
+  // than the full sweep would; level() is exactly each path's length.
+  std::size_t walked = 0;
+  for (const SectionId id : ids) {
+    walked += static_cast<std::size_t>(topo_.level()[static_cast<std::size_t>(id)]);
   }
-  if (!plan.use_pathwalk) {
-    const std::size_t rows = out.ids_.size();
-    plan.drain_rows.resize(rows);
-    if (all_nodes) {
-      plan.drain_ids = out.ids_;  // already 0..n-1, row == id
-      for (std::size_t i = 0; i < rows; ++i) plan.drain_rows[i] = static_cast<int>(i);
-    } else {
-      // Sort the output rows by id so tiles drain with one monotone cursor.
-      std::vector<int> order(rows);
-      for (std::size_t i = 0; i < rows; ++i) order[i] = static_cast<int>(i);
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return out.ids_[static_cast<std::size_t>(a)] < out.ids_[static_cast<std::size_t>(b)];
-      });
-      plan.drain_ids.resize(rows);
-      for (std::size_t i = 0; i < rows; ++i) {
-        plan.drain_ids[i] = out.ids_[static_cast<std::size_t>(order[i])];
-        plan.drain_rows[i] = order[i];
-      }
-    }
+  plan.use_pathwalk = 2 * walked < n;
+  if (plan.use_pathwalk) {
+    plan.drain_ids = ids;
+    return plan;
+  }
+  // Sort the output rows by id so tiles drain with one monotone cursor.
+  const std::size_t rows = ids.size();
+  std::vector<int> order(rows);
+  for (std::size_t i = 0; i < rows; ++i) order[i] = static_cast<int>(i);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return ids[static_cast<std::size_t>(a)] < ids[static_cast<std::size_t>(b)];
+  });
+  plan.drain_ids.resize(rows);
+  plan.drain_rows.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    plan.drain_ids[i] = ids[static_cast<std::size_t>(order[i])];
+    plan.drain_rows[i] = order[i];
   }
   return plan;
 }
 
-void BatchedAnalyzer::sweep_group(const SweepPlan& plan, BatchedModels& out, std::size_t g,
-                                  const double* rows_r, const double* rows_l,
-                                  const double* rows_c, double* scratch, std::size_t* path,
-                                  const std::uint8_t* lane_input) const {
+void BatchedAnalyzer::sweep_group(const SweepPlan& plan, BatchedModels& out,
+                                  std::uint8_t* faults, std::size_t g, const double* rows_r,
+                                  const double* rows_l, const double* rows_c, double* scratch,
+                                  std::size_t* path, const std::uint8_t* lane_input) const {
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
   const SectionId* parent = topo_.parent().data();
@@ -573,18 +518,16 @@ void BatchedAnalyzer::sweep_group(const SweepPlan& plan, BatchedModels& out, std
   DrainCtx ctx;
   ctx.out_sr = out.sr_.data();
   ctx.out_sl = out.sl_.data();
-  ctx.out_ctot = out.ctot_.data();
   ctx.padded = out.padded_samples_;
   ctx.g = g;
   ctx.w = w;
   ctx.sr = sr;
   ctx.sl = sl;
-  ctx.ctot = ctot;
   ctx.ids = plan.drain_ids.data();
   ctx.rows = plan.drain_rows.data();
   ctx.count = plan.drain_ids.size();
-  const SectionId* walk_ids = out.ids_.data();
-  const std::size_t walk_count = out.ids_.size();
+  const SectionId* walk_ids = plan.drain_ids.data();
+  const std::size_t walk_count = plan.drain_ids.size();
   switch (w) {
     case 1:
       run_sweep<1>(n, parent, rows_r, rows_l, rows_c, ctot, sr, sl, plan.tile_rows, path,
@@ -605,161 +548,61 @@ void BatchedAnalyzer::sweep_group(const SweepPlan& plan, BatchedModels& out, std
     default:
       throw std::logic_error("BatchedAnalyzer: unsupported lane width");
   }
-  flag_group(out, g, ctx.poison, lane_input);
+  // Tasks own disjoint sample ranges, so these writes race with nothing.
+  for (std::size_t t = 0; t < w; ++t) {
+    const std::size_t s = g * w + t;
+    if (s >= out.samples_) break;  // padding lanes carry no verdict
+    std::uint8_t flags = lane_input != nullptr ? lane_input[t] : std::uint8_t{0};
+    if (!(ctx.poison[t] == 0.0)) flags |= eed::kFaultNonFiniteMoment;
+    faults[s] = flags;
+  }
 }
 
-BatchedModels BatchedAnalyzer::make_output(const std::vector<SectionId>& ids, bool all_nodes,
+BatchedModels BatchedAnalyzer::make_output(const std::vector<SectionId>& ids,
                                            std::size_t samples, std::size_t groups) const {
   const std::size_t n = topo_.size();
   BatchedModels out;
   out.samples_ = samples;
   out.padded_samples_ = groups * lane_width_;
   out.row_of_.assign(n, -1);
-  if (all_nodes) {
-    out.ids_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.ids_[i] = static_cast<SectionId>(i);
-      out.row_of_[i] = static_cast<int>(i);
+  for (std::size_t row = 0; row < ids.size(); ++row) {
+    const SectionId id = ids[row];
+    if (id < 0 || static_cast<std::size_t>(id) >= n) {
+      throw std::out_of_range("BatchedAnalyzer::analyze_nodes: section id out of range");
     }
-  } else {
-    out.ids_ = ids;
-    for (std::size_t row = 0; row < ids.size(); ++row) {
-      const SectionId id = ids[row];
-      if (id < 0 || static_cast<std::size_t>(id) >= n) {
-        throw std::out_of_range("BatchedAnalyzer::analyze_nodes: section id out of range");
-      }
-      out.row_of_[static_cast<std::size_t>(id)] = static_cast<int>(row);
-    }
+    out.row_of_[static_cast<std::size_t>(id)] = static_cast<int>(row);
   }
-  const std::size_t rows = out.ids_.size();
-  out.sr_.resize(rows * out.padded_samples_);
-  out.sl_.resize(rows * out.padded_samples_);
-  out.ctot_.resize(rows * out.padded_samples_);
-  // Zeroed per-sample flag bytes; tasks write disjoint samples, and
-  // finalize_faults drops the storage again when nothing faulted.
-  out.fault_flags_.assign(samples, 0);
+  out.sr_.resize(ids.size() * out.padded_samples_);
+  out.sl_.resize(ids.size() * out.padded_samples_);
   return out;
 }
 
-void BatchedAnalyzer::flag_group(BatchedModels& out, std::size_t g, const double* poison,
-                                 const std::uint8_t* lane_input) const {
-  const std::size_t w = lane_width_;
-  for (std::size_t t = 0; t < w; ++t) {
-    const std::size_t s = g * w + t;
-    if (s >= out.samples_) break;  // padding lanes carry no verdict
-    std::uint8_t flags = lane_input != nullptr
-                             ? lane_input[t]
-                             : (s < input_fault_.size() ? input_fault_[s] : std::uint8_t{0});
-    if (!(poison[t] == 0.0)) flags |= eed::kFaultNonFiniteMoment;
-    if (flags != 0) out.fault_flags_[s] = flags;
-  }
-}
-
-bool BatchedAnalyzer::group_stopped(std::atomic<std::uint8_t>& stop, BatchedModels& out,
-                                    std::size_t g) const {
-  std::uint8_t code = stop.load(std::memory_order_relaxed);
-  if (code == 0) {
-    if (!run_.armed()) return false;
-    const util::ErrorCode c = run_.stop_code();
-    if (c == util::ErrorCode::kOk) return false;
-    // First observer latches the code; a racing observer's verdict only
-    // differs when deadline and cancel trip in the same instant, and
-    // either answer is a truthful stop reason.
-    std::uint8_t expected = 0;
-    stop.compare_exchange_strong(expected, static_cast<std::uint8_t>(c),
-                                 std::memory_order_relaxed);
-  }
-  // Skipped group: flag its real lanes so the caller can tell exactly
-  // which samples never ran. Tasks own disjoint sample ranges, so these
-  // writes race with nothing.
-  for (std::size_t t = 0; t < lane_width_; ++t) {
-    const std::size_t s = g * lane_width_ + t;
-    if (s >= out.samples_) break;
-    out.fault_flags_[s] |= eed::kFaultNotRun;
-  }
-  return true;
-}
-
-void BatchedAnalyzer::finalize_stop(std::atomic<std::uint8_t>& stop, BatchedModels& out,
-                                    const char* entry) const {
-  const std::uint8_t code = stop.load(std::memory_order_relaxed);
-  if (code == 0) return;
-  std::size_t not_run = 0;
-  for (const std::uint8_t f : out.fault_flags_) {
-    not_run += (f & eed::kFaultNotRun) != 0 ? 1u : 0u;
-  }
-  out.stop_status_ = util::Status(
-      static_cast<util::ErrorCode>(code),
-      std::string(entry) + ": stopped early (" + std::to_string(not_run) + " of " +
-          std::to_string(out.samples_) + " samples not run)");
-  if (policy_ == util::FaultPolicy::kThrow) throw util::FaultError(out.stop_status_);
-}
-
-void BatchedAnalyzer::finalize_faults(BatchedModels& out, const char* entry) const {
-  std::size_t count = 0;
-  for (const std::uint8_t f : out.fault_flags_) count += f != 0 ? 1u : 0u;
-  if (count == 0) {
-    out.fault_flags_ = {};
-    out.fault_count_ = 0;
-    return;
-  }
-  if (policy_ == util::FaultPolicy::kThrow) {
-    std::size_t first = 0;
-    while (out.fault_flags_[first] == 0) ++first;
-    const bool input = (out.fault_flags_[first] & eed::kFaultBadInput) != 0;
-    throw util::FaultError(util::Status(
-        input ? util::ErrorCode::kInvalidArgument : util::ErrorCode::kNonFiniteMoment,
-        std::string(entry) + ": " +
-            (input ? "invalid element values" : "non-finite moments") + " in sample " +
-            std::to_string(first) + " (" + std::to_string(count) + " faulted of " +
-            std::to_string(out.samples_) + " samples)"));
-  }
-  if (policy_ == util::FaultPolicy::kClampAndFlag) {
-    // Rare slow path: clamp the faulted samples' reported moments to the
-    // RC-degenerate limit (0). Healthy lanes are never touched.
-    const std::size_t rows = out.ids_.size();
-    for (std::size_t s = 0; s < out.fault_flags_.size(); ++s) {
-      if (out.fault_flags_[s] == 0) continue;
-      for (std::size_t row = 0; row < rows; ++row) {
-        const std::size_t at = row * out.padded_samples_ + s;
-        if (!util::valid_element_value(out.sr_[at])) out.sr_[at] = 0.0;
-        if (!util::valid_element_value(out.sl_[at])) out.sl_[at] = 0.0;
-        if (!util::valid_element_value(out.ctot_[at])) out.ctot_[at] = 0.0;
-      }
-    }
-  }
-  out.fault_count_ = count;
-}
-
-BatchedModels BatchedAnalyzer::analyze_impl(const std::vector<SectionId>& ids, bool all_nodes,
-                                            util::WorkerPool* pool) const {
+BatchedModels BatchedAnalyzer::analyze_nodes(const std::vector<SectionId>& ids,
+                                             util::WorkerPool* pool) const {
   if (samples_ == 0) throw std::invalid_argument("BatchedAnalyzer: no samples (call resize)");
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
-  BatchedModels out = make_output(ids, all_nodes, samples_, groups_);
-  const SweepPlan plan = make_plan(out, all_nodes, samples_);
+  BatchedModels out = make_output(ids, samples_, groups_);
+  const SweepPlan plan = make_plan(ids, samples_);
+  std::vector<std::uint8_t> faults(samples_, 0);
 
   // One lane-group per task; each task writes a disjoint sample range of
-  // every output row (and disjoint flag bytes), so scheduling order cannot
-  // affect the results. Scratch comes from the worker's bump arena — one
-  // grab per chunk, reused across that chunk's groups, retained across
-  // calls — never one allocation per group per pass. Fault policies never
-  // throw inside a task: verdicts are recorded per sample and resolved
-  // after the join (finalize_faults), so a faulted lane cannot abandon
-  // other groups' results mid-flight.
+  // every output row (and disjoint fault bytes), so scheduling order
+  // cannot affect the results. Scratch comes from the worker's bump arena
+  // — one grab per chunk, reused across that chunk's groups, retained
+  // across calls — never one allocation per group per pass.
   const std::size_t scratch_doubles = plan.use_pathwalk ? n * w : 3 * n * w;
-  std::atomic<std::uint8_t> stop{0};
   const auto run_range = [&](std::size_t begin, std::size_t end) {
     util::Arena& arena = util::thread_arena();
     const util::ArenaScope scope(arena);
     double* scratch = arena.grab<double>(scratch_doubles);
     std::size_t* path = plan.use_pathwalk ? arena.grab<std::size_t>(n) : nullptr;
     for (std::size_t g = begin; g < end; ++g) {
-      if (group_stopped(stop, out, g)) continue;
       const double* base_r = r_.data() + g * w * n;
       const double* base_l = l_.data() + g * w * n;
       const double* base_c = c_.data() + g * w * n;
-      sweep_group(plan, out, g, base_r, base_l, base_c, scratch, path, nullptr);
+      sweep_group(plan, out, faults.data(), g, base_r, base_l, base_c, scratch, path,
+                  nullptr);
     }
   };
   if (pool != nullptr && groups_ > 1) {
@@ -767,8 +610,7 @@ BatchedModels BatchedAnalyzer::analyze_impl(const std::vector<SectionId>& ids, b
   } else {
     run_range(0, groups_);
   }
-  finalize_stop(stop, out, "BatchedAnalyzer::analyze");
-  finalize_faults(out, "BatchedAnalyzer::analyze");
+  throw_first_fault(faults, "BatchedAnalyzer::analyze");
   return out;
 }
 
@@ -779,9 +621,9 @@ BatchedModels BatchedAnalyzer::analyze_stream(std::size_t samples, const SampleF
   const std::size_t n = topo_.size();
   const std::size_t w = lane_width_;
   const std::size_t groups = (samples + w - 1) / w;
-  const bool all_nodes = ids.empty();
-  BatchedModels out = make_output(ids, all_nodes, samples, groups);
-  const SweepPlan plan = make_plan(out, all_nodes, samples);
+  BatchedModels out = make_output(ids, samples, groups);
+  const SweepPlan plan = make_plan(ids, samples);
+  std::vector<std::uint8_t> faults(samples, 0);
 
   // Per-group working set: w sample-major staging rows (what the fill
   // callback writes) plus the kernel scratch. All of it lives and dies
@@ -808,60 +650,41 @@ BatchedModels BatchedAnalyzer::analyze_stream(std::size_t samples, const SampleF
       }
     }
     // Injection site: poison one staged value (group's first lane) after
-    // the fill, before validation — the per-lane attribution and policy
-    // handling below treat it exactly like a genuinely bad fill.
+    // the fill, before validation — the per-lane attribution below treats
+    // it exactly like a genuinely bad fill.
     if (util::fault_should_fire(util::FaultSite::kSnapshotNan)) {
       rows_r[0] = std::numeric_limits<double>::quiet_NaN();
     }
     std::uint8_t lane_input[8] = {};
     if (scan_values(staging, 3 * w * n).bad()) {
-      // Rare slow path: attribute the fault to specific lanes so healthy
-      // samples in the same group stay unflagged; under kClampAndFlag the
-      // staging values are repaired before the kernel consumes them.
+      // Rare slow path: attribute the fault to specific lanes, so the
+      // error names the first bad sample, not the first of its group.
       for (std::size_t t = 0; t < w; ++t) {
         ValueScan lane = scan_values(rows_r + t * n, n);
         lane.merge(scan_values(rows_l + t * n, n));
         lane.merge(scan_values(rows_c + t * n, n));
         if (lane.bad()) lane_input[t] = eed::kFaultBadInput;
       }
-      if (policy_ == util::FaultPolicy::kClampAndFlag) {
-        for (std::size_t i = 0; i < 3 * w * n; ++i) {
-          if (!util::valid_element_value(staging[i])) staging[i] = 0.0;
-        }
-      }
     }
-    sweep_group(plan, out, g, rows_r, rows_l, rows_c, scratch, path, lane_input);
+    sweep_group(plan, out, faults.data(), g, rows_r, rows_l, rows_c, scratch, path,
+                lane_input);
   };
   const std::size_t scratch_doubles = plan.use_pathwalk ? n * w : 3 * n * w;
-  std::atomic<std::uint8_t> stop{0};
   const auto run_range = [&](std::size_t begin, std::size_t end) {
     util::Arena& arena = util::thread_arena();
     const util::ArenaScope scope(arena);
     double* staging = arena.grab<double>(3 * w * n);
     double* scratch = arena.grab<double>(scratch_doubles);
     std::size_t* path = plan.use_pathwalk ? arena.grab<std::size_t>(n) : nullptr;
-    for (std::size_t g = begin; g < end; ++g) {
-      if (group_stopped(stop, out, g)) continue;
-      task(g, staging, scratch, path);
-    }
+    for (std::size_t g = begin; g < end; ++g) task(g, staging, scratch, path);
   };
   if (pool != nullptr && groups > 1) {
     pool->parallel_chunks(groups, run_range);
   } else {
     run_range(0, groups);
   }
-  finalize_stop(stop, out, "BatchedAnalyzer::analyze_stream");
-  finalize_faults(out, "BatchedAnalyzer::analyze_stream");
+  throw_first_fault(faults, "BatchedAnalyzer::analyze_stream");
   return out;
-}
-
-BatchedModels BatchedAnalyzer::analyze(util::WorkerPool* pool) const {
-  return analyze_impl({}, /*all_nodes=*/true, pool);
-}
-
-BatchedModels BatchedAnalyzer::analyze_nodes(const std::vector<SectionId>& ids,
-                                             util::WorkerPool* pool) const {
-  return analyze_impl(ids, /*all_nodes=*/false, pool);
 }
 
 }  // namespace relmore::engine

@@ -20,34 +20,18 @@
 ///
 /// and answers node queries by walking the root path until it meets a
 /// prefix that is already fresh, so a query after a single edit costs
-/// O(depth) instead of O(n). Batched edits fall back to a full O(n)
-/// recompute when the summed path lengths would exceed one sweep
-/// (the dirty-set fallback; dense edits such as a Monte-Carlo sample
-/// re-perturbing every section take this path).
+/// O(depth) instead of O(n).
 ///
 /// All incremental updates re-sum in exactly the association order of
-/// `eed::analyze`'s two passes, so the cached state stays *bitwise*
-/// identical to a fresh whole-tree analysis — optimizers rewired through
-/// the engine follow the same trajectory they did with `eed::analyze`.
-///
-/// Structural edits: `graft` appends a subtree (ids are append-only, so
-/// existing ids stay valid); `prune` detaches a subtree *electrically* by
-/// zeroing its element values and tombstoning its sections (a zero-R/L/C
-/// section is an ideal stub that contributes nothing to any sum), again
-/// keeping ids stable. `tree()` always reflects the edited state, so
-/// `eed::analyze(engine.tree())` is the ground truth the engine must (and
-/// does) match.
+/// `eed::analyze`'s two passes, so every `node(i)` is *bitwise* equal to
+/// `eed::analyze(tree()).at(i)` — optimizers rewired through the engine
+/// follow the same trajectory they did with `eed::analyze`.
 ///
 /// Robustness contract: the constructor validates the tree
 /// (circuit::validate — finite non-negative values, sound structure) and
 /// throws util::FaultError on errors; every edit validates its inputs
 /// (NaN/Inf/negative rejected) *before* mutating any state, so a throwing
 /// edit leaves the engine exactly as it was (strong exception guarantee).
-/// `begin_transaction`/`commit`/`rollback` group edits: while a
-/// transaction is open every mutation is journaled (value snapshots plus
-/// graft extents), and `rollback` restores the pre-transaction tree
-/// exactly — post-rollback analysis results are bitwise-identical to
-/// pre-transaction ones.
 
 #include <cstdint>
 #include <vector>
@@ -60,16 +44,10 @@ namespace relmore::engine {
 /// Work counters for the full-vs-incremental accounting the benches print.
 struct EngineCounters {
   std::uint64_t incremental_edits = 0;   ///< edits applied by delta propagation
-  std::uint64_t full_recomputes = 0;     ///< whole-tree sweeps (init, dense fallback)
+  std::uint64_t full_recomputes = 0;     ///< whole-tree sweeps (construction)
   std::uint64_t edit_nodes_touched = 0;  ///< sections visited while propagating edits
   std::uint64_t queries = 0;             ///< node-model queries answered
   std::uint64_t query_nodes_walked = 0;  ///< sections visited refreshing prefixes
-};
-
-/// One pending value edit for the batch API.
-struct Edit {
-  circuit::SectionId id = circuit::kInput;
-  circuit::SectionValues v;
 };
 
 /// An analysis session over one RLC tree. Owns its tree; construct from a
@@ -78,61 +56,15 @@ class TimingEngine {
  public:
   explicit TimingEngine(circuit::RlcTree tree);
 
-  /// Result-returning construction: a tree that `circuit::validate`
-  /// rejects comes back as a structured Status (code + node path) instead
-  /// of a thrown util::FaultError. Part of the repo-wide `_checked`
-  /// convention; the throwing constructor remains the shim.
-  [[nodiscard]] static util::Result<TimingEngine> create_checked(circuit::RlcTree tree);
-
-  /// The tree in its current edited state (pruned sections appear as
-  /// zero-value stubs). `eed::analyze(tree())` equals `model()` exactly.
+  /// The tree in its current edited state. `eed::analyze(tree())` equals
+  /// every `node(i)` bitwise.
   [[nodiscard]] const circuit::RlcTree& tree() const { return tree_; }
   [[nodiscard]] std::size_t size() const { return tree_.size(); }
-  /// False once a section has been pruned (directly or as a descendant).
-  [[nodiscard]] bool alive(circuit::SectionId id) const;
-
-  // --- edit API -----------------------------------------------------------
 
   /// Replaces section `id`'s R/L/C. O(path length) when the capacitance
-  /// changes, O(1) otherwise. Throws on dead or out-of-range ids and on
-  /// negative values (same contract as RlcTree::add_section).
+  /// changes, O(1) otherwise. Throws on out-of-range ids and on negative
+  /// or non-finite values (same contract as RlcTree::add_section).
   void set_section_values(circuit::SectionId id, const circuit::SectionValues& v);
-
-  /// Applies a batch of edits, falling back to one full O(n) recompute
-  /// when the batch is dense (summed path lengths would exceed one sweep).
-  void apply_edits(const std::vector<Edit>& edits);
-
-  /// Appends `subtree` (a forest is allowed) under `parent` (kInput to
-  /// attach at the driving point). Returns the new id of each subtree
-  /// section, indexed by its id inside `subtree`. O(subtree + path).
-  std::vector<circuit::SectionId> graft(circuit::SectionId parent,
-                                        const circuit::RlcTree& subtree);
-
-  /// Electrically removes section `id` and its whole subtree: values are
-  /// zeroed, the sections are tombstoned, and ids remain stable. Queries
-  /// on pruned sections throw. O(subtree + path).
-  void prune(circuit::SectionId id);
-
-  // --- transactions -------------------------------------------------------
-
-  /// Opens a transaction: subsequent edits are journaled until commit() or
-  /// rollback(). Transactions do not nest; a second begin throws
-  /// util::FaultError (kTransactionState).
-  void begin_transaction();
-
-  /// Closes the open transaction, keeping every edit. O(1).
-  void commit();
-
-  /// Closes the open transaction and restores the engine to its exact
-  /// pre-transaction state: journaled values/tombstones are replayed in
-  /// reverse, grafted sections are truncated away, and the caches are
-  /// rebuilt from the restored values — so subsequent queries are
-  /// bitwise-identical to pre-transaction ones. O(n + journal).
-  void rollback();
-
-  [[nodiscard]] bool in_transaction() const { return in_tx_; }
-
-  // --- queries ------------------------------------------------------------
 
   /// Second-order model of one node. Worst case O(depth); O(1) when the
   /// node's prefix is already fresh (no edits since the last query of it
@@ -142,53 +74,25 @@ class TimingEngine {
   /// 50% delay at one node (paper eq. 35) — the optimizer hot call.
   [[nodiscard]] double delay_50(circuit::SectionId id) const;
 
-  /// Downstream (subtree) capacitance of a section; O(1).
-  [[nodiscard]] double load_capacitance(circuit::SectionId id) const;
-
-  /// Whole-tree model, identical to `eed::analyze(tree())`. O(n) after
-  /// edits, O(n) copy when everything is already fresh.
-  [[nodiscard]] eed::TreeModel model() const;
-
   [[nodiscard]] const EngineCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = EngineCounters{}; }
 
  private:
-  /// One journaled mutation. `id == kInput` marks a graft boundary: replay
-  /// truncates the tree back to `truncate_to` sections. Otherwise the
-  /// entry restores section `id`'s pre-mutation values and liveness.
-  struct UndoEntry {
-    circuit::SectionId id = circuit::kInput;
-    circuit::SectionValues v;
-    char alive = 1;
-    std::size_t truncate_to = 0;
-  };
-
-  void check_alive(circuit::SectionId id) const;
-  /// Journals section `id`'s current state when a transaction is open.
-  void record_undo(circuit::SectionId id);
-  /// Full O(n) sweep: recomputes ctot/tr/tl exactly as eed::analyze's
-  /// upward pass and invalidates all prefixes.
-  void rebuild_all();
+  void check_id(circuit::SectionId id) const;
   /// Re-sums ctot (and tr/tl) at `id` and every ancestor, in the fresh
   /// pass's association order. Returns sections touched.
   std::uint64_t resum_path(circuit::SectionId id);
   /// Refreshes sr_/sl_ for `id` (and any stale ancestors). Bumps the
   /// query counters.
   void refresh_prefix(circuit::SectionId id) const;
-  [[nodiscard]] eed::NodeModel node_from_prefix(std::size_t i) const;
 
   circuit::RlcTree tree_;
-  std::vector<char> alive_;
-  std::vector<int> level_;       ///< 1-based depth, for the dense-edit estimate
   std::vector<double> ctot_;     ///< subtree capacitance (always current)
   std::vector<double> tr_, tl_;  ///< R·ctot, L·ctot (always current)
   mutable std::vector<double> sr_, sl_;        ///< prefix sums (lazy)
   mutable std::vector<std::uint64_t> stamp_;   ///< epoch at which sr_/sl_ was computed
   std::uint64_t epoch_ = 1;                    ///< bumped by every edit
-  mutable std::uint64_t all_fresh_epoch_ = 0;  ///< epoch of last whole-tree refresh
   mutable EngineCounters counters_;
-  bool in_tx_ = false;
-  std::vector<UndoEntry> undo_;  ///< journal of the open transaction
 };
 
 }  // namespace relmore::engine

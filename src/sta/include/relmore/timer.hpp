@@ -106,10 +106,10 @@ class Timer {
   /// leaves the design untouched (strong guarantee). What a commit costs:
   /// the edited nets (each re-snapshot and re-analyzed whole — a few
   /// sections in a typical net), the dirty cones, and the endpoint rows on
-  /// them. The one pass linear in the design that stays on purpose is the
-  /// port-order TNS sum, run only when a negative slack moved; beyond it,
-  /// a commit clears one dirty-flag byte per net (see
-  /// sta::TimingGraph::update_checked). An abandoned handle applies
+  /// them. A moved row swaps its old TNS term for its new one in the
+  /// exact sum, which is read once, so TNS costs the moved rows, not the
+  /// TNS terms. The only per-net work is clearing one dirty-flag byte per
+  /// net (see sta::TimingGraph::update_checked). An abandoned handle applies
   /// nothing. One commit per handle; at most one handle should be open at
   /// a time (the Timer serializes nothing).
   [[nodiscard]] Edit edit();

@@ -49,7 +49,7 @@ enum class ErrorCode : std::uint8_t {
   // --- API usage ---------------------------------------------------------
   kInvalidArgument,       ///< generic bad call argument
   kPrunedSection,         ///< edit/query on a tombstoned section
-  kTransactionState,      ///< begin/commit/rollback out of order
+  kTransactionState,      ///< a Timer::Edit handle used after its commit
   // --- run control (util::Deadline / util::CancelToken) -------------------
   kDeadlineExceeded,      ///< work stopped at a steady-clock deadline
   kCancelled,             ///< work stopped by a cooperative CancelToken

@@ -1,9 +1,10 @@
 #pragma once
 
 // A long double reference for the wire-stage crossings, independent of
-// the kernel's arithmetic: the node's ramp response in pole-residue form
-// (complex poles below critical damping, real ones above, the single pole
-// for RC nodes) evaluated in long double, bracketed by a forward scan and
+// the kernel's arithmetic: the node's ramp response in closed form
+// (pole-residue form for complex poles below critical damping, divided
+// differences of e^{pu} for real ones above, the single pole for RC
+// nodes) evaluated in long double, bracketed by a forward scan and
 // bisected until the bracket is two adjacent long doubles.
 
 #include <algorithm>
@@ -86,6 +87,32 @@ class Response {
       const Real p1 = p1_.real();
       const Real p2 = p2_.real();
       return 1 - (std::exp(p1 * u) * std::expm1(-gap_ * u) / gap_ + std::exp(p2 * u) / p2) / p1;
+    }
+    if (gap_ > 0) {
+      // Real poles −q1 > −q2 with q1·q2 = 1 and q2 − q1 = Δ. With
+      // m(t) = −expm1(−Δt)/Δ the step is s(t) = −expm1(−q2 t) − q2·e^{−q1 t}·m(t),
+      // and the ramp integral S(u) = ∫₀ᵘ s is (E(u) − s(u))/q2 with
+      // E(u) = (q1·u + expm1(−q1 u))/q1²: the divided differences of e^{pu}
+      // at {−q2, −q1, 0, 0}, {−q2, −q1, 0} and {−q1, 0, 0}. No term carries
+      // 1/Δ, so nothing cancels next to critical damping (residues do: each
+      // grows like 1/Δ).
+      const Real q1 = -p1_.real();
+      const Real q2 = -p2_.real();
+      const auto m = [&](Real t) { return -std::expm1(-gap_ * t) / gap_; };
+      if (u <= rise_) {
+        const Real s = -std::expm1(-q2 * u) - q2 * std::exp(-q1 * u) * m(u);
+        return ((q1 * u + std::expm1(-q1 * u)) / (q1 * q1) - s) / (q2 * rise_);
+      }
+      // S(u) − S(w) with w = u − rise, each difference taken in closed
+      // form (the product rule for divided differences) rather than by
+      // subtraction, so a short rise does not cancel either.
+      const Real w = u - rise_;
+      const Real e1 = std::expm1(-q1 * rise_);
+      const Real e2 = std::expm1(-q2 * rise_);
+      const Real de = (q1 * rise_ + e1 + std::expm1(-q1 * w) * e1) / (q1 * q1);
+      const Real ds = -std::exp(-q2 * w) * e2 -
+                      q2 * std::exp(-q1 * w) * (std::exp(-q1 * rise_) * m(rise_) + m(w) * e2);
+      return (de - ds) / (q2 * rise_);
     }
     if (rise_ == 0) return (Real(1) + r1_ * std::exp(p1_ * u) + r2_ * std::exp(p2_ * u)).real();
     if (u <= rise_) return (u + c1_ * expm1(p1_ * u) + c2_ * expm1(p2_ * u)).real() / rise_;

@@ -62,6 +62,75 @@ void expect_converged(const NodeModel& node, double rise, double tol = 1e-14) {
     GTEST_SKIP() << "long double has 53 bits here: no wider reference"; \
   }
 
+// The reference itself next to critical damping, against 400-bit mpmath
+// (S(u) = u − 2ζ + e^{−ζu}(2ζ·cosh du + (2ζ² − 1)/d·sinh du), v = (S(u) −
+// S(u − rise))/rise, d = √(ζ² − 1)): a form with terms ~1/(p₁ − p₂)
+// cancels as ζ → 1⁺, so the crossing tests would check the kernel
+// against a reference that is itself off there.
+TEST(RampReference, ExactNextToCriticalDamping) {
+  if (!reference::long_double_is_wider()) GTEST_SKIP() << "long double has only 53 bits";
+  struct Point {
+    double offset;  // zeta − 1
+    double rise;
+    double u;
+    long double v;
+  };
+  const Point points[] = {
+      {0x1p-52, 1e-3, 0.05, 0.001185474227274099022069L},
+      {0x1p-52, 1e-3, 0.5, 0.09005242834826414859358L},
+      {0x1p-52, 1e-3, 1.0, 0.264057177951864051349L},
+      {0x1p-52, 1e-3, 2.0, 0.5938587924510458202433L},
+      {0x1p-52, 1e-3, 5.0, 0.9595554686451823996608L},
+      {0x1p-52, 1e-3, 12.0, 0.999920088362865662654L},
+      {0x1p-52, 1e-3, 1e-3 + 40.05, 0.9999999999999998341913L},
+      {0x1p-52, 1.0, 0.05, 2.032022646371864066673e-5L},
+      {0x1p-52, 1.0, 0.5, 0.01632664928158355823162L},
+      {0x1p-52, 1.0, 1.0, 0.1036383235143269563541L},
+      {0x1p-52, 1.0, 2.0, 0.4377028094321237477719L},
+      {0x1p-52, 1.0, 5.0, 0.9372717956611931131099L},
+      {0x1p-52, 1.0, 12.0, 0.9998688968626734002002L},
+      {0x1p-52, 1.0, 1.0 + 40.05, 0.9999999999999998940699L},
+      {1e-12, 1e-3, 0.05, 0.001185474227274060546853L},
+      {1e-12, 1e-3, 0.5, 0.0900524283482389429647L},
+      {1e-12, 1e-3, 1.0, 0.2640571779517415637852L},
+      {1e-12, 1e-3, 2.0, 0.5938587924506850644472L},
+      {1e-12, 1e-3, 5.0, 0.9595554686449016331051L},
+      {1e-12, 1e-3, 12.0, 0.9999200883628621227315L},
+      {1e-12, 1e-3, 1e-3 + 40.05, 0.9999999999999998341913L},
+      {1e-12, 1.0, 0.05, 2.032022646371814030546e-5L},
+      {1e-12, 1.0, 0.5, 0.01632664928158005545295L},
+      {1e-12, 1.0, 1.0, 0.1036383235142889850967L},
+      {1e-12, 1.0, 2.0, 0.4377028094318760039967L},
+      {1e-12, 1.0, 5.0, 0.9372717956608562695544L},
+      {1e-12, 1.0, 12.0, 0.9998688968626681527469L},
+      {1e-12, 1.0, 1.0 + 40.05, 0.9999999999999998940699L},
+      {0.5, 1e-3, 0.05, 0.001166467520591139163542L},
+      {0.5, 1e-3, 0.5, 0.07874246831484013631386L},
+      {0.5, 1e-3, 1.0, 0.2132180910383972474011L},
+      {0.5, 1e-3, 2.0, 0.4554013485938536677238L},
+      {0.5, 1e-3, 5.0, 0.8265622285961324097423L},
+      {0.5, 1e-3, 12.0, 0.9880341252594374503346L},
+      {0.5, 1e-3, 1e-3 + 40.05, 0.9999997341211368520761L},
+      {0.5, 1.0, 0.05, 2.007246932553958364798e-5L},
+      {0.5, 1.0, 0.5, 0.01472153404848899783797L},
+      {0.5, 1.0, 1.0, 0.08732786024757594674329L},
+      {0.5, 1.0, 2.0, 0.3402127941765011502462L},
+      {0.5, 1.0, 5.0, 0.788827249199584190509L},
+      {0.5, 1.0, 12.0, 0.9854306128879299250293L},
+      {0.5, 1.0, 1.0 + 40.05, 0.9999997789651270082513L},
+  };
+  for (const Point& p : points) {
+    NodeModel node;
+    node.zeta = 1.0 + p.offset;
+    node.omega_n = 1.0;
+    node.sum_lc = 1.0;
+    node.sum_rc = 2.0 * node.zeta;
+    const reference::Response v(node, p.rise);
+    EXPECT_LE(static_cast<double>(std::fabs(v(p.u) - p.v)), 1e-16)
+        << "zeta = 1 + " << p.offset << ", rise = " << p.rise << ", u = " << p.u;
+  }
+}
+
 TEST(RampStage, EveryCrossingMatchesALongDoubleBisection) {
   REQUIRE_WIDE_LONG_DOUBLE();
   // zeta in {inf} ∪ [0.05, 1e12], rise in {0} ∪ [1e-3, 1e3] x delay.

@@ -39,6 +39,13 @@ bool ulp_close(double a, double b) {
   return std::nextafter(a, b) == b;
 }
 
+/// Every section id of an n-section tree, in id order.
+std::vector<SectionId> all_ids(std::size_t n) {
+  std::vector<SectionId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<SectionId>(i);
+  return ids;
+}
+
 /// One sample's values for the property test: the tree's nominals
 /// log-uniformly perturbed; every third sample is made pure RC (L = 0) so
 /// degenerate lanes sit next to underdamped ones inside a lane group.
@@ -90,7 +97,7 @@ TEST(Batched, MatchesScalarAnalyzeTo1UlpOver100RandomPairs) {
       for (std::size_t s = 0; s < samples; ++s) {
         batch.set_sample(s, rv[s].data(), lv[s].data(), cv[s].data());
       }
-      const engine::BatchedModels models = batch.analyze();
+      const engine::BatchedModels models = batch.analyze_nodes(all_ids(n));
       for (std::size_t s = 0; s < samples; ++s) {
         for (std::size_t k = 0; k < n; ++k) {
           const auto id = static_cast<SectionId>(k);
@@ -105,8 +112,6 @@ TEST(Batched, MatchesScalarAnalyzeTo1UlpOver100RandomPairs) {
               << "zeta seed " << seed << " W " << w << " sample " << s << " node " << k;
           EXPECT_TRUE(ulp_close(got.omega_n, want.omega_n))
               << "omega seed " << seed << " W " << w << " sample " << s << " node " << k;
-          EXPECT_TRUE(ulp_close(models.load_capacitance(s, id), truth[s].load_capacitance[k]))
-              << "Ctot seed " << seed << " W " << w << " sample " << s << " node " << k;
         }
       }
     }
@@ -122,13 +127,12 @@ TEST(Batched, AnalyzeNodesMatchesFullAnalyze) {
     batch.set_section(s, static_cast<SectionId>(s), {20.0 + static_cast<double>(s), 1e-9, 80e-15});
   }
   const std::vector<SectionId> subset = {0, 7, static_cast<SectionId>(tree.size() - 1)};
-  const engine::BatchedModels full = batch.analyze();
+  const engine::BatchedModels full = batch.analyze_nodes(all_ids(tree.size()));
   const engine::BatchedModels part = batch.analyze_nodes(subset);
   for (std::size_t s = 0; s < 6; ++s) {
     for (const SectionId id : subset) {
       EXPECT_EQ(part.sum_rc(s, id), full.sum_rc(s, id));
-      EXPECT_EQ(part.sum_lc(s, id), full.sum_lc(s, id));
-      EXPECT_EQ(part.load_capacitance(s, id), full.load_capacitance(s, id));
+      EXPECT_EQ(part.node(s, id).sum_lc, full.node(s, id).sum_lc);
       EXPECT_EQ(part.delay_50(s, id), full.delay_50(s, id));
     }
   }
@@ -151,7 +155,7 @@ TEST(Batched, PoolCompositionIsBitwiseIdentical) {
   const engine::BatchedModels pooled = batch.analyze_nodes({sink}, &pool);
   for (std::size_t s = 0; s < samples; ++s) {
     EXPECT_EQ(serial.sum_rc(s, sink), pooled.sum_rc(s, sink)) << "sample " << s;
-    EXPECT_EQ(serial.sum_lc(s, sink), pooled.sum_lc(s, sink)) << "sample " << s;
+    EXPECT_EQ(serial.node(s, sink).sum_lc, pooled.node(s, sink).sum_lc) << "sample " << s;
   }
 }
 
@@ -195,10 +199,11 @@ TEST(Batched, StreamIsBitwiseIdenticalToStoredPath) {
     for (std::size_t s = 0; s < samples; ++s) {
       for (const SectionId id : sinks) {
         EXPECT_EQ(stored.sum_rc(s, id), streamed.sum_rc(s, id)) << "W=" << w << " s=" << s;
-        EXPECT_EQ(stored.sum_lc(s, id), streamed.sum_lc(s, id)) << "W=" << w << " s=" << s;
-        EXPECT_EQ(stored.load_capacitance(s, id), streamed.load_capacitance(s, id));
+        EXPECT_EQ(stored.node(s, id).sum_lc, streamed.node(s, id).sum_lc)
+            << "W=" << w << " s=" << s;
         EXPECT_EQ(streamed.sum_rc(s, id), pooled.sum_rc(s, id)) << "W=" << w << " s=" << s;
-        EXPECT_EQ(streamed.sum_lc(s, id), pooled.sum_lc(s, id)) << "W=" << w << " s=" << s;
+        EXPECT_EQ(streamed.node(s, id).sum_lc, pooled.node(s, id).sum_lc)
+            << "W=" << w << " s=" << s;
       }
     }
   }
@@ -217,14 +222,14 @@ TEST(Batched, StreamValidatesFilledValues) {
   };
   EXPECT_THROW(
       {
-        const auto m = batch.analyze_stream(5, bad_fill, {});
+        const auto m = batch.analyze_stream(5, bad_fill, all_ids(tree.size()));
         (void)m;
       },
       std::invalid_argument);
   EXPECT_THROW(
       {
         const auto m =
-            batch.analyze_stream(0, [](std::size_t, double*, double*, double*) {}, {});
+            batch.analyze_stream(0, [](std::size_t, double*, double*, double*) {}, {0});
         (void)m;
       },
       std::invalid_argument);
@@ -236,12 +241,12 @@ TEST(Batched, NominalSamplesMatchNominalTree) {
   engine::BatchedAnalyzer batch{circuit::FlatTree(tree)};
   batch.resize(3);  // resize() fills every sample with the snapshot's nominals
   const eed::TreeModel want = eed::analyze(tree);
-  const engine::BatchedModels got = batch.analyze();
+  const engine::BatchedModels got = batch.analyze_nodes(all_ids(tree.size()));
   for (std::size_t s = 0; s < 3; ++s) {
     for (std::size_t k = 0; k < tree.size(); ++k) {
       const auto id = static_cast<SectionId>(k);
       EXPECT_EQ(got.sum_rc(s, id), want.at(id).sum_rc);
-      EXPECT_EQ(got.sum_lc(s, id), want.at(id).sum_lc);
+      EXPECT_EQ(got.node(s, id).sum_lc, want.at(id).sum_lc);
     }
   }
   EXPECT_EQ(got.delay_50(0, out), eed::delay_50(want.at(out)));
@@ -255,10 +260,8 @@ TEST(Batched, ValidatesInputs) {
                std::invalid_argument);
 
   engine::BatchedAnalyzer batch(flat, 4);
-  EXPECT_THROW((void)batch.analyze(), std::invalid_argument);  // no samples yet
+  EXPECT_THROW((void)batch.analyze_nodes({0}), std::invalid_argument);  // no samples yet
   batch.resize(2);
-  EXPECT_EQ(batch.samples(), 2u);
-  EXPECT_EQ(batch.lane_groups(), 1u);
   EXPECT_THROW(batch.set_section(2, 0, {1.0, 0.0, 0.0}), std::out_of_range);
   EXPECT_THROW(batch.set_section(0, 99, {1.0, 0.0, 0.0}), std::out_of_range);
   EXPECT_THROW(batch.set_section(0, 0, {-1.0, 0.0, 0.0}), std::invalid_argument);

@@ -74,20 +74,20 @@ TEST(TilingProperty, AnalyzeBitwiseEqualsScalarAcrossTilesWidthsThreads) {
     for (std::size_t s = 0; s < samples; ++s) {
       batch.set_sample(s, rv[s].data(), lv[s].data(), cv[s].data());
     }
+    std::vector<SectionId> every(n);
+    for (std::size_t k = 0; k < n; ++k) every[k] = static_cast<SectionId>(k);
     for (const std::size_t tile : tile_draws(n, rng)) {
       batch.set_tile_rows(tile);
       EXPECT_EQ(batch.tile_rows(), tile);
       for (util::WorkerPool* p :
            {static_cast<util::WorkerPool*>(nullptr), &pool}) {
-        const engine::BatchedModels models = batch.analyze(p);
+        const engine::BatchedModels models = batch.analyze_nodes(every, p);
         for (std::size_t s = 0; s < samples; ++s) {
           for (std::size_t k = 0; k < n; ++k) {
             const auto id = static_cast<SectionId>(k);
             ASSERT_EQ(models.sum_rc(s, id), truth[s].at(id).sum_rc)
                 << "seed " << seed << " W " << w << " tile " << tile << " s " << s << " k " << k;
-            ASSERT_EQ(models.sum_lc(s, id), truth[s].at(id).sum_lc)
-                << "seed " << seed << " W " << w << " tile " << tile << " s " << s << " k " << k;
-            ASSERT_EQ(models.load_capacitance(s, id), truth[s].load_capacitance[k])
+            ASSERT_EQ(models.node(s, id).sum_lc, truth[s].at(id).sum_lc)
                 << "seed " << seed << " W " << w << " tile " << tile << " s " << s << " k " << k;
           }
         }
@@ -136,10 +136,10 @@ TEST(TilingProperty, AnalyzeNodesPathWalkAndSweepBitwiseEqualScalar) {
           for (const SectionId id : *ids) {
             ASSERT_EQ(serial.sum_rc(s, id), truth[s].at(id).sum_rc)
                 << "seed " << seed << " tile " << tile << " s " << s << " id " << id;
-            ASSERT_EQ(serial.sum_lc(s, id), truth[s].at(id).sum_lc)
+            ASSERT_EQ(serial.node(s, id).sum_lc, truth[s].at(id).sum_lc)
                 << "seed " << seed << " tile " << tile << " s " << s << " id " << id;
             ASSERT_EQ(pooled.sum_rc(s, id), serial.sum_rc(s, id));
-            ASSERT_EQ(pooled.sum_lc(s, id), serial.sum_lc(s, id));
+            ASSERT_EQ(pooled.node(s, id).sum_lc, serial.node(s, id).sum_lc);
           }
         }
       }
@@ -183,7 +183,7 @@ TEST(TilingProperty, StreamBitwiseEqualsStoredUnderEveryTile) {
         for (const SectionId id : sinks) {
           ASSERT_EQ(stored.sum_rc(s, id), streamed.sum_rc(s, id))
               << "W " << w << " tile " << tile << " s " << s;
-          ASSERT_EQ(stored.sum_lc(s, id), streamed.sum_lc(s, id))
+          ASSERT_EQ(stored.node(s, id).sum_lc, streamed.node(s, id).sum_lc)
               << "W " << w << " tile " << tile << " s " << s;
           ASSERT_EQ(streamed.sum_rc(s, id), pooled.sum_rc(s, id))
               << "W " << w << " tile " << tile << " s " << s;

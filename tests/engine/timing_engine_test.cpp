@@ -24,11 +24,9 @@ void expect_node_eq(const eed::NodeModel& a, const eed::NodeModel& b) {
 
 void expect_matches_fresh_analysis(const engine::TimingEngine& eng) {
   const eed::TreeModel fresh = eed::analyze(eng.tree());
-  const eed::TreeModel cached = eng.model();
-  ASSERT_EQ(fresh.nodes.size(), cached.nodes.size());
+  ASSERT_EQ(fresh.nodes.size(), eng.size());
   for (std::size_t i = 0; i < fresh.nodes.size(); ++i) {
-    expect_node_eq(cached.nodes[i], fresh.nodes[i]);
-    EXPECT_EQ(cached.load_capacitance[i], fresh.load_capacitance[i]);
+    expect_node_eq(eng.node(static_cast<SectionId>(i)), fresh.nodes[i]);
   }
 }
 
@@ -60,8 +58,8 @@ TEST(TimingEngine, PointQueryMatchesWholeTreeModel) {
   v.inductance *= 2.0;
   eng.set_section_values(0, v);
   const eed::NodeModel via_query = eng.node(sink);
-  const eed::NodeModel via_model = eng.model().at(sink);
-  expect_node_eq(via_query, via_model);
+  const eed::NodeModel via_analyze = eed::analyze(eng.tree()).at(sink);
+  expect_node_eq(via_query, via_analyze);
 }
 
 TEST(TimingEngine, EditCostIsPathNotTree) {
@@ -103,83 +101,10 @@ TEST(TimingEngine, QueryWalksOnlyStalePrefixes) {
   EXPECT_EQ(eng.counters().queries, 2u);
 }
 
-TEST(TimingEngine, DenseBatchFallsBackToFullRecompute) {
-  engine::TimingEngine eng(circuit::make_balanced_tree(4, 2, {25.0, 2e-9, 0.2e-12}));
-  eng.reset_counters();
-  std::vector<engine::Edit> edits(eng.size());
-  for (std::size_t i = 0; i < eng.size(); ++i) {
-    edits[i].id = static_cast<SectionId>(i);
-    edits[i].v = eng.tree().section(edits[i].id).v;
-    edits[i].v.capacitance *= 1.1;
-  }
-  eng.apply_edits(edits);
-  EXPECT_EQ(eng.counters().full_recomputes, 1u);
-  EXPECT_EQ(eng.counters().incremental_edits, 0u);
-  expect_matches_fresh_analysis(eng);
-}
-
-TEST(TimingEngine, SparseBatchStaysIncremental) {
-  engine::TimingEngine eng(circuit::make_balanced_tree(5, 2, {25.0, 2e-9, 0.2e-12}));
-  eng.reset_counters();
-  std::vector<engine::Edit> edits(2);
-  edits[0].id = 0;
-  edits[0].v = eng.tree().section(0).v;
-  edits[0].v.resistance *= 2.0;
-  edits[1].id = 1;
-  edits[1].v = eng.tree().section(1).v;
-  edits[1].v.capacitance *= 2.0;
-  eng.apply_edits(edits);
-  EXPECT_EQ(eng.counters().full_recomputes, 0u);
-  EXPECT_EQ(eng.counters().incremental_edits, 2u);
-  expect_matches_fresh_analysis(eng);
-}
-
-TEST(TimingEngine, GraftAppendsSubtreeAndMatches) {
-  engine::TimingEngine eng(circuit::make_line(4, {10.0, 1e-9, 0.1e-12}));
-  const std::size_t before = eng.size();
-  const circuit::RlcTree sub = circuit::make_balanced_tree(3, 2, {5.0, 0.5e-9, 0.05e-12});
-  const std::vector<SectionId> ids = eng.graft(2, sub);
-  ASSERT_EQ(ids.size(), sub.size());
-  EXPECT_EQ(eng.size(), before + sub.size());
-  for (std::size_t s = 0; s < sub.size(); ++s) {
-    EXPECT_EQ(eng.tree().section(ids[s]).v.capacitance,
-              sub.section(static_cast<SectionId>(s)).v.capacitance);
-  }
-  // The grafted root's parent is the attachment point.
-  EXPECT_EQ(eng.tree().section(ids[0]).parent, 2);
-  expect_matches_fresh_analysis(eng);
-}
-
-TEST(TimingEngine, GraftAtInputAddsNewRoot) {
-  engine::TimingEngine eng(circuit::make_line(3, {10.0, 1e-9, 0.1e-12}));
-  const std::vector<SectionId> ids =
-      eng.graft(circuit::kInput, circuit::make_line(2, {5.0, 0.5e-9, 0.05e-12}));
-  EXPECT_EQ(eng.tree().section(ids[0]).parent, circuit::kInput);
-  expect_matches_fresh_analysis(eng);
-}
-
-TEST(TimingEngine, PruneDetachesSubtreeElectrically) {
-  // Balanced binary tree: prune one level-2 child; the survivors must match
-  // a fresh analysis of the tombstoned tree, and the pruned node's load no
-  // longer reaches the root.
-  engine::TimingEngine eng(circuit::make_balanced_tree(4, 2, {25.0, 2e-9, 0.2e-12}));
-  const double load_before = eng.load_capacitance(0);
-  const SectionId victim = eng.tree().children(0).front();
-  eng.prune(victim);
-  EXPECT_FALSE(eng.alive(victim));
-  EXPECT_TRUE(eng.alive(0));
-  for (const SectionId c : eng.tree().children(victim)) EXPECT_FALSE(eng.alive(c));
-  EXPECT_LT(eng.load_capacitance(0), load_before);
-  EXPECT_THROW((void)eng.node(victim), std::invalid_argument);
-  EXPECT_THROW(eng.set_section_values(victim, SectionValues{}), std::invalid_argument);
-  expect_matches_fresh_analysis(eng);
-}
-
 TEST(TimingEngine, OutOfRangeIdsThrow) {
   engine::TimingEngine eng(circuit::make_line(3, {10.0, 1e-9, 0.1e-12}));
   EXPECT_THROW((void)eng.node(-1), std::out_of_range);
   EXPECT_THROW((void)eng.node(3), std::out_of_range);
-  EXPECT_THROW((void)eng.alive(99), std::out_of_range);
   EXPECT_THROW(eng.set_section_values(7, SectionValues{}), std::out_of_range);
 }
 
@@ -187,19 +112,8 @@ TEST(TimingEngine, NegativeValuesThrow) {
   engine::TimingEngine eng(circuit::make_line(3, {10.0, 1e-9, 0.1e-12}));
   EXPECT_THROW(eng.set_section_values(0, SectionValues{-1.0, 0.0, 0.0}),
                std::invalid_argument);
-  std::vector<engine::Edit> edits(1);
-  edits[0].id = 0;
-  edits[0].v = SectionValues{1.0, 0.0, -1e-15};
-  EXPECT_THROW(eng.apply_edits(edits), std::invalid_argument);
-}
-
-TEST(TimingEngine, LoadCapacitanceMatchesAnalyze) {
-  const circuit::RlcTree tree = circuit::make_balanced_tree(4, 3, {25.0, 2e-9, 0.2e-12});
-  const engine::TimingEngine eng(tree);
-  const eed::TreeModel fresh = eed::analyze(tree);
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    EXPECT_EQ(eng.load_capacitance(static_cast<SectionId>(i)), fresh.load_capacitance[i]);
-  }
+  EXPECT_THROW(eng.set_section_values(0, SectionValues{1.0, 0.0, -1e-15}),
+               std::invalid_argument);
 }
 
 TEST(TimingEngine, RcTreeQueriesStayPureRc) {

@@ -58,12 +58,14 @@ TEST(TuneEnv, AutoWidthCallersInheritTheForcedPlanBitwiseEqual) {
   EXPECT_EQ(batch.lane_width(), 2u);
   batch.resize(5);
   const eed::TreeModel want = eed::analyze(flat);
-  const engine::BatchedModels got = batch.analyze();
+  std::vector<SectionId> every(n);
+  for (std::size_t k = 0; k < n; ++k) every[k] = static_cast<SectionId>(k);
+  const engine::BatchedModels got = batch.analyze_nodes(every);
   for (std::size_t s = 0; s < 5; ++s) {
     for (std::size_t k = 0; k < n; ++k) {
       const auto id = static_cast<SectionId>(k);
       ASSERT_EQ(got.sum_rc(s, id), want.at(id).sum_rc) << "s " << s << " k " << k;
-      ASSERT_EQ(got.sum_lc(s, id), want.at(id).sum_lc) << "s " << s << " k " << k;
+      ASSERT_EQ(got.node(s, id).sum_lc, want.at(id).sum_lc) << "s " << s << " k " << k;
     }
   }
 

@@ -36,7 +36,7 @@ TEST(TuneReject, MalformedOverrideFallsBackToAutoCalibration) {
   engine::BatchedAnalyzer batch(circuit::FlatTree(tree), 0);
   EXPECT_EQ(batch.lane_width(), 4u);
   batch.resize(3);
-  const engine::BatchedModels models = batch.analyze();
+  const engine::BatchedModels models = batch.analyze_nodes({0});
   EXPECT_GT(models.sum_rc(0, 0), 0.0);
 }
 

@@ -4,11 +4,13 @@
 //  - the checked reader never throws;
 //  - an accepted tree passes circuit::validate (the reader's postcondition);
 //  - an accepted tree analyzes without an exception under kSkipAndFlag and
-//    constructs a TimingEngine (the reader feeds the engines directly);
+//    constructs a TimingEngine (the reader feeds the engines directly)
+//    whose every node has the bits of that analysis;
 //  - write -> read is a fixed point after one cycle: the first round trip
 //    may quantize values (the writer prints 6 significant digits), but the
 //    second must reproduce the first bitwise.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -43,9 +45,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   try {
     relmore::eed::AnalyzeOptions opts;
     opts.fault_policy = relmore::util::FaultPolicy::kSkipAndFlag;
-    (void)relmore::eed::analyze(tree, opts);
+    const relmore::eed::TreeModel fresh = relmore::eed::analyze(tree, opts);
     const relmore::engine::TimingEngine engine(tree);
-    (void)engine.model();
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::size_t i = 0; i < tree.size(); ++i) {
+      const relmore::eed::NodeModel got = engine.node(static_cast<rc::SectionId>(i));
+      const relmore::eed::NodeModel& want = fresh.nodes[i];
+      if (bits(got.sum_rc) != bits(want.sum_rc) || bits(got.sum_lc) != bits(want.sum_lc) ||
+          bits(got.zeta) != bits(want.zeta) || bits(got.omega_n) != bits(want.omega_n)) {
+        std::abort();  // the engine promises eed::analyze's bits
+      }
+    }
   } catch (...) {
     std::abort();  // a validated tree must analyze without throwing
   }

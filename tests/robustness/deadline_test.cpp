@@ -1,13 +1,13 @@
-// Unit coverage for the resilience primitives (PR 9): util::Deadline /
+// Unit coverage for the resilience primitives: util::Deadline /
 // CancelToken / RunControl semantics, the deterministic FaultInjector
-// (grammar, phase determinism, fire caps, disarm), and the engines'
-// documented stop behavior — BatchedAnalyzer keeps completed lanes
-// bitwise-identical and flags the rest kFaultNotRun; BatchSimulator
+// (grammar, phase determinism, fire caps, disarm, the batched fill
+// site), and the engines' documented stop behavior — BatchSimulator
 // aborts whole calls; the corpus ladder retries transients, quarantines,
 // and names every unfinished net.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -172,64 +172,38 @@ TEST(FaultInjector, SiteNamesRoundTrip) {
   EXPECT_EQ(FaultInjector::fire_status(FaultSite::kPoolAbort).code(), ErrorCode::kInjectedFault);
 }
 
-// --- BatchedAnalyzer stop semantics -----------------------------------------
-
-TEST(BatchedAnalyzerStop, CancelledUpFrontFlagsEverySampleNotRun) {
+TEST(FaultInjector, SnapshotNanFiresInBatchedFills) {
+  // The site poisons a batched fill: set_sample throws at once, and
+  // analyze_stream throws after its sweep naming the poisoned sample.
+  InjectorGuard guard;
   const rc::FlatTree flat(small_tree());
-  ru::CancelToken token;
-  token.cancel();
-  eng::BatchedAnalyzer batch(flat, 4);
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
-  batch.set_run_control({ru::Deadline::none(), &token});
-  batch.resize(10);
-  const eng::BatchedModels models = batch.analyze();
-  EXPECT_TRUE(models.stopped());
-  EXPECT_EQ(models.stop_status().code(), ErrorCode::kCancelled);
-  for (std::size_t s = 0; s < 10; ++s) {
-    EXPECT_NE(models.fault_flags(s) & eed::kFaultNotRun, 0) << "sample " << s;
-  }
-}
-
-TEST(BatchedAnalyzerStop, ExpiredDeadlineReportsDeadlineExceeded) {
-  const rc::FlatTree flat(small_tree());
+  const std::size_t n = flat.size();
   eng::BatchedAnalyzer batch(flat, 2);
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
-  batch.set_run_control({ru::Deadline::after(std::chrono::milliseconds(-1)), nullptr});
-  batch.resize(5);
-  const eng::BatchedModels models = batch.analyze();
-  EXPECT_TRUE(models.stopped());
-  EXPECT_EQ(models.stop_status().code(), ErrorCode::kDeadlineExceeded);
-}
-
-TEST(BatchedAnalyzerStop, ThrowPolicyRaisesFaultError) {
-  const rc::FlatTree flat(small_tree());
-  ru::CancelToken token;
-  token.cancel();
-  eng::BatchedAnalyzer batch(flat, 4);
-  batch.set_run_control({ru::Deadline::none(), &token});
-  batch.resize(4);
+  batch.resize(3);
+  ASSERT_TRUE(FaultInjector::instance().arm_spec("snapshot-nan:every=1:limit=1").is_ok());
   try {
-    (void)batch.analyze();
+    batch.set_sample(1, flat.resistance().data(), flat.inductance().data(),
+                     flat.capacitance().data());
     FAIL() << "expected FaultError";
   } catch (const ru::FaultError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+    EXPECT_EQ(e.code(), ErrorCode::kNonFiniteValue);
   }
-}
-
-TEST(BatchedAnalyzerStop, DisarmedControlChangesNothing) {
-  const rc::FlatTree flat(small_tree());
-  eng::BatchedAnalyzer plain(flat, 4);
-  plain.resize(6);
-  const eng::BatchedModels want = plain.analyze();
-  eng::BatchedAnalyzer armed(flat, 4);
-  armed.set_run_control({ru::Deadline::after(std::chrono::hours(1)), nullptr});
-  armed.resize(6);
-  const eng::BatchedModels got = armed.analyze();
-  EXPECT_FALSE(got.stopped());
-  const auto probe = static_cast<rc::SectionId>(flat.size() - 1);
-  for (std::size_t s = 0; s < 6; ++s) {
-    EXPECT_EQ(bits(want.delay_50(s, probe)), bits(got.delay_50(s, probe)));
+  ASSERT_TRUE(FaultInjector::instance().arm_spec("snapshot-nan:every=1:limit=1").is_ok());
+  const auto fill = [&](std::size_t, double* r, double* l, double* c) {
+    std::copy(flat.resistance().begin(), flat.resistance().end(), r);
+    std::copy(flat.inductance().begin(), flat.inductance().end(), l);
+    std::copy(flat.capacitance().begin(), flat.capacitance().end(), c);
+  };
+  try {
+    (void)batch.analyze_stream(3, fill, {static_cast<rc::SectionId>(n - 1)});
+    FAIL() << "expected FaultError";
+  } catch (const ru::FaultError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(e.status().message().find("in sample 0 (1 faulted of 3 samples)"),
+              std::string::npos)
+        << e.status().message();
   }
+  EXPECT_EQ(FaultInjector::instance().fire_count(FaultSite::kSnapshotNan), 1u);
 }
 
 // --- BatchSimulator stop semantics ------------------------------------------

@@ -1,8 +1,7 @@
 // Fault-injection suite: every public entry point of the analysis pipeline
 // fed NaN/Inf/negative values and malformed decks, asserting the documented
-// Status/exception surface — and, for the transactional engine, that a
-// rolled-back (or throwing) edit leaves the engine bitwise-identical to its
-// prior state.
+// Status/exception surface — and, for the incremental engine, that a
+// throwing edit leaves the engine bitwise-identical to its prior state.
 
 #include <gtest/gtest.h>
 
@@ -57,6 +56,14 @@ void expect_model_equal(const eed::TreeModel& x, const eed::TreeModel& y) {
   for (std::size_t i = 0; i < x.nodes.size(); ++i) {
     expect_node_equal(x.nodes[i], y.nodes[i]);
     EXPECT_EQ(x.load_capacitance[i], y.load_capacitance[i]);
+  }
+}
+
+/// Every node the engine answers equals the same node of `model`.
+void expect_engine_matches(const eng::TimingEngine& engine, const eed::TreeModel& model) {
+  ASSERT_EQ(engine.size(), model.nodes.size());
+  for (std::size_t i = 0; i < model.nodes.size(); ++i) {
+    expect_node_equal(engine.node(static_cast<rc::SectionId>(i)), model.nodes[i]);
   }
 }
 
@@ -324,7 +331,7 @@ TEST(EngineFaults, ConstructorValidates) {
 
 TEST(EngineFaults, PoisonedEditThrowsAndChangesNothing) {
   eng::TimingEngine engine(rc::make_fig8_tree());
-  const eed::TreeModel before = engine.model();
+  const eed::TreeModel before = eed::analyze(engine.tree());
   const std::size_t size_before = engine.size();
 
   EXPECT_THROW(engine.set_section_values(0, {kNaN, 0.0, 1e-13}), ru::FaultError);
@@ -333,153 +340,8 @@ TEST(EngineFaults, PoisonedEditThrowsAndChangesNothing) {
   EXPECT_THROW(engine.set_section_values(-1, {1.0, 0.0, 1e-13}), std::out_of_range);
 
   EXPECT_EQ(engine.size(), size_before);
-  expect_model_equal(engine.model(), before);
-  expect_model_equal(engine.model(), eed::analyze(engine.tree()));
-}
-
-TEST(EngineFaults, BatchWithOnePoisonedEditAppliesNothing) {
-  eng::TimingEngine engine(rc::make_fig8_tree());
-  const eed::TreeModel before = engine.model();
-  std::vector<eng::Edit> edits;
-  edits.push_back({0, {2.0, 1e-9, 1e-13}});
-  edits.push_back({1, {3.0, kNaN, 2e-13}});  // poisoned mid-batch
-  edits.push_back({2, {4.0, 2e-9, 3e-13}});
-  EXPECT_THROW(engine.apply_edits(edits), ru::FaultError);
-  // Strong guarantee: the valid edits before the poisoned one must not
-  // have landed either.
-  expect_model_equal(engine.model(), before);
-}
-
-TEST(EngineFaults, GraftValidatesTheWholeSubtree) {
-  eng::TimingEngine engine(rc::make_fig8_tree());
-  const std::size_t size_before = engine.size();
-  rc::RlcTree sub;
-  const rc::SectionId a = sub.add_section(rc::kInput, {1.0, 0.0, 1e-13});
-  sub.add_section(a, {1.0, 0.0, 1e-13});
-  sub.values(1).capacitance = kNaN;
-  EXPECT_THROW((void)engine.graft(0, sub), ru::FaultError);
-  EXPECT_EQ(engine.size(), size_before);
-  expect_model_equal(engine.model(), eed::analyze(engine.tree()));
-}
-
-TEST(EngineTransactions, StateMachineErrors) {
-  eng::TimingEngine engine(two_root_forest());
-  try {
-    engine.commit();
-    FAIL() << "expected FaultError";
-  } catch (const ru::FaultError& e) {
-    EXPECT_EQ(e.code(), ru::ErrorCode::kTransactionState);
-  }
-  EXPECT_THROW(engine.rollback(), ru::FaultError);
-  engine.begin_transaction();
-  EXPECT_TRUE(engine.in_transaction());
-  EXPECT_THROW(engine.begin_transaction(), ru::FaultError);  // no nesting
-  engine.commit();
-  EXPECT_FALSE(engine.in_transaction());
-}
-
-TEST(EngineTransactions, CommitKeepsEdits) {
-  eng::TimingEngine engine(two_root_forest());
-  engine.begin_transaction();
-  engine.set_section_values(0, {42.0, 1e-9, 5e-13});
-  engine.commit();
-  EXPECT_EQ(engine.tree().section(0).v.resistance, 42.0);
-  expect_model_equal(engine.model(), eed::analyze(engine.tree()));
-}
-
-TEST(EngineTransactions, RollbackRestoresValuesGraftsAndPrunes) {
-  const rc::RlcTree base = rc::make_fig8_tree();
-  eng::TimingEngine engine(base);
-  const eed::TreeModel before = engine.model();
-  const std::size_t size_before = engine.size();
-
-  engine.begin_transaction();
-  engine.set_section_values(0, {99.0, 9e-9, 9e-13});
-  rc::RlcTree sub;
-  sub.add_section(rc::kInput, {1.0, 1e-10, 1e-13}, "grafted");
-  const std::vector<rc::SectionId> added = engine.graft(2, sub);
-  ASSERT_EQ(added.size(), 1u);
-  engine.prune(added[0]);
-  engine.prune(static_cast<rc::SectionId>(size_before - 1));
-  engine.rollback();
-
-  EXPECT_FALSE(engine.in_transaction());
-  EXPECT_EQ(engine.size(), size_before);
-  EXPECT_TRUE(engine.alive(static_cast<rc::SectionId>(size_before - 1)));
-  expect_model_equal(engine.model(), before);
-  expect_model_equal(engine.model(), eed::analyze(engine.tree()));
-}
-
-TEST(EngineTransactions, RandomizedInterleavedFaultsRollBackBitwise) {
-  // Property test: a transaction mixing valid edits, poisoned edits (which
-  // throw and must change nothing), grafts, and prunes — after rollback the
-  // engine must be bitwise-identical to its pre-transaction self.
-  std::mt19937 rng(20260806u);
-  std::uniform_real_distribution<double> unit(0.1, 2.0);
-  for (int round = 0; round < 8; ++round) {
-    eng::TimingEngine engine(rc::make_balanced_tree(4, 2, {10.0, 1e-9, 1e-13}));
-    const std::size_t size_before = engine.size();
-    const eed::TreeModel before = engine.model();
-
-    engine.begin_transaction();
-    for (int op = 0; op < 40; ++op) {
-      const auto id = static_cast<rc::SectionId>(rng() % size_before);
-      switch (rng() % 6) {
-        case 0:
-          if (engine.alive(id)) {
-            engine.set_section_values(id, {unit(rng) * 10.0, unit(rng) * 1e-9,
-                                           unit(rng) * 1e-13});
-          }
-          break;
-        case 1:
-          if (engine.alive(id)) {
-            EXPECT_THROW(engine.set_section_values(id, {kNaN, 1e-9, 1e-13}),
-                         ru::FaultError);
-          }
-          break;
-        case 2: {
-          std::vector<eng::Edit> edits;
-          for (int k = 0; k < 3; ++k) {
-            const auto eid = static_cast<rc::SectionId>(rng() % size_before);
-            if (!engine.alive(eid)) continue;
-            edits.push_back({eid, {unit(rng) * 5.0, unit(rng) * 2e-9, unit(rng) * 2e-13}});
-          }
-          engine.apply_edits(edits);
-          break;
-        }
-        case 3: {
-          std::vector<eng::Edit> edits;
-          edits.push_back({0, {1.0, 1e-9, 1e-13}});
-          edits.push_back({1, {1.0, -1e-9, 1e-13}});  // poisoned
-          // FaultError when both ids are alive; the plain dead-section
-          // invalid_argument (its base) when an earlier prune got id 0 or 1.
-          EXPECT_THROW(engine.apply_edits(edits), std::invalid_argument);
-          break;
-        }
-        case 4: {
-          rc::RlcTree sub;
-          const rc::SectionId s0 = sub.add_section(rc::kInput, {unit(rng), 0.0, 1e-13});
-          sub.add_section(s0, {unit(rng), 0.0, 1e-13});
-          if (engine.alive(id)) (void)engine.graft(id, sub);
-          break;
-        }
-        default:
-          if (engine.alive(id)) engine.prune(id);
-          break;
-      }
-    }
-    engine.rollback();
-
-    EXPECT_EQ(engine.size(), size_before);
-    for (std::size_t i = 0; i < size_before; ++i) {
-      EXPECT_TRUE(engine.alive(static_cast<rc::SectionId>(i)));
-    }
-    expect_model_equal(engine.model(), before);
-    expect_model_equal(engine.model(), eed::analyze(engine.tree()));
-    // The engine must stay fully usable after the rollback.
-    engine.set_section_values(0, {1.0, 1e-9, 1e-13});
-    expect_model_equal(engine.model(), eed::analyze(engine.tree()));
-  }
+  expect_engine_matches(engine, before);
+  expect_model_equal(eed::analyze(engine.tree()), before);
 }
 
 // --- BatchedAnalyzer ---------------------------------------------------------
@@ -521,163 +383,93 @@ TEST(BatchedFaults, SetSampleThrowPolicyCatchesNaNAndNegative) {
   EXPECT_THROW(batch.set_section(0, 0, {1.0, kNaN, 1e-13}), ru::FaultError);
 }
 
-TEST(BatchedFaults, OneBadSampleFlagsOnlyThatLane) {
-  const rc::RlcTree base = rc::make_balanced_tree(3, 2, {10.0, 1e-9, 1e-13});
-  const std::size_t n = base.size();
-  eng::BatchedAnalyzer batch{rc::FlatTree(base), 4};
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
-  const std::size_t samples = 6;  // two lane-groups, one spanning a fault
-  batch.resize(samples);
-
-  std::vector<std::vector<double>> rs(samples), ls(samples), cs(samples);
-  for (std::size_t s = 0; s < samples; ++s) {
-    rs[s].assign(n, 10.0 * (1.0 + 0.01 * static_cast<double>(s)));
-    ls[s].assign(n, 1e-9 * (1.0 + 0.02 * static_cast<double>(s)));
-    cs[s].assign(n, 1e-13 * (1.0 + 0.03 * static_cast<double>(s)));
-  }
-  cs[2][n - 1] = kNaN;  // poison one entry of sample 2
-  for (std::size_t s = 0; s < samples; ++s) {
-    batch.set_sample(s, rs[s].data(), ls[s].data(), cs[s].data());
-  }
-
-  const eng::BatchedModels models = batch.analyze();
-  EXPECT_FALSE(models.fault_free());
-  EXPECT_EQ(models.fault_count(), 1u);
-  ASSERT_EQ(models.faulted_samples(), std::vector<std::size_t>{2});
-  EXPECT_NE(models.fault_flags(2) & eed::kFaultBadInput, 0);
-
-  // Every healthy lane is bitwise-equal to a scalar analysis of its tree.
-  for (std::size_t s = 0; s < samples; ++s) {
-    if (s == 2) continue;
-    const eed::TreeModel ref = scalar_reference(base, rs[s], ls[s], cs[s]);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<rc::SectionId>(i);
-      EXPECT_EQ(models.sum_rc(s, id), ref.nodes[i].sum_rc) << "s=" << s << " i=" << i;
-      EXPECT_EQ(models.sum_lc(s, id), ref.nodes[i].sum_lc);
-      EXPECT_EQ(models.load_capacitance(s, id), ref.load_capacitance[i]);
-    }
-  }
-}
-
-TEST(BatchedFaults, ThrowPolicySurfacesRecordedFaultsAtAnalyze) {
-  const rc::RlcTree base = rc::make_balanced_tree(3, 2, {10.0, 1e-9, 1e-13});
-  const std::size_t n = base.size();
-  eng::BatchedAnalyzer batch{rc::FlatTree(base), 2};
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
-  batch.resize(3);
-  std::vector<double> r(n, 1.0), l(n, 1e-9), c(n, 1e-13);
-  l[0] = kNaN;
-  batch.set_sample(2, r.data(), l.data(), c.data());  // recorded, not thrown
-  batch.set_fault_policy(ru::FaultPolicy::kThrow);
-  try {
-    (void)batch.analyze();
-    FAIL() << "expected FaultError";
-  } catch (const ru::FaultError& e) {
-    EXPECT_NE(std::string(e.what()).find("sample 2"), std::string::npos);
-  }
-}
-
-TEST(BatchedFaults, ClampPolicyMatchesScalarOfClampedTree) {
-  const rc::RlcTree base = rc::make_balanced_tree(3, 2, {10.0, 1e-9, 1e-13});
-  const std::size_t n = base.size();
-  eng::BatchedAnalyzer batch{rc::FlatTree(base), 4};
-  batch.set_fault_policy(ru::FaultPolicy::kClampAndFlag);
-  batch.resize(2);
-  std::vector<double> r(n, 2.0), l(n, 1e-9), c(n, 1e-13);
-  std::vector<double> rb = r, lb = l, cb = c;
-  rb[1] = kInf;
-  batch.set_sample(0, r.data(), l.data(), c.data());
-  batch.set_sample(1, rb.data(), lb.data(), cb.data());
-  const eng::BatchedModels models = batch.analyze();
-  EXPECT_TRUE(models.faulted(1));
-  EXPECT_FALSE(models.faulted(0));
-  // Clamped input (Inf -> 0) analyzed like any other sample.
-  std::vector<double> r_clamped = rb;
-  r_clamped[1] = 0.0;
-  const eed::TreeModel ref = scalar_reference(base, r_clamped, lb, cb);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<rc::SectionId>(i);
-    EXPECT_EQ(models.sum_rc(1, id), ref.nodes[i].sum_rc);
-    EXPECT_EQ(models.sum_lc(1, id), ref.nodes[i].sum_lc);
-  }
-}
-
 TEST(BatchedFaults, OverflowingMomentsFlagTheSample) {
   rc::RlcTree base;
   base.add_section(rc::kInput, {1.0, 0.0, 1e-13}, "x");
   eng::BatchedAnalyzer batch{rc::FlatTree(base), 2};
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
   batch.resize(2);
   const double r_ok = 1.0, l_ok = 0.0, c_ok = 1e-13;
   const double r_huge = 1e308, l_huge = 0.0, c_huge = 1e308;  // finite inputs, Inf moment
   batch.set_sample(0, &r_ok, &l_ok, &c_ok);
   batch.set_sample(1, &r_huge, &l_huge, &c_huge);
-  const eng::BatchedModels models = batch.analyze();
-  EXPECT_FALSE(models.faulted(0));
-  ASSERT_TRUE(models.faulted(1));
-  EXPECT_NE(models.fault_flags(1) & eed::kFaultNonFiniteMoment, 0);
+  try {
+    (void)batch.analyze_nodes({0});
+    FAIL() << "expected FaultError";
+  } catch (const ru::FaultError& e) {
+    EXPECT_EQ(e.code(), ru::ErrorCode::kNonFiniteMoment);
+    EXPECT_EQ(e.status().message(),
+              "BatchedAnalyzer::analyze: non-finite moments in sample 1 (1 faulted of 2 samples)");
+  }
 }
 
 TEST(BatchedFaults, StreamFillFaultsFollowThePolicy) {
   const rc::RlcTree base = rc::make_balanced_tree(3, 2, {10.0, 1e-9, 1e-13});
   const std::size_t n = base.size();
+  std::vector<rc::SectionId> every(n);
+  for (std::size_t i = 0; i < n; ++i) every[i] = static_cast<rc::SectionId>(i);
+  bool poison = true;
   const auto fill = [&](std::size_t s, double* r, double* l, double* c) {
     for (std::size_t i = 0; i < n; ++i) {
       r[i] = 10.0 + static_cast<double>(s);
       l[i] = 1e-9;
       c[i] = 1e-13;
     }
-    if (s == 1) l[0] = kNaN;
+    if (poison && s == 1) l[0] = kNaN;
   };
 
   eng::BatchedAnalyzer batch{rc::FlatTree(base), 4};
-  EXPECT_THROW((void)batch.analyze_stream(3, fill, {}), std::invalid_argument);
-
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
-  const eng::BatchedModels models = batch.analyze_stream(3, fill, {});
-  EXPECT_EQ(models.fault_count(), 1u);
-  EXPECT_TRUE(models.faulted(1));
-  EXPECT_FALSE(models.faulted(0));
-  EXPECT_FALSE(models.faulted(2));
-  // Healthy streamed lanes bitwise-match the scalar analysis.
+  try {
+    (void)batch.analyze_stream(3, fill, every);
+    FAIL() << "expected FaultError";
+  } catch (const ru::FaultError& e) {
+    EXPECT_EQ(e.code(), ru::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(e.status().message(),
+              "BatchedAnalyzer::analyze_stream: invalid element values in sample 1 "
+              "(1 faulted of 3 samples)");
+  }
+  // The same fill without the poison: streamed lanes bitwise-match the
+  // scalar analysis.
+  poison = false;
+  const eng::BatchedModels models = batch.analyze_stream(3, fill, every);
   std::vector<double> r(n), l(n), c(n);
   fill(2, r.data(), l.data(), c.data());
   const eed::TreeModel ref = scalar_reference(base, r, l, c);
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<rc::SectionId>(i);
     EXPECT_EQ(models.sum_rc(2, id), ref.nodes[i].sum_rc);
-    EXPECT_EQ(models.sum_lc(2, id), ref.nodes[i].sum_lc);
+    EXPECT_EQ(models.node(2, id).sum_lc, ref.nodes[i].sum_lc);
   }
 }
 
 TEST(BatchedFaults, PooledAnalyzeAgreesOnFaults) {
+  // Samples 5 and 7 overflow (finite inputs, Inf moments) in different
+  // lane-groups; serial and pooled sweeps name the same first one.
   const rc::RlcTree base = rc::make_balanced_tree(4, 2, {10.0, 1e-9, 1e-13});
   const std::size_t n = base.size();
+  std::vector<rc::SectionId> every(n);
+  for (std::size_t i = 0; i < n; ++i) every[i] = static_cast<rc::SectionId>(i);
   eng::BatchedAnalyzer batch{rc::FlatTree(base), 2};
-  batch.set_fault_policy(ru::FaultPolicy::kSkipAndFlag);
   const std::size_t samples = 9;
   batch.resize(samples);
   std::vector<double> r(n, 1.0), l(n, 1e-9), c(n, 1e-13);
+  std::vector<double> huge_r(n, 1e308), huge_c(n, 1e308);
   for (std::size_t s = 0; s < samples; ++s) {
-    if (s == 5) {
-      std::vector<double> bad = c;
-      bad[0] = kNaN;
-      batch.set_sample(s, r.data(), l.data(), bad.data());
+    if (s == 5 || s == 7) {
+      batch.set_sample(s, huge_r.data(), l.data(), huge_c.data());
     } else {
       batch.set_sample(s, r.data(), l.data(), c.data());
     }
   }
   ru::WorkerPool pool(4);
-  const eng::BatchedModels serial = batch.analyze();
-  const eng::BatchedModels pooled = batch.analyze(&pool);
-  EXPECT_EQ(serial.fault_count(), 1u);
-  EXPECT_EQ(pooled.fault_count(), 1u);
-  EXPECT_EQ(serial.faulted_samples(), pooled.faulted_samples());
-  for (std::size_t s = 0; s < samples; ++s) {
-    if (s == 5) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<rc::SectionId>(i);
-      EXPECT_EQ(serial.sum_rc(s, id), pooled.sum_rc(s, id));
+  for (ru::WorkerPool* p : {static_cast<ru::WorkerPool*>(nullptr), &pool}) {
+    try {
+      (void)batch.analyze_nodes(every, p);
+      FAIL() << "expected FaultError";
+    } catch (const ru::FaultError& e) {
+      EXPECT_EQ(e.code(), ru::ErrorCode::kNonFiniteMoment);
+      EXPECT_EQ(e.status().message(),
+                "BatchedAnalyzer::analyze: non-finite moments in sample 5 "
+                "(2 faulted of 9 samples)");
     }
   }
 }

@@ -233,6 +233,10 @@ TEST(SimulateFirstCrossings, MatchesRecordedWaveformCrossings) {
     opts.dt = suggest_timestep(tree, 0.05);
     const SectionId leaf = flat.leaves().back();
     const SectionId root = SectionId{0};
+    // Record only the two compared rows (ProbeRowsMatchFullRecordingBitwise
+    // pins probe rows to full rows); simulate_first_crossings ignores
+    // opts.probes.
+    opts.probes = {leaf, root};
 
     const TransientResult rec = simulate_tree(flat, StepSource{1.0}, opts);
     for (const double threshold : {0.5, 0.9, 2.0, 0.0}) {
