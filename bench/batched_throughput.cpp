@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
     const auto add_row = [&](const std::string& name, const Measured& m, double baseline_ns) {
       checksum += m.checksum;
       const double speedup = baseline_ns / m.ns_per_section;
-      table.add_row({name, util::Table::fmt(static_cast<double>(n), 0),
-                     util::Table::fmt(static_cast<double>(kSamples), 0),
+      table.add_row({name, std::to_string(n), std::to_string(kSamples),
                      util::Table::fmt(m.ns_per_section, 3),
                      util::Table::fmt(1e3 / m.ns_per_section, 1),
                      util::Table::fmt(speedup, 2)});

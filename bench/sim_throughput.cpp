@@ -124,9 +124,7 @@ int main(int argc, char** argv) {
                            std::size_t steps_used, const Measured& m, double baseline_ns) {
     checksum += m.checksum;
     const double speedup = baseline_ns / m.ns_per_unit;
-    table.add_row({name, util::Table::fmt(static_cast<double>(n), 0),
-                   util::Table::fmt(static_cast<double>(runs), 0),
-                   util::Table::fmt(static_cast<double>(steps_used), 0),
+    table.add_row({name, std::to_string(n), std::to_string(runs), std::to_string(steps_used),
                    util::Table::fmt(m.ns_per_unit, 3), util::Table::fmt(speedup, 2)});
     rows.push_back({name, n, runs, m.ns_per_unit, speedup});
   };

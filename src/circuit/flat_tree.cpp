@@ -4,7 +4,9 @@
 
 namespace relmore::circuit {
 
-FlatTree::FlatTree(const RlcTree& tree) {
+FlatTree::FlatTree(const RlcTree& tree) { assign(tree); }
+
+void FlatTree::assign(const RlcTree& tree) {
   const std::size_t n = tree.size();
   parent_.resize(n);
   resistance_.resize(n);
@@ -13,6 +15,7 @@ FlatTree::FlatTree(const RlcTree& tree) {
   child_count_.assign(n, 0);
   level_.resize(n);
   names_.resize(n);
+  depth_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Section& s = tree.section(static_cast<SectionId>(i));
     parent_[i] = s.parent;

@@ -19,9 +19,11 @@
 /// Ids are identical to the source tree's and remain parent-before-child
 /// (the append-only invariant), so the upward pass is one reverse id scan
 /// and the downward pass one forward scan — no pointer chasing, no child
-/// lists. A FlatTree is immutable: it is the fixed *topology* half of the
-/// batched same-topology kernels (engine::BatchedAnalyzer), which supply
-/// per-sample values separately.
+/// lists. A FlatTree is a snapshot that `assign` re-takes in place: it is
+/// the fixed *topology* half of the batched same-topology kernels
+/// (engine::BatchedAnalyzer), which supply per-sample values separately,
+/// and a what-if commit re-takes an edited net's snapshot into the arrays
+/// it already owns.
 
 #include <cstddef>
 #include <string>
@@ -31,8 +33,8 @@
 
 namespace relmore::circuit {
 
-/// Immutable SoA view of one RlcTree. Cheap to copy relative to analysis
-/// work; safe to share read-only across worker threads.
+/// SoA snapshot of one RlcTree. Cheap to copy relative to analysis work;
+/// safe to share read-only across worker threads.
 class FlatTree {
  public:
   /// Empty snapshot (size() == 0). Exists so containers of FlatTree-valued
@@ -43,6 +45,12 @@ class FlatTree {
   /// Snapshots `tree` (values as of the call; later edits to the source
   /// tree are not reflected).
   explicit FlatTree(const RlcTree& tree);
+
+  /// Re-takes the snapshot of `tree` into this object's own arrays: the
+  /// result equals FlatTree(tree) in every field, and arrays that already
+  /// hold tree.size() entries (and names that fit their strings) are
+  /// rewritten without allocating.
+  void assign(const RlcTree& tree);
 
   [[nodiscard]] std::size_t size() const { return parent_.size(); }
   [[nodiscard]] bool empty() const { return parent_.empty(); }

@@ -135,6 +135,12 @@ struct PathReport {
 /// tables) change, which nets' required-time inputs moved, and whether
 /// the design clock was retargeted. The update derives the full dirty
 /// cones from these (fanout for arrivals, fanin for requireds).
+///
+/// `forward_nets` is load-bearing: a net the update reaches without a
+/// seed keeps the wire stages it has whenever its driver slew did not
+/// move, so every net whose wire models changed (a value edit, a pin-cap
+/// fold) must be seeded, or the update carries the old stages over.
+/// Timer::Edit seeds every net it writes a value into.
 struct UpdateSeeds {
   std::vector<int> forward_nets;   ///< wire values / driver arc tables changed
   std::vector<int> backward_nets;  ///< required-time inputs changed (cell swaps
@@ -148,6 +154,9 @@ struct UpdateStats {
   std::size_t backward_retimed = 0;   ///< nets whose required times were re-derived
   std::size_t frontier_cutoffs = 0;   ///< dirty-cone recomputes that stopped
                                       ///< propagation (bitwise-unchanged result)
+  std::size_t reused_wire_stages = 0; ///< taps of unseeded forward-cone nets whose
+                                      ///< wire stage was kept, not solved: the
+                                      ///< driver slew had the stored bits
   /// Non-ok when the pass stopped at a deadline/cancellation. The result
   /// is then PARTIALLY updated and must be discarded by the caller (the
   /// Timer drops its cached analysis); the design itself is untouched.
@@ -181,11 +190,16 @@ class TimingGraph {
   /// Cost: the nets of the two cones, popped from worklists in
   /// (Net::level, net index) order, plus the endpoint rows on the nets
   /// the backward cone re-timed, each moved to its new place in the
-  /// sorted rows. A moved row takes its old TNS term out of the exact sum
-  /// and puts its new one in, and the sum is read once, so TNS costs the
-  /// moved rows too, not the TNS terms. The up-front shape check is O(1):
-  /// four lengths. The only per-net work is clearing one dirty-flag byte
-  /// per net.
+  /// sorted rows. Only the seeded nets, and the nets whose driver slew
+  /// moved, solve their wire stages: a forward-cone net reached through
+  /// an arrival alone keeps its stage delays and tap slews and adds its
+  /// new driver arrival to them (UpdateStats::reused_wire_stages), since
+  /// a stage is a function of the tap's model and the driver slew only.
+  /// A moved row takes its old TNS term out of the exact sum and puts its
+  /// new one in, and the sum is read once, so TNS costs the moved rows
+  /// too, not the TNS terms. The up-front shape check is O(1): four
+  /// lengths. The only per-net work is clearing one dirty-flag byte per
+  /// net.
   ///
   /// `cache` must cover every net in the dirty cones at its current epoch
   /// (the Timer guarantees this: a full analyze fills it, edits restamp

@@ -104,12 +104,15 @@ class Timer {
   /// `commit()` to apply them atomically: the commit stages and validates
   /// every new section value before it writes any, so a failing edit
   /// leaves the design untouched (strong guarantee). What a commit costs:
-  /// the edited nets (each re-snapshot and re-analyzed whole — a few
-  /// sections in a typical net), the dirty cones, and the endpoint rows on
-  /// them. A moved row swaps its old TNS term for its new one in the
-  /// exact sum, which is read once, so TNS costs the moved rows, not the
-  /// TNS terms. The only per-net work is clearing one dirty-flag byte per
-  /// net (see sta::TimingGraph::update_checked). An abandoned handle applies
+  /// the edited nets (each re-snapshot into its own arrays and re-analyzed
+  /// whole — a few sections in a typical net), the dirty cones, and the
+  /// endpoint rows on them. In the forward cone only the edited nets and
+  /// the nets whose driver slew moved solve their wire stages; every other
+  /// net keeps its stage delays and tap slews and moves its arrivals. A
+  /// moved row swaps its old TNS term for its new one in the exact sum,
+  /// which is read once, so TNS costs the moved rows, not the TNS terms.
+  /// The only per-net work is clearing one dirty-flag byte per net (see
+  /// sta::TimingGraph::update_checked). An abandoned handle applies
   /// nothing. One commit per handle; at most one handle should be open at
   /// a time (the Timer serializes nothing).
   [[nodiscard]] Edit edit();
@@ -161,9 +164,9 @@ class Timer::Edit {
   [[nodiscard]] util::Status set_clock_period(double period);
 
   /// Applies the recorded ops. On success the design is mutated (epoch
-  /// bumped, edited nets re-snapshot, their cache slots restamped with
-  /// sta::analyze_net, the corpus phase's own per-net step) and the cached
-  /// analysis — when one exists — is incrementally re-timed through the
+  /// bumped, edited nets re-snapshot in place, their cache slots restamped
+  /// with sta::analyze_net, the corpus phase's own per-net step) and the
+  /// cached analysis — when one exists — is incrementally re-timed through the
   /// dirty cones, falling back to dropping it when the cones cannot be
   /// served from the cache. On error the design and analysis are exactly
   /// as before. Either way the handle is consumed. `options` controls

@@ -348,7 +348,7 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   }
   for (const int ni : touched) {
     sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
-    net.flat = circuit::FlatTree(net.tree);
+    net.flat.assign(net.tree);
     net.epoch = design.epoch;
     net.total_cap = net.tree.total_capacitance();
   }

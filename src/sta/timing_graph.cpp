@@ -75,15 +75,38 @@ NetSlots slots_of(const Design& design, TimingResult& result, int ni) {
           result.wire_delay.data() + begin};
 }
 
+/// Bitwise comparison of the forward-owned fields (timed/arrival/slew);
+/// std::bit_cast so -0.0 vs 0.0 and NaN payloads count as changes, the
+/// same equality every determinism test uses.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// What forward_time_net reports besides the timings it writes.
+struct ForwardTiming {
+  int winning = -1;         ///< arrival-setting input pin of an instance driver;
+                            ///< -1 when none / not all pins timed
+  std::size_t reused = 0;   ///< taps whose wire stage came from `previous`
+};
+
 /// Recomputes net `ni`'s forward half — driver point, tap arrivals/slews,
 /// wire delays, fault flag — into `out`, reading upstream tap timings from
 /// `result`. Required/constrained fields are reset to unconstrained (the
-/// backward sweep owns them). Shared verbatim between the full forward
-/// sweep and the incremental dirty-cone scan so both produce identical
-/// bits by construction. Returns the arrival-setting input pin of an
-/// instance driver (-1 when none / not all pins timed).
-int forward_time_net(const Design& design, int ni, const NetModels& models,
-                     const TimingResult& result, const NetSlots& out) {
+/// backward sweep owns them). The full forward sweep and the incremental
+/// dirty-cone scan both time a net here, so both produce identical bits by
+/// construction.
+///
+/// `previous`, when given, holds the net's timings from the last pass that
+/// timed it with these same wire models (the update passes every net it
+/// was not seeded with). A wire stage is a function of the tap's model and
+/// the driver slew alone, so when the previous driver was timed, the net
+/// was not faulted and the new driver slew has the previous one's bits,
+/// each tap keeps its previous wire delay and slew — the bits
+/// ramp_stage_checked returns for those same inputs — and only the
+/// arrivals move. Otherwise every tap is solved.
+ForwardTiming forward_time_net(const Design& design, int ni, const NetModels& models,
+                               const TimingResult& result, const NetSlots& out,
+                               const NetSlots* previous = nullptr) {
   const Net& net = design.nets[static_cast<std::size_t>(ni)];
   NetTiming& nt = *out.net;
   nt.driver = PointTiming{};
@@ -98,7 +121,7 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
   nt.driver.required = kInf;
 
   // Driving point.
-  int winning = -1;
+  ForwardTiming timing;
   if (net.driver_kind == DriverKind::kPort) {
     const DesignPort& port = design.ports[static_cast<std::size_t>(net.driver_index)];
     nt.driver.timed = true;
@@ -120,22 +143,33 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
       const double arr = at.arrival + cell.arc_delay(at.slew, load);
       if (arr > best) {  // ties keep the earlier pin: deterministic
         best = arr;
-        winning = static_cast<int>(pi);
+        timing.winning = static_cast<int>(pi);
       }
     }
-    if (all_timed && winning >= 0) {
-      const Instance::Pin& win = inst.inputs[static_cast<std::size_t>(winning)];
+    if (all_timed && timing.winning >= 0) {
+      const Instance::Pin& win = inst.inputs[static_cast<std::size_t>(timing.winning)];
       const PointTiming& at = result.taps[tap_slot(design, win.net, win.tap)];
       nt.driver.timed = true;
       nt.driver.arrival = best;
       nt.driver.slew = cell.arc_slew(at.slew, load);
     } else {
-      winning = -1;
+      timing.winning = -1;
     }
   }
 
   // Wire stages to every tap.
-  if (!nt.driver.timed || nt.faulted) return winning;
+  if (!nt.driver.timed || nt.faulted) return timing;
+  if (previous != nullptr && previous->net->driver.timed && !previous->net->faulted &&
+      same_bits(previous->net->driver.slew, nt.driver.slew)) {
+    for (std::size_t t = 0; t < net.taps.size(); ++t) {
+      out.taps[t].timed = true;
+      out.taps[t].arrival = nt.driver.arrival + previous->wire_delay[t];
+      out.taps[t].slew = previous->taps[t].slew;
+      out.wire_delay[t] = previous->wire_delay[t];
+    }
+    timing.reused = net.taps.size();
+    return timing;
+  }
   for (std::size_t t = 0; t < net.taps.size(); ++t) {
     const Result<eed::RampStage> stage = eed::ramp_stage_checked(models.taps[t], nt.driver.slew);
     if (!stage.is_ok()) {
@@ -149,7 +183,7 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
     out.taps[t].slew = stage.value().output_rise;
     out.wire_delay[t] = stage.value().delay;
   }
-  return winning;
+  return timing;
 }
 
 /// Re-derives net `ni`'s required/constrained fields in place from its
@@ -264,13 +298,6 @@ void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   std::sort(summary.endpoints_by_slack.begin(), summary.endpoints_by_slack.end(), row_before);
   summary.wns = worst_slack(summary);
   summary.tns = result.tns_terms.value();
-}
-
-/// Bitwise comparison of the forward-owned fields (timed/arrival/slew);
-/// std::bit_cast so -0.0 vs 0.0 and NaN payloads count as changes, the
-/// same equality every determinism test uses.
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 bool same_forward_point(const PointTiming& a, const PointTiming& b) {
@@ -461,10 +488,10 @@ Result<TimingResult> TimingGraph::analyze_checked(const AnalyzeOptions& options)
   // --- forward sweep: arrivals and slews, in net topological order --------
   for (const int ni : design.topo_nets) {
     const Net& net = design.nets[static_cast<std::size_t>(ni)];
-    const int winning = forward_time_net(design, ni, corpus.nets[static_cast<std::size_t>(ni)],
-                                         result, slots_of(design, result, ni));
+    const ForwardTiming timing = forward_time_net(
+        design, ni, corpus.nets[static_cast<std::size_t>(ni)], result, slots_of(design, result, ni));
     if (net.driver_kind == DriverKind::kInstance) {
-      result.winning_input[static_cast<std::size_t>(net.driver_index)] = winning;
+      result.winning_input[static_cast<std::size_t>(net.driver_index)] = timing.winning;
     }
   }
 
@@ -542,6 +569,7 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   constexpr std::uint8_t kForward = 1;   // queued for the forward sweep
   constexpr std::uint8_t kBackward = 2;  // queued for the backward sweep
   constexpr std::uint8_t kLogged = 4;    // endpoint timings logged
+  constexpr std::uint8_t kSeeded = 8;    // a forward seed: its wire models may have moved
   ConeWorklist<std::greater<>> forward(design, forward_heap);
   ConeWorklist<std::less<>> backward(design, backward_heap);
   const auto mark = [dirty](std::uint8_t sweep, auto& worklist, int ni) {
@@ -569,6 +597,7 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   // --- seed the dirty sets -------------------------------------------------
   for (const int ni : seeds.forward_nets) {
     mark(kForward, forward, ni);
+    dirty[static_cast<std::size_t>(ni)] |= kSeeded;
     // A wire edit moves this net's total load, which every arc *into* its
     // driving instance reads — in the forward max loop (covered: this net
     // is forward-dirty) and in the backward required of each input pin.
@@ -593,9 +622,12 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   // Nets leave the worklist in levelized order; a dirty net is recomputed
   // into a reused scratch with exactly the full sweep's code, committed
   // only when some forward bit moved, and its changed taps mark their
-  // consumer instances' output nets dirty. RunControl is polled at
-  // cone-frontier boundaries (every kPollStride nets, the first one
-  // included), the corpus-ladder contract.
+  // consumer instances' output nets dirty. A net that was not seeded has
+  // the wire models its slots were timed with, so it hands its own slots
+  // in as the previous timings and keeps their wire stages when its driver
+  // slew did not move. RunControl is polled at cone-frontier boundaries
+  // (every kPollStride nets, the first one included), the corpus-ladder
+  // contract.
   constexpr std::size_t kPollStride = 64;
   // relmore-lint: begin-hot-loop(retime-forward-frontier)
   for (std::size_t k = 0; !forward.empty(); ++k) {
@@ -610,13 +642,16 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
       return Status(ErrorCode::kInvalidArgument, "update: corpus cache does not cover net")
           .with_net(net.name);
     }
-    const int winning = forward_time_net(design, ni, *models, result, scratch);
     const NetSlots own = slots_of(design, result, ni);
+    const bool seeded = (dirty[static_cast<std::size_t>(ni)] & kSeeded) != 0;
+    const ForwardTiming timing =
+        forward_time_net(design, ni, *models, result, scratch, seeded ? nullptr : &own);
+    stats.reused_wire_stages += timing.reused;
     if (net.driver_kind == DriverKind::kInstance) {
       // Committed even on a cutoff: a tie can move the winning pin while
       // the output timing stays bitwise-identical, and a from-scratch
       // analyze would report the new winner.
-      result.winning_input[static_cast<std::size_t>(net.driver_index)] = winning;
+      result.winning_input[static_cast<std::size_t>(net.driver_index)] = timing.winning;
     }
     if (same_forward_net(own, scratch, net.taps.size())) {
       ++stats.frontier_cutoffs;

@@ -720,6 +720,183 @@ TEST(UpdateChecked, ForeignSummaryRowsAreRebuilt) {
   expect_bitwise_equal(updated, oracle(design));
 }
 
+// A port-driven chain n0 -> u0 -> n1 -> u1 -> n2 -> u2 -> n3 whose nets
+// carry an endpoint each beside the next instance's pin.
+constexpr const char* kChain = R"(design chain
+net n0
+section s0 - R=100 L=0 C=10f
+section s1 s0 R=80 L=0.5n C=12f
+end
+net n1
+section s0 - R=120 L=0 C=15f
+section s1 s0 R=90 L=0 C=10f
+section s2 s0 R=60 L=0.2n C=8f
+end
+net n2
+section s0 - R=150 L=1n C=20f
+section s1 s0 R=70 L=0 C=9f
+end
+net n3
+section s0 - R=200 L=0 C=20f
+end
+input i0 n0 at=0 slew=20p
+inst u0 buf_x1 n1 n0:s1
+inst u1 buf_x4 n2 n1:s1
+inst u2 buf_x1 n3 n2:s1
+output o1 n1:s2
+output o2 n2:s0
+output o3 n3:s0
+clock 1n
+)";
+
+// A wire edit on the chain's first net moves every arrival behind it. Its
+// linear cells give output slews that depend on the load alone, so the
+// driver slews of n1..n3 keep their bits: those nets keep their wire
+// stages, only the seeded n0 solves its own, and the result still equals
+// a from-scratch analysis.
+TEST(UpdateChecked, WireEditOnTheFirstNetReusesTheChainsWireStages) {
+  sta::Design design = parse(kChain);
+  util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
+  ASSERT_TRUE(graph.is_ok());
+  sta::AnalyzeOptions options;
+  sta::CorpusCache cache;
+  options.cache = &cache;
+  util::Result<sta::TimingResult> result = graph.value().analyze_checked(options);
+  ASSERT_TRUE(result.is_ok());
+
+  // The commit's write and restamp, by hand: new values on n0, its
+  // snapshot re-taken, its cache slot stored at the new epoch.
+  const int n0 = design.find_net("n0");
+  ASSERT_GE(n0, 0);
+  sta::Net& net = design.nets[static_cast<std::size_t>(n0)];
+  net.tree.values(0) = {160.0, 0.3e-9, 10e-15};
+  net.flat.assign(net.tree);
+  design.epoch += 1;
+  net.epoch = design.epoch;
+  cache.store(static_cast<std::size_t>(n0), net.epoch, sta::options_fingerprint(options),
+              sta::analyze_net(net, options));
+
+  sta::TimingResult updated = result.value();
+  sta::UpdateSeeds seeds;
+  seeds.forward_nets.push_back(n0);
+  util::Result<sta::UpdateStats> stats = graph.value().update_checked(updated, cache, seeds);
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  expect_bitwise_equal(updated, oracle(design));
+
+  std::size_t downstream_taps = 0;
+  for (const char* name : {"n1", "n2", "n3"}) {
+    const int ni = design.find_net(name);
+    ASSERT_GE(ni, 0);
+    downstream_taps += design.nets[static_cast<std::size_t>(ni)].taps.size();
+    EXPECT_EQ(bits(updated.nets[static_cast<std::size_t>(ni)].driver.slew),
+              bits(result.value().nets[static_cast<std::size_t>(ni)].driver.slew))
+        << name;
+  }
+  EXPECT_EQ(downstream_taps, 5u);
+  EXPECT_EQ(stats.value().forward_retimed, 4u);
+  EXPECT_EQ(stats.value().reused_wire_stages, downstream_taps);
+}
+
+// A cell whose output slew is 1e300 s at every input slew and load: the
+// net it drives has a timed driver whose wire stage never crosses, so the
+// net is faulted with its taps untimed.
+sta::CellLibrary library_with_endless_slew() {
+  sta::CellLibrary library = sta::generic_library();
+  sta::Cell cell = library.cell(static_cast<std::size_t>(library.find("buf_x1")));
+  cell.name = "endless";
+  util::Result<sta::TimingTable> slew =
+      sta::TimingTable::create_checked({0.0, 1e-9}, {0.0, 1e-12}, {1e300, 1e300, 1e300, 1e300});
+  EXPECT_TRUE(slew.is_ok());
+  cell.output_slew = std::move(slew).value();
+  library.add(std::move(cell));
+  return library;
+}
+
+// A faulted net in the forward cone is solved again, not carried over:
+// its driver slew keeps its bits (the table is flat), but its stored taps
+// are untimed and its stages did not all cross.
+TEST(TimerEdit, FaultedNetIsSolvedAgainNotCarriedOver) {
+  const char* text =
+      "net na\nsection s0 - R=100 L=0 C=10f\nsection s1 s0 R=80 L=0 C=12f\nend\n"
+      "net nc\nsection s0 - R=200 L=0 C=20f\nsection s1 s0 R=50 L=0 C=5f\nend\n"
+      "input a na at=0 slew=20p\n"
+      "output pa na:s1 required=1n\n"
+      "output oc nc:s1 required=1n\n"
+      "inst u0 endless nc na:s1\n";
+  std::istringstream is(text);
+  util::Result<sta::Design> design = sta::read_design_checked(is, library_with_endless_slew());
+  ASSERT_TRUE(design.is_ok()) << design.status().to_string();
+  Timer timer;
+  ASSERT_TRUE(timer.load(std::move(design).value()).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const auto nc = static_cast<std::size_t>(timer.design()->find_net("nc"));
+  ASSERT_TRUE(timer.result()->nets[nc].driver.timed);
+  ASSERT_TRUE(timer.result()->nets[nc].faulted);
+
+  Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_net_section_values("na", "s0", {150.0, 0.0, 14e-15}).is_ok());
+  util::Result<Timer::EditOutcome> outcome = edit.commit();
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_TRUE(outcome.value().incremental);
+  EXPECT_EQ(outcome.value().stats.reused_wire_stages, 0u);
+  EXPECT_TRUE(timer.result()->nets[nc].faulted);
+  expect_bitwise_equal(*timer.result(), oracle(*timer.design()));
+}
+
+// Bitwise equality of every field of two snapshots.
+void expect_same_flat(const circuit::FlatTree& got, const circuit::FlatTree& want,
+                      const std::string& net) {
+  ASSERT_EQ(got.size(), want.size()) << net;
+  EXPECT_EQ(got.parent(), want.parent()) << net;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(bits(got.resistance()[i]), bits(want.resistance()[i])) << net << " section " << i;
+    EXPECT_EQ(bits(got.inductance()[i]), bits(want.inductance()[i])) << net << " section " << i;
+    EXPECT_EQ(bits(got.capacitance()[i]), bits(want.capacitance()[i]))
+        << net << " section " << i;
+  }
+  EXPECT_EQ(got.child_count(), want.child_count()) << net;
+  EXPECT_EQ(got.level(), want.level()) << net;
+  EXPECT_EQ(got.depth(), want.depth()) << net;
+  EXPECT_EQ(got.names(), want.names()) << net;
+}
+
+// A commit re-takes each edited net's snapshot in place: after several
+// commits of value edits and cell swaps, every net's `flat` equals a
+// fresh snapshot of its tree, field by field.
+TEST(TimerEdit, CommitsReSnapshotEditedNetsInPlace) {
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(32, 7)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const sta::Design& design = *timer.design();
+  const std::uint64_t loaded_epoch = design.epoch;
+
+  const auto commit = [&](const auto& record) {
+    Timer::Edit edit = timer.edit();
+    record(edit);
+    util::Result<Timer::EditOutcome> outcome = edit.commit();
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_TRUE(outcome.value().incremental);
+  };
+  commit([](Timer::Edit& edit) {
+    ASSERT_TRUE(edit.set_net_section_values("n0_1", "s2", {55.0, 0.0, 30e-15}).is_ok());
+    ASSERT_TRUE(edit.set_net_section_values("n1_2", "s0", {80.0, 0.5e-12, 12e-15}).is_ok());
+  });
+  commit([](Timer::Edit& edit) { ASSERT_TRUE(edit.set_cell("u0_1", "buf_x4").is_ok()); });
+  commit([](Timer::Edit& edit) {
+    ASSERT_TRUE(edit.set_net_section_values("n0_1", "s0", {70.0, 1e-12, 20e-15}).is_ok());
+    ASSERT_TRUE(edit.set_cell("u1_1", "buf_x4").is_ok());
+    ASSERT_TRUE(edit.set_net_section_values("n2_0", "s1", {40.0, 0.0, 9e-15}).is_ok());
+  });
+
+  std::size_t restamped = 0;
+  for (const sta::Net& net : design.nets) {
+    expect_same_flat(net.flat, circuit::FlatTree(net.tree), net.name);
+    if (net.epoch != loaded_epoch) ++restamped;
+  }
+  EXPECT_GE(restamped, 4u);
+  expect_bitwise_equal(*timer.result(), oracle(design));
+}
+
 TEST(UpdateChecked, EmptySeedsAreANoOp) {
   sta::Design design = synthetic(16, 9);
   util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);

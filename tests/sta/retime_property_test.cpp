@@ -4,14 +4,20 @@
 // delay, every endpoint row — and stays so across thread counts.
 // 100+ random draws, several commits each, all four edit-op kinds, with
 // constraints drawn around the endpoint arrivals so endpoints violate,
-// recover and lose their constraint.
+// recover and lose their constraint. The draws run twice: over the
+// generic library, whose linear cells give an output slew that depends
+// on the load alone, and over cells whose output slew depends on the
+// input slew too, so a commit moves the driver slew of nets it never
+// edited and the update must solve their wire stages again.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../util/exact_sum_reference.hpp"
@@ -154,7 +160,49 @@ void record_random_op(Rng& rng, const sta::Design& design, double pivot, Timer::
   }
 }
 
-TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
+/// What sets each net's driver slew — the slew itself, the net's load and
+/// each instance's cell — taken before and after a commit to find the
+/// nets whose driver slew moved by their input slew alone.
+struct DriverInputs {
+  std::vector<double> slew;       ///< per net
+  std::vector<double> total_cap;  ///< per net
+  std::vector<int> cell;          ///< per instance
+};
+
+DriverInputs driver_inputs(const sta::Design& design, const sta::TimingResult& result) {
+  DriverInputs in;
+  for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
+    in.slew.push_back(result.nets[ni].driver.slew);
+    in.total_cap.push_back(design.nets[ni].total_cap);
+  }
+  for (const sta::Instance& inst : design.instances) in.cell.push_back(inst.cell);
+  return in;
+}
+
+/// The instance-driven nets whose driver slew moved while their load and
+/// their driving cell did not: nets whose input slew alone moved it.
+std::size_t slew_only_moves(const sta::Design& design, const DriverInputs& before,
+                            const DriverInputs& after) {
+  std::size_t moved = 0;
+  for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
+    const sta::Net& net = design.nets[ni];
+    if (net.driver_kind != sta::DriverKind::kInstance) continue;
+    const auto inst = static_cast<std::size_t>(net.driver_index);
+    if (bits(before.slew[ni]) != bits(after.slew[ni]) &&
+        bits(before.total_cap[ni]) == bits(after.total_cap[ni]) &&
+        before.cell[inst] == after.cell[inst]) {
+      ++moved;
+    }
+  }
+  return moved;
+}
+
+/// Runs the property's draws over designs built by `make(spec)`: a full
+/// analysis, then random commits, each bitwise-equal to a from-scratch
+/// analysis of the edited design. Adds to `slew_moves` how many times a
+/// commit moved a driver slew by its input slew alone (slew_only_moves).
+template <typename Make>
+void check_random_edit_sequences(const Make& make, std::size_t* slew_moves) {
   constexpr std::uint64_t kDraws = 100;
   constexpr std::size_t kCommitsPerDraw = 3;
   for (std::uint64_t draw = 0; draw < kDraws; ++draw) {
@@ -164,7 +212,7 @@ TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
     spec.seed = draw + 1;
     spec.topo_classes = 2 + rng.below(4);
     spec.chain_depth = 2 + rng.below(4);
-    util::Result<sta::Design> design = sta::make_synthetic_design_checked(spec);
+    util::Result<sta::Design> design = make(spec);
     ASSERT_TRUE(design.is_ok()) << design.status().to_string();
 
     Timer timer;
@@ -176,6 +224,7 @@ TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
     const double pivot = median_arrival(*timer.result());
 
     for (std::size_t commit = 0; commit < kCommitsPerDraw; ++commit) {
+      const DriverInputs before = driver_inputs(*timer.design(), *timer.result());
       Timer::Edit edit = timer.edit();
       const std::size_t ops = 1 + rng.below(5);
       for (std::size_t op = 0; op < ops; ++op) {
@@ -185,6 +234,8 @@ TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
       ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string() << " draw " << draw;
       ASSERT_TRUE(outcome.value().incremental) << "draw " << draw << " commit " << commit;
       ASSERT_NE(timer.result(), nullptr);
+      *slew_moves += slew_only_moves(*timer.design(), before,
+                                     driver_inputs(*timer.design(), *timer.result()));
 
       // Oracle: an uncached from-scratch analysis of the edited design.
       util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(*timer.design());
@@ -205,6 +256,57 @@ TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
       }
     }
   }
+}
+
+TEST(RetimeProperty, RandomEditSequencesMatchFullAnalysisBitwise) {
+  std::size_t slew_moves = 0;
+  check_random_edit_sequences(
+      [](const sta::SyntheticSpec& spec) { return sta::make_synthetic_design_checked(spec); },
+      &slew_moves);
+  // Linear cells give an output slew that depends on the load alone, so
+  // no commit moves the driver slew of a net whose load and cell stayed.
+  EXPECT_EQ(slew_moves, 0u);
+}
+
+/// The generic library with the synthetic designs' three cells (buf_x1,
+/// buf_x4, nand2_x1) given output-slew tables that rise with the input
+/// slew as well as the load.
+sta::CellLibrary slew_dependent_library() {
+  sta::CellLibrary library = sta::generic_library();
+  const std::vector<double> slews = {0.0, 50e-12, 500e-12, 5e-9};
+  const std::vector<double> loads = {0.0, 50e-15, 500e-15, 5e-12};
+  for (const char* name : {"buf_x1", "buf_x4", "nand2_x1"}) {
+    const int index = library.find(name);
+    EXPECT_GE(index, 0) << name;
+    sta::Cell cell = library.cell(static_cast<std::size_t>(index));
+    std::vector<double> values;
+    for (const double slew : slews) {
+      for (const double load : loads) {
+        values.push_back(cell.arc_slew(0.0, load) * (1.0 + slew / (slew + 100e-12)) +
+                         0.25 * slew);
+      }
+    }
+    util::Result<sta::TimingTable> table =
+        sta::TimingTable::create_checked(slews, loads, std::move(values));
+    EXPECT_TRUE(table.is_ok()) << table.status().to_string();
+    cell.output_slew = std::move(table).value();
+    library.add(std::move(cell));
+  }
+  return library;
+}
+
+TEST(RetimeProperty, SlewDependentCellsMatchFullAnalysisBitwise) {
+  const sta::CellLibrary library = slew_dependent_library();
+  std::size_t slew_moves = 0;
+  check_random_edit_sequences(
+      [&](const sta::SyntheticSpec& spec) {
+        std::istringstream is(sta::make_synthetic_design_text(spec));
+        return sta::read_design_checked(is, library);
+      },
+      &slew_moves);
+  // The draws move driver slews of nets whose load and cell stayed: the
+  // nets whose stored wire stages a commit must not keep.
+  EXPECT_GT(slew_moves, 0u);
 }
 
 }  // namespace
